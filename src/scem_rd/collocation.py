@@ -11,10 +11,15 @@ order 4. Eliminating the interior stage leaves, per subinterval of width h,
 
 so the unknowns are the mesh-node values only. The resulting nonlinear
 system (all interval closures plus the boundary residual) is solved by a
-damped Newton iteration on a sparse block-bidiagonal-plus-corner Jacobian,
-factored directly. The mesh is refined by halving subintervals whose
-scaled ODE residual exceeds the tolerance, and the returned solution
-carries the collocation cubic as a continuous interpolant.
+damped Newton iteration that reuses its factors after full steps. With
+separated boundary conditions the Jacobian is banded: the u(a) rows go
+above the block-bidiagonal interval closures and the u(b) rows below them
+(the de Boor-Weiss SOLVEBLOK layout), and LAPACK band LU factors it. A
+condition coupling u(a) with u(b) adds a corner outside the band, and
+that Jacobian is factored by SuperLU. The mesh is refined by halving
+subintervals whose scaled ODE residual exceeds the tolerance, and the
+returned solution carries the collocation cubic as a continuous
+interpolant.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -50,7 +56,9 @@ class FirstOrderBvp:
             and a (dim,) state to a (dim,) derivative, with True it maps a
             (m,) time array and (m, dim) states to (m, dim) derivatives.
         bc: boundary residual bc(u(a), u(b)), zero at a solution, exactly
-            dim components.
+            dim components. When every component depends on only one
+            endpoint (separated conditions) Newton uses a band LU; a
+            component depending on both takes the slower sparse LU.
         interval: (a, b) with a < b. For boundary-layer problems this is
             the stretched domain.
         rhs_jac: optional analytic Jacobian d rhs / d u. Same vectorization
@@ -300,11 +308,13 @@ def _collocation_system(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray):
     return F, (h, t_mid, f_nodes, y_mid, f_mid, bc_res)
 
 
-def _assemble_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data) -> csc_matrix:
+def _jacobian_blocks(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data):
+    """Interval closure blocks L, R (n_int, dim, dim) and bc blocks Ba, Bb.
+
+    Closure k depends on node k through L[k] and on node k+1 through R[k].
+    """
     h, t_mid, f_nodes, y_mid, f_mid, bc_res = data
-    n_int = nodes.size - 1
-    dim = bvp.dim
-    eye = np.eye(dim)
+    eye = np.eye(bvp.dim)
 
     J_nodes = _jac_all(bvp, nodes, Y, f_nodes)
     J_mid = _jac_all(bvp, t_mid, y_mid, f_mid)
@@ -318,18 +328,24 @@ def _assemble_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, dat
     R = eye[None] - h6 * J_nodes[1:] - h3 * J_mid + h212 * JmJk1
 
     Ba, Bb = _bc_jacobians(bvp, Y[0].copy(), Y[-1].copy(), bc_res)
+    return L, R, Ba, Bb
 
+
+def _factor_sparse(L, R, Ba, Bb):
+    """SuperLU on the block-bidiagonal matrix with the bc rows on top.
+
+    Needed when a boundary condition couples u(a) and u(b): that row
+    reaches from the first to the last block column, so no narrow band
+    holds it.
+    """
+    n_int, dim, _ = L.shape
     ii, jj = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
 
-    def block(r, c):
-        return r * dim + ii, c * dim + jj
-
     rows, cols, vals = [], [], []
     for col, data_block in ((0, Ba), (n_int, Bb)):
-        r, c = block(0, col)
-        rows.append(r)
-        cols.append(c)
+        rows.append(ii)
+        cols.append(col * dim + jj)
         vals.append(data_block.ravel())
     k = np.arange(n_int)
     for col_off, blocks in ((0, L), (1, R)):
@@ -338,41 +354,119 @@ def _assemble_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, dat
         vals.append(blocks.reshape(n_int, -1).ravel())
 
     size = (n_int + 1) * dim
-    return csc_matrix(
+    J = csc_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(size, size),
     )
+    try:
+        return splu(J).solve
+    except RuntimeError as exc:  # singular factorization
+        raise NewtonDivergence(f"collocation Jacobian is singular: {exc}") from exc
+
+
+def _factor_banded(L, R, Ba, Bb, on_a):
+    """LAPACK band LU for separated boundary conditions.
+
+    Rows are ordered u(a)-only bc rows, interval closures, u(b)-only bc
+    rows; the matrix is then banded with kl = pa + dim - 1 sub- and
+    ku = max(dim - 1, 2 dim - 1 - pa) superdiagonals, pa being the number
+    of u(a) rows. Entry (r, c) sits at ab[kl + ku + r - c, c].
+    """
+    n_int, dim, _ = L.shape
+    pa = int(np.count_nonzero(on_a))
+    kl = pa + dim - 1
+    ku = max(dim - 1, 2 * dim - 1 - pa)
+    ab = np.zeros((2 * kl + ku + 1, (n_int + 1) * dim), order="F")
+    i, j = np.indices((dim, dim))
+    col = np.arange(n_int)[:, None, None] * dim + j
+    ab[kl + ku + pa + i - j, col] = L
+    ab[kl + ku + pa + i - j - dim, col + dim] = R
+    r, c = np.indices((pa, dim))
+    ab[kl + ku + r - c, c] = Ba[on_a]
+    r, c = np.indices((dim - pa, dim))
+    ab[kl + ku + pa + r - c, n_int * dim + c] = Bb[~on_a]
+
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise NewtonDivergence(f"collocation Jacobian is singular: zero pivot {info}")
+
+    def solve_band(F: np.ndarray) -> np.ndarray:
+        rhs = np.concatenate([F[:dim][on_a], F[dim:], F[:dim][~on_a]])
+        x, _ = dgbtrs(lu, kl, ku, rhs, piv)
+        return x
+
+    return solve_band
+
+
+def _factor_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data):
+    """Factor the Newton Jacobian; returns a function solving J x = F.
+
+    The bc zero pattern picks the path: separated conditions take the
+    band LU, a row coupling u(a) with u(b) takes SuperLU.
+    """
+    L, R, Ba, Bb = _jacobian_blocks(bvp, nodes, Y, data)
+    on_a = np.any(Ba != 0.0, axis=1)
+    on_b = np.any(Bb != 0.0, axis=1)
+    if not np.all(on_a | on_b):
+        raise NewtonDivergence(
+            "collocation Jacobian is singular: a boundary condition depends "
+            "on neither endpoint"
+        )
+    if np.any(on_a & on_b):
+        return _factor_sparse(L, R, Ba, Bb)
+    return _factor_banded(L, R, Ba, Bb, on_a)
 
 
 def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverConfig):
-    """Damped Newton on the collocation equations. Returns (Y, iterations)."""
+    """Damped Newton on the collocation equations. Returns (Y, iterations).
+
+    After a full step the factors are kept and the next step is a chord
+    step with them, as in BVP_SOLVER and scipy's solve_bvp. A chord step
+    is never damped: when its full step fails the decrease test the
+    Jacobian is refactored at the current iterate.
+    """
+    F, data = _collocation_system(bvp, nodes, Y)
+    solve_lin = None
     for it in range(1, cfg.max_newton + 1):
-        F, data = _collocation_system(bvp, nodes, Y)
-        J = _assemble_jacobian(bvp, nodes, Y, data)
-        try:
-            d = splu(J).solve(-F)
-        except RuntimeError as exc:  # singular factorization
-            raise NewtonDivergence(f"collocation Jacobian is singular: {exc}") from exc
-        d = d.reshape(Y.shape)
-        step = float(np.max(np.abs(d) / (1.0 + np.abs(Y))))
-        if step <= cfg.newton_tol:
+        if solve_lin is not None:
+            d = solve_lin(-F).reshape(Y.shape)
+            if _step_size(d, Y) <= cfg.newton_tol:
+                return Y + d, it
+            Y_try = Y + d
+            F_try, data_try = _collocation_system(bvp, nodes, Y_try)
+            if _decreases(F_try, F, 1.0):
+                Y, F, data = Y_try, F_try, data_try
+                continue
+        solve_lin = _factor_jacobian(bvp, nodes, Y, data)
+        d = solve_lin(-F).reshape(Y.shape)
+        if _step_size(d, Y) <= cfg.newton_tol:
             return Y + d, it
-        norm0 = float(np.linalg.norm(F))
-        floor = 1e-13 * np.sqrt(F.size)
         alpha = 1.0
         for _ in range(11):  # full step plus up to 10 halvings
             Y_try = Y + alpha * d
-            F_try, _ = _collocation_system(bvp, nodes, Y_try)
-            norm_try = float(np.linalg.norm(F_try))
-            if norm_try <= (1.0 - 1e-4 * alpha) * norm0 or norm_try <= floor:
+            F_try, data_try = _collocation_system(bvp, nodes, Y_try)
+            if _decreases(F_try, F, alpha):
                 break
             alpha *= 0.5
         else:
             raise NewtonDivergence(
                 f"no residual decrease after 10 step halvings (iteration {it})"
             )
-        Y = Y_try
+        Y, F, data = Y_try, F_try, data_try
+        if alpha < 1.0:
+            solve_lin = None
     raise NewtonDivergence(f"Newton did not converge in {cfg.max_newton} iterations")
+
+
+def _step_size(d: np.ndarray, Y: np.ndarray) -> float:
+    return float(np.max(np.abs(d) / (1.0 + np.abs(Y))))
+
+
+def _decreases(F_try: np.ndarray, F: np.ndarray, alpha: float) -> bool:
+    """Armijo-type sufficient decrease of the residual norm, or roundoff level."""
+    norm_try = float(np.linalg.norm(F_try))
+    floor = 1e-13 * np.sqrt(F.size)
+    return norm_try <= (1.0 - 1e-4 * alpha) * float(np.linalg.norm(F)) or norm_try <= floor
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ from .system import ReactionDiffusionSystem, validate_assumptions
 
 #: condition-number ceiling beyond which the reduced matrix counts as singular
 _SINGULAR_COND = 1e14
+#: A_SS tables kept per layer problem, oldest dropped first; one mesh needs
+#: three (nodes, midpoints, residual quadrature points)
+_TABLE_MEMO_SIZE = 4
 
 
 class SingularReducedMatrix(Exception):
@@ -164,9 +167,22 @@ def build_layer_problem(
     bc_pair = np.array([mismatch0, mismatch1])
     idx = list(components)
 
+    # Newton evaluates rhs and rhs_jac on the same nodes and midpoints many
+    # times per mesh, so A_SS is tabulated once per abscissa array.
+    tables: dict[bytes, np.ndarray] = {}
+
     def submatrix(ts: np.ndarray) -> np.ndarray:
-        xs = np.clip(recover(ts), 0.0, 1.0)
-        return sys.coeff_matrix(xs)[np.ix_(range(ts.size), idx, idx)]
+        key = ts.tobytes()
+        A = tables.get(key)
+        if A is None:
+            A = sys.coeff_matrix(np.clip(recover(ts), 0.0, 1.0))
+            if m < sys.n:
+                A = A[np.ix_(range(ts.size), idx, idx)]
+            A.flags.writeable = False
+            if len(tables) >= _TABLE_MEMO_SIZE:
+                del tables[next(iter(tables))]
+            tables[key] = A
+        return A
 
     def rhs(ts, U):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))

@@ -1,10 +1,15 @@
 """Tests for the Lobatto IIIa collocation engine."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import scem_rd.collocation as collocation
 from scem_rd.collocation import (
     FirstOrderBvp,
     Mesh,
@@ -15,6 +20,8 @@ from scem_rd.collocation import (
     evaluate,
     solve,
 )
+from scem_rd.problems import example1
+from scem_rd.scem import Side, build_layer_problem, solve_reduced
 
 
 def exponential_bvp():
@@ -255,3 +262,95 @@ def test_polynomial_exactness_property(c):
     sol = solve(bvp, SolverConfig(initial_mesh_points=5, adaptive=False))
     xs = np.linspace(0.0, 1.0, 37)
     assert np.max(np.abs(evaluate(sol, xs)[:, 0] - u(xs))) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(min_value=1, max_value=4),
+)
+def test_band_layout_for_every_bc_row_split(data, dim):
+    # u' = M u with the first pa components fixed at a, the rest at b;
+    # pa = 0 and pa = dim are the extreme band widths
+    pa = data.draw(st.integers(min_value=0, max_value=dim))
+    entries = st.floats(min_value=-0.5, max_value=0.5)
+    M = np.array(data.draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
+    M = M.reshape(dim, dim)
+    c = np.array(data.draw(st.lists(
+        st.floats(min_value=-1.0, max_value=1.0), min_size=dim, max_size=dim)))
+    B = np.vstack([np.eye(dim)[:pa], expm(M)[pa:]])  # bc rows acting on u(a)
+    assume(np.linalg.cond(B) < 1e6)
+    ua = np.linalg.solve(B, c)
+
+    bvp = FirstOrderBvp(
+        dim=dim,
+        rhs=lambda t, U: U @ M.T,
+        bc=lambda ua, ub: np.concatenate([ua[:pa], ub[pa:]]) - c,
+        interval=(0.0, 1.0),
+        vectorized=True,
+        rhs_jac=lambda t, U: np.broadcast_to(M, (len(t), dim, dim)),
+    )
+    with mock.patch.object(collocation, "splu", side_effect=AssertionError("sparse path")):
+        sol = solve(bvp, SolverConfig(initial_mesh_points=201, adaptive=False))
+    want = np.array([expm(M * t) @ ua for t in sol.mesh.nodes])
+    assert np.max(np.abs(sol.node_values - want)) <= 1e-8
+
+
+def test_coupled_bc_takes_superlu_and_agrees_with_separated(monkeypatch):
+    factored = []
+
+    def counting_splu(J):
+        factored.append(J.shape)
+        return splu(J)
+
+    splu = collocation.splu
+    monkeypatch.setattr(collocation, "splu", counting_splu)
+    cfg = SolverConfig(initial_mesh_points=5)
+    separated = solve(linear_ramp_bvp(), cfg)
+    assert factored == []
+    coupled = solve(
+        dataclasses.replace(
+            linear_ramp_bvp(), bc=lambda ua, ub: np.array([ua[0], ub[0] + ua[0] - 1.0])
+        ),
+        cfg,
+    )
+    assert factored
+    np.testing.assert_allclose(coupled.node_values, separated.node_values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(coupled.interpolant(0.37), [0.37, 1.0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        lambda ua, ub: np.array([ua[0], 0.0 * ub[0]]),  # a row on neither endpoint
+        lambda ua, ub: np.array([ua[1], ub[1]]),  # u[0] undetermined: zero pivot
+    ],
+    ids=["bc-row-on-neither-endpoint", "zero-band-pivot"],
+)
+def test_singular_jacobian_raises_newton_divergence(bc):
+    bvp = dataclasses.replace(linear_ramp_bvp(), bc=bc)
+    with pytest.raises(NewtonDivergence, match="collocation Jacobian is singular"):
+        solve(bvp, SolverConfig(initial_mesh_points=5))
+
+
+def test_linear_layer_problem_factors_once_per_pass(monkeypatch):
+    factor_sizes, passes = [], []
+    dgbtrf = collocation.dgbtrf
+    residual = collocation._residual_per_interval
+
+    def counting_dgbtrf(ab, *args, **kwargs):
+        factor_sizes.append(ab.shape[1])
+        return dgbtrf(ab, *args, **kwargs)
+
+    def counting_residual(bvp, nodes, *args):
+        passes.append(nodes.size)
+        return residual(bvp, nodes, *args)
+
+    monkeypatch.setattr(collocation, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(collocation, "_residual_per_interval", counting_residual)
+    sys = example1(1e-6)
+    layer = build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
+    sol = solve(layer.bvp)
+    assert len(passes) > 1  # refinement happened
+    assert factor_sizes == [n * layer.bvp.dim for n in passes]
+    assert sol.newton_iterations == 2 * len(passes)
