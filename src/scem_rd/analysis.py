@@ -87,12 +87,32 @@ class ErrorReport:
     failures: list[tuple[float, int, str]] = field(default_factory=list)
 
 
-def _check_doubling(n_list: tuple[int, ...]) -> None:
+def map_cells(work: Callable, cells, jobs: int) -> list:
+    """work(cell) for each cell, in a thread pool of ``jobs`` workers when
+    jobs > 1; results come back in input order either way."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(work, cells))
+    return [work(cell) for cell in cells]
+
+
+def check_doubling(n_list, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless n_list is a nonempty chain N, 2N, 4N, ... with N >= 1."""
     if not n_list:
-        raise ValueError("n_list must be nonempty")
+        raise error("n_list must be nonempty")
+    if n_list[0] < 1:
+        raise error(f"mesh-interval counts must be at least 1, got {n_list[0]}")
     for a, b in zip(n_list, n_list[1:]):
         if b != 2 * a:
-            raise ValueError(f"n_list must double at each step, got {a} -> {b}")
+            raise error(f"n_list must double at each step, got {a} -> {b}")
+
+
+def convergence_order(d: float, d2: float) -> float:
+    """Convergence order log2(d / d2), NaN when either difference is at or
+    below the noise floor."""
+    if d > ORDER_NOISE_FLOOR and d2 > ORDER_NOISE_FLOOR:
+        return float(np.log2(d / d2))
+    return math.nan
 
 
 def convergence_table(
@@ -113,7 +133,7 @@ def convergence_table(
     """
     eps_list = tuple(float(e) for e in eps_list)
     n_list = tuple(int(n) for n in n_list)
-    _check_doubling(n_list)
+    check_doubling(n_list)
 
     solve_ns = n_list + (2 * n_list[-1], 4 * n_list[-1])
     cells = [(eps, n) for eps in eps_list for n in solve_ns]
@@ -125,11 +145,7 @@ def convergence_table(
         except Exception as exc:  # recorded, not fatal
             return exc
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(cells, pool.map(run, cells)))
-    else:
-        results = {cell: run(cell) for cell in cells}
+    results = dict(zip(cells, map_cells(run, cells, jobs)))
 
     report = ErrorReport(eps_list=eps_list, n_list=n_list)
     diff_ns = n_list + (2 * n_list[-1],)
@@ -155,11 +171,9 @@ def convergence_table(
     for n in n_list:
         if n not in report.d_n or 2 * n not in report.d_n:
             continue
-        dn, d2n = report.d_n[n], report.d_n[2 * n]
-        p = np.full_like(dn, np.nan)
-        ok = (dn > ORDER_NOISE_FLOOR) & (d2n > ORDER_NOISE_FLOOR)
-        p[ok] = np.log2(dn[ok] / d2n[ok])
-        report.order[n] = p
+        report.order[n] = np.array(
+            [convergence_order(d, d2) for d, d2 in zip(report.d_n[n], report.d_n[2 * n])]
+        )
     return report
 
 
@@ -218,13 +232,8 @@ def recompute_orders(d_values: dict[int, float]) -> dict[int, float]:
     Helper for verifying emitted tables: p^N = log2(D^N / D^{2N}) wherever
     both values exceed the noise floor, NaN otherwise.
     """
-    out: dict[int, float] = {}
-    for n, d in d_values.items():
-        d2 = d_values.get(2 * n)
-        if d2 is None:
-            continue
-        if d > ORDER_NOISE_FLOOR and d2 > ORDER_NOISE_FLOOR:
-            out[n] = math.log2(d / d2)
-        else:
-            out[n] = float("nan")
-    return out
+    return {
+        n: convergence_order(d, d_values[2 * n])
+        for n, d in d_values.items()
+        if 2 * n in d_values
+    }

@@ -15,12 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import GridFunction, convergence_table, exact_constant_system
+from .analysis import GridFunction, convergence_table, exact_constant_system, map_cells
 from .collocation import CollocationError, SolverConfig
 from .config import (
     PAPER_GRID,
@@ -125,14 +124,6 @@ def _solve_cell(problem: ProblemConfig, eps: float, cfg: SolverConfig):
         raise SolverFailure(f"eps={eps:g}: {exc}") from exc
 
 
-def _sweep(manifest: RunManifest, work):
-    """Run work(eps) for each eps, optionally in a pool; results in input order."""
-    if manifest.jobs > 1:
-        with ThreadPoolExecutor(max_workers=manifest.jobs) as pool:
-            return list(pool.map(work, manifest.eps_list))
-    return [work(eps) for eps in manifest.eps_list]
-
-
 def _eps_tag(eps: float) -> str:
     return format(eps, ".10g")
 
@@ -149,20 +140,36 @@ def _fixed(v: float) -> str:
     return f"{v:.15f}"
 
 
-def cmd_solve(manifest: RunManifest) -> int:
-    """Solution tables: per eps, rows x,y_1..y_n at the evaluation grid."""
+def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
+    """Per eps, write rows x,y_1..y_n at the evaluation grid to
+    ``<problem>_<kind>_eps<eps>.csv``; with ``oracle_data`` (A, f) also the
+    rows x,e_1..e_n of |hybrid - oracle| to ``<problem>_error_eps<eps>.csv``."""
+    problem = manifest.problem
     xs = manifest.grid()
     cfg = _solver_config(manifest)
-    hybrids = _sweep(manifest, lambda eps: _solve_cell(manifest.problem, eps, cfg))
-    header = ["x"] + [f"y_{i + 1}" for i in range(manifest.problem.n)]
+    hybrids = map_cells(lambda eps: _solve_cell(problem, eps, cfg),
+                        manifest.eps_list, manifest.jobs)
     for eps, hybrid in zip(manifest.eps_list, hybrids):
         values = hybrid.eval_many(xs)
-        rows = [[_fixed(x)] + [_fixed(v) for v in row] for x, row in zip(xs, values)]
+        tag = _eps_tag(eps)
         _write_csv(
-            manifest.output_dir / f"{manifest.problem.name}_solve_eps{_eps_tag(eps)}.csv",
-            header, rows,
+            manifest.output_dir / f"{problem.name}_{kind}_eps{tag}.csv",
+            ["x"] + [f"y_{i + 1}" for i in range(problem.n)],
+            [[_fixed(x)] + [_fixed(v) for v in row] for x, row in zip(xs, values)],
         )
+        if oracle_data is not None:
+            err = np.abs(values - exact_constant_system(*oracle_data, eps)(xs))
+            _write_csv(
+                manifest.output_dir / f"{problem.name}_error_eps{tag}.csv",
+                ["x"] + [f"e_{i + 1}" for i in range(problem.n)],
+                [[_fixed(x)] + [f"{v:.15e}" for v in row] for x, row in zip(xs, err)],
+            )
     return EXIT_OK
+
+
+def cmd_solve(manifest: RunManifest) -> int:
+    """Solution tables: per eps, rows x,y_1..y_n at the evaluation grid."""
+    return _write_solutions(manifest, "solve")
 
 
 def cmd_convergence(manifest: RunManifest) -> int:
@@ -225,28 +232,7 @@ def _constant_system_data(problem: ProblemConfig):
 def cmd_plotdata(manifest: RunManifest) -> int:
     """Dense per-eps solution data, plus |hybrid - oracle| error files when
     the closed-form constant-coefficient oracle applies."""
-    xs = manifest.grid()
-    cfg = _solver_config(manifest)
-    hybrids = _sweep(manifest, lambda eps: _solve_cell(manifest.problem, eps, cfg))
-    oracle_data = _constant_system_data(manifest.problem)
-    n = manifest.problem.n
-    for eps, hybrid in zip(manifest.eps_list, hybrids):
-        values = hybrid.eval_many(xs)
-        tag = _eps_tag(eps)
-        _write_csv(
-            manifest.output_dir / f"{manifest.problem.name}_plot_eps{tag}.csv",
-            ["x"] + [f"y_{i + 1}" for i in range(n)],
-            [[_fixed(x)] + [_fixed(v) for v in row] for x, row in zip(xs, values)],
-        )
-        if oracle_data is not None:
-            A, f = oracle_data
-            err = np.abs(values - exact_constant_system(A, f, eps)(xs))
-            _write_csv(
-                manifest.output_dir / f"{manifest.problem.name}_error_eps{tag}.csv",
-                ["x"] + [f"e_{i + 1}" for i in range(n)],
-                [[_fixed(x)] + [f"{v:.15e}" for v in row] for x, row in zip(xs, err)],
-            )
-    return EXIT_OK
+    return _write_solutions(manifest, "plot", _constant_system_data(manifest.problem))
 
 
 _COMMANDS = {

@@ -52,25 +52,24 @@ class FirstOrderBvp:
 
     Attributes:
         dim: number of unknowns.
-        rhs: right-hand side; with ``vectorized`` False it maps a scalar t
-            and a (dim,) state to a (dim,) derivative, with True it maps a
-            (m,) time array and (m, dim) states to (m, dim) derivatives.
+        rhs: right-hand side, called on whole arrays: it maps an (m,)
+            array of times and the (m, dim) states there to the (m, dim)
+            derivatives. It is never called point by point.
         bc: boundary residual bc(u(a), u(b)), zero at a solution, exactly
             dim components. When every component depends on only one
             endpoint (separated conditions) Newton uses a band LU; a
             component depending on both takes the slower sparse LU.
         interval: (a, b) with a < b. For boundary-layer problems this is
             the stretched domain.
-        rhs_jac: optional analytic Jacobian d rhs / d u. Same vectorization
-            convention as rhs, returning (dim, dim) or (m, dim, dim).
-            Finite differences are used when absent.
+        rhs_jac: optional analytic Jacobian d rhs / d u, called like rhs
+            and returning (m, dim, dim). Finite differences of rhs are
+            used when absent.
     """
 
     dim: int
     rhs: Callable
     bc: Callable[[np.ndarray, np.ndarray], np.ndarray]
     interval: tuple[float, float]
-    vectorized: bool = False
     rhs_jac: Callable | None = None
 
     def __post_init__(self) -> None:
@@ -110,10 +109,9 @@ class Mesh:
 class SolverConfig:
     """Tolerances and limits for :func:`solve`.
 
-    ``initial_guess`` maps t to a (dim,) state; the default is the constant
-    ones vector. ``adaptive`` False runs a single pass on the initial mesh
-    and reports the residual without refining (no MeshOverflow possible);
-    useful for mesh-convergence studies.
+    Newton starts from the constant ones vector. ``adaptive`` False runs a
+    single pass on the initial mesh and reports the residual without
+    refining (no MeshOverflow possible); useful for mesh-convergence studies.
     """
 
     residual_tol: float = 1e-6
@@ -121,7 +119,6 @@ class SolverConfig:
     max_newton: int = 50
     max_mesh_points: int = 100000
     initial_mesh_points: int = 1000
-    initial_guess: Callable[[float], np.ndarray] | None = None
     adaptive: bool = True
 
     def __post_init__(self) -> None:
@@ -237,12 +234,7 @@ def evaluate(sol: CollocationSolution, points: Sequence[float] | np.ndarray) -> 
 
 def _rhs_all(bvp: FirstOrderBvp, ts: np.ndarray, U: np.ndarray) -> np.ndarray:
     """rhs at many points; ts (m,), U (m, dim) -> (m, dim)."""
-    if bvp.vectorized:
-        return np.asarray(bvp.rhs(ts, U), dtype=float).reshape(U.shape)
-    out = np.empty_like(U)
-    for i in range(ts.size):
-        out[i] = np.asarray(bvp.rhs(float(ts[i]), U[i]), dtype=float).reshape(bvp.dim)
-    return out
+    return np.asarray(bvp.rhs(ts, U), dtype=float).reshape(U.shape)
 
 
 def _jac_all(bvp: FirstOrderBvp, ts: np.ndarray, U: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -253,12 +245,7 @@ def _jac_all(bvp: FirstOrderBvp, ts: np.ndarray, U: np.ndarray, F: np.ndarray) -
     """
     m, dim = U.shape
     if bvp.rhs_jac is not None:
-        if bvp.vectorized:
-            return np.asarray(bvp.rhs_jac(ts, U), dtype=float).reshape(m, dim, dim)
-        out = np.empty((m, dim, dim))
-        for i in range(m):
-            out[i] = np.asarray(bvp.rhs_jac(float(ts[i]), U[i]), dtype=float).reshape(dim, dim)
-        return out
+        return np.asarray(bvp.rhs_jac(ts, U), dtype=float).reshape(m, dim, dim)
     out = np.empty((m, dim, dim))
     step = np.sqrt(np.finfo(float).eps)
     for j in range(dim):
@@ -511,13 +498,6 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 
 
-def _initial_values(bvp: FirstOrderBvp, nodes: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    if cfg.initial_guess is None:
-        return np.ones((nodes.size, bvp.dim))
-    rows = [np.asarray(cfg.initial_guess(float(t)), dtype=float).reshape(bvp.dim) for t in nodes]
-    return np.array(rows)
-
-
 def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSolution:
     """Solve the BVP by Lobatto IIIa collocation with residual refinement.
 
@@ -531,7 +511,7 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSol
     cfg = cfg or SolverConfig()
     a, b = bvp.interval
     nodes = np.linspace(a, b, cfg.initial_mesh_points)
-    Y = _initial_values(bvp, nodes, cfg)
+    Y = np.ones((nodes.size, bvp.dim))
 
     total_newton = 0
     while True:

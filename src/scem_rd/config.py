@@ -10,11 +10,13 @@ built-in configs so table reproduction needs no authoring.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .analysis import check_doubling
 from .expressions import ExpressionError, compile_expression
 from .system import ReactionDiffusionSystem, make_system
 
@@ -177,11 +179,10 @@ class RunManifest:
     def __post_init__(self) -> None:
         if not self.eps_list:
             raise ConfigError("eps list must be nonempty")
-        if any(e <= 0.0 for e in self.eps_list):
-            raise ConfigError("eps values must be positive")
-        for a, b in zip(self.n_list, self.n_list[1:]):
-            if b != 2 * a:
-                raise ConfigError(f"n list must double at each step, got {a} -> {b}")
+        if not all(0.0 < e < math.inf for e in self.eps_list):
+            raise ConfigError("eps values must be positive and finite")
+        if self.n_list:
+            check_doubling(self.n_list, ConfigError)
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
 

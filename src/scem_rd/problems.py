@@ -1,8 +1,13 @@
-"""Built-in benchmark systems used by the CLI and the test suite."""
+"""Built-in benchmark systems used by the CLI and the test suite.
+
+Each is its ``config.BUILTIN_PROBLEMS`` entry instantiated at one eps, so
+the coefficients are defined in one place.
+"""
 
 from __future__ import annotations
 
-from .system import ReactionDiffusionSystem, make_system
+from .config import BUILTIN_PROBLEMS
+from .system import ReactionDiffusionSystem
 
 
 def example1(eps: float) -> ReactionDiffusionSystem:
@@ -11,11 +16,7 @@ def example1(eps: float) -> ReactionDiffusionSystem:
     -eps y1'' + 4 y1 - 2 y2 = 1,  -eps y2'' - y1 + 3 y2 = 2, zero BCs.
     Reduced solution (0.7, 0.9).
     """
-    return make_system(
-        coeff=[[4.0, -2.0], [-1.0, 3.0]],
-        forcing=[1.0, 2.0],
-        diffusion=[eps, eps],
-    )
+    return BUILTIN_PROBLEMS["example1"].build_system(eps)
 
 
 def example2(eps: float) -> ReactionDiffusionSystem:
@@ -23,8 +24,4 @@ def example2(eps: float) -> ReactionDiffusionSystem:
 
     Reduced solution (0.2x + 0.2, 0.2x + 0.45, 0.4x + 0.15).
     """
-    return make_system(
-        coeff=[[3.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 3.0]],
-        forcing=[0.0, 1.0, lambda x: x],
-        diffusion=[eps, eps, eps],
-    )
+    return BUILTIN_PROBLEMS["example2"].build_system(eps)

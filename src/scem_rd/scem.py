@@ -185,8 +185,6 @@ def build_layer_problem(
         return A
 
     def rhs(ts, U):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         A = submatrix(ts)
         out = np.empty_like(U)
         out[:, :m] = U[:, m:]
@@ -194,7 +192,6 @@ def build_layer_problem(
         return out
 
     def rhs_jac(ts, U):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         J = np.zeros((ts.size, 2 * m, 2 * m))
         J[:, :m, m:] = np.eye(m)
         J[:, m:, :m] = submatrix(ts)
@@ -209,8 +206,7 @@ def build_layer_problem(
         side=side,
         stretched_interval=interval,
         bvp=FirstOrderBvp(
-            dim=2 * m, rhs=rhs, bc=bc, interval=interval,
-            vectorized=True, rhs_jac=rhs_jac,
+            dim=2 * m, rhs=rhs, bc=bc, interval=interval, rhs_jac=rhs_jac,
         ),
         bc_values=bc_pair,
         components=components,

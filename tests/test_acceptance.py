@@ -207,7 +207,7 @@ def test_criterion_8_polynomial_exactness():
 
     bvp = FirstOrderBvp(
         dim=4,
-        rhs=lambda t, u: np.array([u[1], 6.0 * t, u[3], 4.0]),
+        rhs=lambda t, u: np.column_stack([u[:, 1], 6.0 * t, u[:, 3], np.full_like(t, 4.0)]),
         bc=lambda ua, ub: np.array(
             [ua[0] - p(0.0), ub[0] - p(1.0), ua[2] - q(0.0), ub[2] - q(1.0)]
         ),

@@ -158,6 +158,26 @@ def test_convergence_needs_two_n_values(tmp_path):
                  "--n", "64", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--eps", "0.5", "--n", "0"],
+        ["convergence", "--eps", "0.5", "--n", "0,0"],
+        ["convergence", "--eps", "0.5", "--n=-4,-8"],
+        ["solve", "--eps", "nan"],
+        ["solve", "--eps", "inf"],
+        ["convergence", "--eps", "0.5,nan", "--n", "16,32"],
+        ["plotdata", "--eps", "inf"],
+    ],
+    ids=["solve-n0", "convergence-n0", "convergence-negative-n", "solve-eps-nan",
+         "solve-eps-inf", "convergence-eps-nan", "plotdata-eps-inf"],
+)
+def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, argv):
+    argv = argv[:1] + ["--problem", "example1", "--out", str(tmp_path)] + argv[1:]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_convergence_rejects_nondoubling_chain(tmp_path):
     assert main(["convergence", "--problem", "example1", "--eps", "0.5",
                  "--n", "16,48", "--out", str(tmp_path)]) == 2

@@ -37,7 +37,7 @@ def linear_ramp_bvp():
     # u'' = 0 with u(0) = 0, u(1) = 1: solution u(t) = t
     return FirstOrderBvp(
         dim=2,
-        rhs=lambda t, u: np.array([u[1], 0.0]),
+        rhs=lambda t, u: np.column_stack([u[:, 1], np.zeros_like(t)]),
         bc=lambda ua, ub: np.array([ua[0], ub[0] - 1.0]),
         interval=(0.0, 1.0),
     )
@@ -47,7 +47,7 @@ def scalar_layer_bvp(eps):
     # -eps u'' + u = 1, u(0) = u(1) = 0
     return FirstOrderBvp(
         dim=2,
-        rhs=lambda t, u: np.array([u[1], (u[0] - 1.0) / eps]),
+        rhs=lambda t, u: np.column_stack([u[:, 1], (u[:, 0] - 1.0) / eps]),
         bc=lambda ua, ub: np.array([ua[0], ub[0]]),
         interval=(0.0, 1.0),
     )
@@ -119,7 +119,7 @@ def test_residual_zero_for_cubic_solution():
     # u = t^3 - t: u' = 3t^2 - 1, u'' = 6t; collocation is exact on cubics
     bvp = FirstOrderBvp(
         dim=2,
-        rhs=lambda t, u: np.array([u[1], 6.0 * t]),
+        rhs=lambda t, u: np.column_stack([u[:, 1], 6.0 * t]),
         bc=lambda ua, ub: np.array([ua[0], ub[0]]),
         interval=(0.0, 1.0),
     )
@@ -148,7 +148,7 @@ def test_residual_large_on_coarse_mesh():
 def test_fourth_order_convergence():
     # smooth problem with known solution sin(pi t)
     def rhs(t, u):
-        return np.array([u[1], u[0] - (1.0 + np.pi**2) * np.sin(np.pi * t)])
+        return np.column_stack([u[:, 1], u[:, 0] - (1.0 + np.pi**2) * np.sin(np.pi * t)])
 
     errors = []
     for n in (8, 16, 32):
@@ -222,24 +222,6 @@ def test_config_validation():
         FirstOrderBvp(dim=1, rhs=lambda t, u: u, bc=lambda a, b: a, interval=(1.0, 0.0))
 
 
-def test_vectorized_rhs_agrees_with_scalar():
-    def rhs_scalar(t, u):
-        return np.array([u[1], (u[0] - 1.0) / 0.01])
-
-    def rhs_vec(t, u):
-        out = np.empty_like(u)
-        out[:, 0] = u[:, 1]
-        out[:, 1] = (u[:, 0] - 1.0) / 0.01
-        return out
-
-    base = dict(bc=lambda ua, ub: np.array([ua[0], ub[0]]), interval=(0.0, 1.0))
-    cfg = SolverConfig(initial_mesh_points=41)
-    sol_s = solve(FirstOrderBvp(dim=2, rhs=rhs_scalar, **base), cfg)
-    sol_v = solve(FirstOrderBvp(dim=2, rhs=rhs_vec, vectorized=True, **base), cfg)
-    xs = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_allclose(evaluate(sol_s, xs), evaluate(sol_v, xs), atol=1e-12)
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     c=st.tuples(*[st.floats(min_value=-2.0, max_value=2.0) for _ in range(4)]),
@@ -252,7 +234,7 @@ def test_polynomial_exactness_property(c):
         return c0 + c1 * t + c2 * t * t + c3 * t**3
 
     def rhs(t, w):
-        return np.array([w[1], 2.0 * c2 + 6.0 * c3 * t])
+        return np.column_stack([w[:, 1], 2.0 * c2 + 6.0 * c3 * t])
 
     bvp = FirstOrderBvp(
         dim=2, rhs=rhs,
@@ -287,7 +269,6 @@ def test_band_layout_for_every_bc_row_split(data, dim):
         rhs=lambda t, U: U @ M.T,
         bc=lambda ua, ub: np.concatenate([ua[:pa], ub[pa:]]) - c,
         interval=(0.0, 1.0),
-        vectorized=True,
         rhs_jac=lambda t, U: np.broadcast_to(M, (len(t), dim, dim)),
     )
     with mock.patch.object(collocation, "splu", side_effect=AssertionError("sparse path")):

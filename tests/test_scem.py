@@ -1,10 +1,14 @@
 """Tests for the hybrid pipeline: reduced solve, layer problems, composite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 
 from scem_rd.analysis import exact_constant_system
 from scem_rd.collocation import SolverConfig, evaluate, solve
+from scem_rd.config import BUILTIN_PROBLEMS
 from scem_rd.problems import example1, example2
 from scem_rd.scem import (
     AssumptionViolation,
@@ -152,6 +156,30 @@ def test_hybrid_close_to_analytic_solution():
                                    np.array([1.0, 2.0]), eps)
     xs = np.linspace(0.0, 1.0, 2001)
     assert np.max(np.abs(hybrid.eval_many(xs) - oracle(xs))) <= 1e-4
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_nonzero_asymmetric_boundary_values_match_solve_bvp(eps):
+    # example1's A and f with unequal, nonzero data at both ends, against
+    # scipy's solve_bvp on the unreduced first-order system
+    left, right = np.array([1.0, -0.5]), np.array([0.25, 2.0])
+    config = dataclasses.replace(
+        BUILTIN_PROBLEMS["example1"], bc_left=tuple(left), bc_right=tuple(right)
+    )
+    hybrid = hybrid_solve(config.build_system(eps), SolverConfig())
+    ends = hybrid.eval_many(np.array([0.0, 1.0]))
+    assert np.max(np.abs(ends - [left, right])) <= 1e-9
+
+    A, f = np.array([[4.0, -2.0], [-1.0, 3.0]]), np.array([1.0, 2.0])
+    ref = solve_bvp(
+        lambda x, z: np.vstack([z[2:], (A @ z[:2] - f[:, None]) / eps]),
+        lambda za, zb: np.concatenate([za[:2] - left, zb[:2] - right]),
+        np.linspace(0.0, 1.0, 1001), np.zeros((4, 1001)), tol=1e-9, max_nodes=200000,
+    )
+    assert ref.success
+    layer = np.linspace(0.0, min(20.0 * np.sqrt(eps), 1.0), 401)
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), layer, 1.0 - layer]))
+    assert np.max(np.abs(hybrid.eval_many(xs) - ref.sol(xs)[:2].T)) <= 1e-6
 
 
 def test_assumption_violation_raises_and_warns():
