@@ -75,8 +75,9 @@ class ErrorReport:
     ``per_eps[eps][N]`` holds the per-component D for that cell;
     ``d_n[N]`` the per-component max over eps; ``order[N]`` the
     per-component p = log2(d_n[N] / d_n[2N]), NaN where either D is at or
-    below the noise floor. ``failures`` records (eps, N, message) for
-    sweep cells whose solver raised; their D entries are simply absent.
+    below the noise floor. ``failures`` records (eps, N, message) once for
+    each sweep cell whose solver raised, in sweep order; the D entries that
+    need such a cell are simply absent.
     """
 
     eps_list: tuple[float, ...]
@@ -147,20 +148,15 @@ def convergence_table(
 
     results = dict(zip(cells, map_cells(run, cells, jobs)))
 
-    report = ErrorReport(eps_list=eps_list, n_list=n_list)
+    failures = [(eps, n, str(r)) for (eps, n), r in results.items() if isinstance(r, Exception)]
+    report = ErrorReport(eps_list=eps_list, n_list=n_list, failures=failures)
     diff_ns = n_list + (2 * n_list[-1],)
     for eps in eps_list:
         row: dict[int, np.ndarray] = {}
         for n in diff_ns:
             coarse, fine = results[(eps, n)], results[(eps, 2 * n)]
-            failed = False
-            for r, nn in ((coarse, n), (fine, 2 * n)):
-                if isinstance(r, Exception):
-                    report.failures.append((eps, nn, str(r)))
-                    failed = True
-            if failed:
-                continue
-            row[n] = double_mesh_diff(coarse, fine)
+            if not isinstance(coarse, Exception) and not isinstance(fine, Exception):
+                row[n] = double_mesh_diff(coarse, fine)
         report.per_eps[eps] = row
 
     for n in diff_ns:

@@ -24,6 +24,8 @@ interpolant.
 
 from __future__ import annotations
 
+import itertools
+import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +34,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
+
+_log = logging.getLogger("scem_rd")
 
 
 class CollocationError(Exception):
@@ -89,7 +93,7 @@ class Mesh:
     def __post_init__(self) -> None:
         if self.nodes.ndim != 1 or self.nodes.size < 2:
             raise ValueError("mesh needs at least two nodes")
-        if np.any(np.diff(self.nodes) <= 0.0):
+        if not np.all(np.diff(self.nodes) > 0.0):  # NaN fails too
             raise ValueError("mesh nodes must be strictly increasing")
 
     @property
@@ -109,9 +113,14 @@ class Mesh:
 class SolverConfig:
     """Tolerances and limits for :func:`solve`.
 
-    Newton starts from the constant ones vector. ``adaptive`` False runs a
-    single pass on the initial mesh and reports the residual without
-    refining (no MeshOverflow possible); useful for mesh-convergence studies.
+    Newton starts from the constant ones vector. ``initial_mesh_points``
+    is the node count of the first pass when :func:`solve` gets no starting
+    nodes; hybrid solves spend it on each layer problem's start mesh, which
+    is uniform under ``adaptive`` False and layer-adapted (Shishkin) when
+    adaptive refinement is on and the stretched interval is long.
+    ``adaptive`` False runs a single pass on the initial mesh and reports
+    the residual without refining (no MeshOverflow possible); useful for
+    mesh-convergence studies.
     """
 
     residual_tol: float = 1e-6
@@ -498,28 +507,48 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 
 
-def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSolution:
+def solve(
+    bvp: FirstOrderBvp,
+    cfg: SolverConfig | None = None,
+    nodes: Sequence[float] | np.ndarray | None = None,
+) -> CollocationSolution:
     """Solve the BVP by Lobatto IIIa collocation with residual refinement.
 
-    Newton solves the collocation equations on the current mesh to the
-    step tolerance, then subintervals whose scaled residual exceeds
-    ``cfg.residual_tol`` are halved and the solve repeats from the
-    interpolated previous solution. Raises NewtonDivergence when the
-    iteration fails to contract and MeshOverflow when the tolerance is
-    unreachable within ``cfg.max_mesh_points`` (adaptive mode only).
+    The first pass runs on ``nodes`` when given (strictly increasing, from
+    exactly a to exactly b of ``bvp.interval``, else ValueError), otherwise
+    on ``cfg.initial_mesh_points`` uniform points. Newton solves the
+    collocation equations on the current mesh to the step tolerance, then
+    subintervals whose scaled residual exceeds ``cfg.residual_tol`` are
+    halved and the solve repeats from the interpolated previous solution.
+    Each pass is logged at debug level on the "scem_rd" logger. Raises
+    NewtonDivergence when the iteration fails to contract and MeshOverflow
+    when the tolerance is unreachable within ``cfg.max_mesh_points``
+    (adaptive mode only).
     """
     cfg = cfg or SolverConfig()
     a, b = bvp.interval
-    nodes = np.linspace(a, b, cfg.initial_mesh_points)
+    start = "uniform" if nodes is None else "supplied"
+    if nodes is None:
+        nodes = np.linspace(a, b, cfg.initial_mesh_points)
+    else:
+        nodes = Mesh(np.array(nodes, dtype=float)).nodes
+        if nodes[0] != a or nodes[-1] != b:
+            raise ValueError(
+                f"starting nodes span [{nodes[0]}, {nodes[-1]}], not the interval [{a}, {b}]"
+            )
     Y = np.ones((nodes.size, bvp.dim))
 
     total_newton = 0
-    while True:
+    for n_pass in itertools.count(1):
         Y, iters = _newton(bvp, nodes, Y, cfg)
         total_newton += iters
         slopes = _rhs_all(bvp, nodes, Y)
         res = _residual_per_interval(bvp, nodes, Y, slopes)
         max_res = float(np.max(res))
+        _log.debug(
+            "pass %d (%s start): %d nodes, %d Newton iterations, max residual %.3e",
+            n_pass, start, nodes.size, iters, max_res,
+        )
         if not cfg.adaptive or max_res <= cfg.residual_tol:
             return CollocationSolution(
                 mesh=Mesh(nodes),

@@ -14,6 +14,12 @@ The uniformly valid approximation is assembled in three steps:
    the outer solution's boundary mismatch (prescribed value minus outer
    value) at both ends. Each correction is computed numerically by the
    Lobatto IIIa collocation engine after the usual first-order recast.
+   Adaptive solves start from a piecewise-uniform Shishkin mesh of
+   ``initial_mesh_points`` nodes, fine within 4 ln(N - 1) / sqrt(delta) of
+   each end (delta from the assumption check bounds the eigenvalues of A from
+   below, so the layers decay at least like exp(-sqrt(delta) t)); this
+   keeps the refinement passes bounded as eps -> 0. Fixed-mesh solves
+   (``adaptive=False``) and short stretched intervals stay uniform.
 3. Composite: y(x) = y_out(x) + [Psi_L(x/sqrt(eps)) + Psi_R((x-1)/sqrt(eps))] / 2.
 
 Because the two stretched problems are transplants of the same physical
@@ -43,6 +49,9 @@ _SINGULAR_COND = 1e14
 #: A_SS tables kept per layer problem, oldest dropped first; one mesh needs
 #: three (nodes, midpoints, residual quadrature points)
 _TABLE_MEMO_SIZE = 4
+#: Shishkin transition constant sigma in tau = sigma ln N / sqrt(beta): the
+#: collocation order, so the layer is resolved to the method's accuracy
+_SHISHKIN_SIGMA = 4.0
 
 
 class SingularReducedMatrix(Exception):
@@ -265,6 +274,33 @@ def assemble_composite(
     )
 
 
+def _layer_start_mesh(
+    interval: tuple[float, float], cfg: SolverConfig, beta: float
+) -> np.ndarray | None:
+    """Piecewise-uniform Shishkin start for a layer solve; None means uniform.
+
+    Of the N - 1 intervals (N = ``cfg.initial_mesh_points``), a quarter go
+    on each of [a, a + tau] and [b - tau, b] and the rest on the middle, where
+    tau = 4 ln(N - 1) / sqrt(beta): a layer decaying like exp(-sqrt(beta) t)
+    is below (N - 1)^-4, the method's order, past the transition. The
+    uniform start is kept when beta <= 0 (no decay bound) or when the
+    layer regions would cover half the interval anyway.
+    """
+    a, b = interval
+    n = cfg.initial_mesh_points - 1
+    q = n // 4
+    if beta <= 0.0 or q == 0:
+        return None
+    tau = _SHISHKIN_SIGMA * np.log(n) / np.sqrt(beta)
+    if tau >= (b - a) / 4.0:
+        return None
+    return np.concatenate([
+        np.linspace(a, a + tau, q + 1),
+        np.linspace(a + tau, b - tau, n - 2 * q + 1)[1:-1],
+        np.linspace(b - tau, b, q + 1),
+    ])
+
+
 def hybrid_solve(
     sys: ReactionDiffusionSystem,
     cfg: SolverConfig | None = None,
@@ -274,7 +310,10 @@ def hybrid_solve(
 
     ``on_violation`` controls what happens when the structural assumptions
     fail on the 1001-point check grid: "raise" (default) raises
-    AssumptionViolation, "warn" proceeds with a warning.
+    AssumptionViolation, "warn" proceeds with a warning. Adaptive layer
+    solves start from a Shishkin mesh with beta = the check's delta, which
+    bounds the eigenvalues of A and of A_SS from below (Gershgorin) only
+    when the assumptions hold; otherwise they start uniform.
     """
     if on_violation not in ("raise", "warn"):
         raise ValueError("on_violation must be 'raise' or 'warn'")
@@ -291,6 +330,8 @@ def hybrid_solve(
     outer = solve_reduced(sys)
     left = build_layer_problem(sys, outer, Side.LEFT)
     right = build_layer_problem(sys, outer, Side.RIGHT)
-    left_sol = solve(left.bvp, cfg)
-    right_sol = solve(right.bvp, cfg)
+    cfg = cfg or SolverConfig()
+    beta = report.delta if cfg.adaptive and report.passed else 0.0
+    left_sol = solve(left.bvp, cfg, _layer_start_mesh(left.stretched_interval, cfg, beta))
+    right_sol = solve(right.bvp, cfg, _layer_start_mesh(right.stretched_interval, cfg, beta))
     return assemble_composite(outer, left_sol, right_sol, left.eps, left.components)

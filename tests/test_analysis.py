@@ -169,6 +169,18 @@ def test_failures_recorded_not_raised():
     assert 32 not in report.per_eps[0.5]
 
 
+def test_failing_cell_recorded_once():
+    # N = 128 is both the fine partner of 64 and the coarse side of 256
+    def solver(eps, n):
+        if n == 128:
+            raise RuntimeError("boom")
+        return uniform_gf(n + 1, lambda xs: xs[:, None])
+
+    report = convergence_table(solver, [0.5], [64, 128, 256])
+    assert report.failures == [(0.5, 128, "boom")]
+    assert sorted(report.per_eps[0.5]) == [256, 512]
+
+
 def test_nondoubling_chain_rejected():
     with pytest.raises(ValueError):
         convergence_table(lambda e, n: None, [0.5], [16, 24])

@@ -1,6 +1,7 @@
 """Tests for the Lobatto IIIa collocation engine."""
 
 import dataclasses
+import logging
 from unittest import mock
 
 import numpy as np
@@ -211,6 +212,28 @@ def test_mesh_validation():
         Mesh(np.array([1.0]))
     m = Mesh(np.array([0.0, 0.25, 1.0]))
     assert m.a == 0.0 and m.b == 1.0 and m.n_intervals == 2
+
+
+def test_starting_nodes_are_used_and_validated():
+    bvp = linear_ramp_bvp()
+    start = np.array([0.0, 0.1, 0.15, 0.5, 1.0])
+    sol = solve(bvp, SolverConfig(adaptive=False), start)
+    assert np.array_equal(sol.mesh.nodes, start)
+    assert np.max(np.abs(sol.node_values[:, 0] - start)) <= 1e-12
+    for bad in ([0.0, 0.5, 0.9], [0.1, 0.5, 1.0], [-0.1, 0.5, 1.0], [0.0, 0.6, 0.5, 1.0],
+                [0.0, np.nan, 1.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            solve(bvp, SolverConfig(), bad)
+
+
+def test_refinement_passes_are_logged_at_debug_level(caplog):
+    caplog.set_level(logging.DEBUG, logger="scem_rd")
+    sol = solve(scalar_layer_bvp(1e-4), SolverConfig(initial_mesh_points=21))
+    passes = [r.getMessage() for r in caplog.records if r.name == "scem_rd"]
+    assert len(passes) == sol.newton_iterations // 2 > 1  # linear: 2 iterations a pass
+    assert passes[0].startswith("pass 1 (uniform start): 21 nodes, 2 Newton iterations")
+    assert passes[-1].startswith(f"pass {len(passes)} (uniform start): {sol.mesh.nodes.size} nodes")
+    assert f"max residual {sol.max_residual:.3e}" in passes[-1]
 
 
 def test_config_validation():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
-from scem_rd.analysis import exact_constant_system
+import scem_rd.scem as scem
+from scem_rd.analysis import GridFunction, exact_constant_system, max_norm
 from scem_rd.collocation import SolverConfig, evaluate, solve
 from scem_rd.config import BUILTIN_PROBLEMS
 from scem_rd.problems import example1, example2
@@ -19,7 +20,13 @@ from scem_rd.scem import (
     hybrid_solve,
     solve_reduced,
 )
-from scem_rd.system import make_system
+from scem_rd.system import (
+    check_max_principle,
+    forcing_max_norm,
+    make_system,
+    stability_bound,
+    validate_assumptions,
+)
 
 CFG = SolverConfig(initial_mesh_points=400)
 
@@ -261,3 +268,99 @@ def test_layer_locality_for_small_eps():
     hybrid = hybrid_solve(example1(1e-4), SolverConfig())
     xs = np.linspace(0.1, 0.9, 401)
     assert np.max(np.abs(hybrid.eval_many(xs)[:, 0] - 0.7)) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# layer start meshes and deep eps
+# ---------------------------------------------------------------------------
+
+def _capture_start_meshes(monkeypatch):
+    """Record the starting nodes hybrid_solve hands to each layer solve."""
+    starts = []
+
+    def recording_solve(bvp, cfg=None, nodes=None):
+        starts.append((bvp.interval, nodes))
+        return solve(bvp, cfg, nodes)
+
+    monkeypatch.setattr(scem, "solve", recording_solve)
+    return starts
+
+
+def _layer_grid(eps):
+    """Uniform 2001 points plus 40 multiples of sqrt(eps) from both ends."""
+    k = np.arange(1, 41) * np.sqrt(eps)
+    k = k[k < 1.0]
+    return np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), k, 1.0 - k]))
+
+
+def test_fixed_mesh_layer_solves_start_uniform():
+    cfg = SolverConfig(initial_mesh_points=201, adaptive=False)
+    hybrid = hybrid_solve(example1(1e-8), cfg)
+    for layer in (hybrid.left_layer, hybrid.right_layer):
+        a, b = layer.mesh.a, layer.mesh.b
+        assert np.array_equal(layer.mesh.nodes, np.linspace(a, b, 201))
+
+
+def test_short_stretched_interval_keeps_uniform_start():
+    # tau = 4 ln 999 / sqrt(2) = 19.5 exceeds a quarter of the span 16
+    sys = example1(2.0**-8)
+    hybrid = hybrid_solve(sys, SolverConfig())
+    outer = solve_reduced(sys)
+    for side, got in ((Side.LEFT, hybrid.left_layer), (Side.RIGHT, hybrid.right_layer)):
+        uniform = solve(build_layer_problem(sys, outer, side).bvp, SolverConfig())
+        assert np.array_equal(got.mesh.nodes, uniform.mesh.nodes)
+        assert np.array_equal(got.node_values, uniform.node_values)
+        assert np.array_equal(got.node_slopes, uniform.node_slopes)
+
+
+def test_deep_eps_start_is_a_symmetric_shishkin_mesh(monkeypatch):
+    starts = _capture_start_meshes(monkeypatch)
+    hybrid_solve(example1(1e-8), SolverConfig())
+    tau = 4.0 * np.log(999) / np.sqrt(2.0)  # delta = 2 for example1
+    assert [interval for interval, _ in starts] == [(0.0, 1e4), (-1e4, 0.0)]
+    for (a, b), nodes in starts:
+        assert nodes.size == 1000 and nodes[0] == a and nodes[-1] == b
+        assert np.allclose(nodes - a, (b - nodes)[::-1], rtol=0.0, atol=1e-10 * (b - a))
+        assert nodes[249] == pytest.approx(a + tau, abs=1e-12 * (b - a))
+        assert nodes[-250] == pytest.approx(b - tau, abs=1e-12 * (b - a))
+        h = np.diff(nodes)
+        assert np.allclose(h[:249], tau / 249) and np.allclose(h[-249:], tau / 249)
+        assert np.allclose(h[249:-249], (b - a - 2 * tau) / 501)
+
+
+def test_violating_system_starts_uniform(monkeypatch):
+    bad = make_system([[1.0, -2.0], [-1.0, 3.0]], [0.0, 0.0], [1e-8, 1e-8])  # delta = -1
+    starts = _capture_start_meshes(monkeypatch)
+    with pytest.warns(UserWarning):
+        hybrid = hybrid_solve(bad, SolverConfig(), on_violation="warn")
+    assert [nodes for _, nodes in starts] == [None, None]
+    assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, 1e4, 1000))
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+def test_deep_eps_invariants_and_bounded_passes(eps):
+    sys = example1(eps)
+    hybrid = hybrid_solve(sys, SolverConfig())
+    # linear layer problems: 2 Newton iterations a pass, so <= 3 passes
+    assert hybrid.left_layer.newton_iterations <= 6
+    assert hybrid.right_layer.newton_iterations <= 6
+
+    assert np.max(np.abs(hybrid.eval(0.0))) <= 1e-9
+    assert np.max(np.abs(hybrid.eval(1.0))) <= 1e-9
+    xs = np.linspace(0.0, 1.0, 1001)
+    vals = hybrid.eval_many(xs)
+    assert np.max(np.abs(vals - vals[::-1])) <= 1e-9
+
+    grid = _layer_grid(eps)
+    candidate = GridFunction(grid=grid, values=hybrid.eval_many(grid))
+    assert check_max_principle(sys, candidate, tol=1e-3)
+    ceiling = stability_bound(sys, validate_assumptions(sys), forcing_max_norm(sys))
+    assert np.max(max_norm(candidate)) <= ceiling
+    exact = exact_constant_system(np.array([[4.0, -2.0], [-1.0, 3.0]]), np.array([1.0, 2.0]), eps)
+    assert np.max(np.abs(candidate.values - exact(grid))) <= 1e-6
+
+
+def test_example2_deep_eps_layer_solves_take_at_most_three_passes():
+    hybrid = hybrid_solve(example2(1e-12), SolverConfig())
+    assert hybrid.left_layer.newton_iterations <= 6
+    assert hybrid.right_layer.newton_iterations <= 6
