@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys as _sys
 from pathlib import Path
 
@@ -128,41 +127,45 @@ def _eps_tag(eps: float) -> str:
     return format(eps, ".10g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Write ``header`` and the already formatted ``lines`` (each ending in a
+    newline). Cells are numbers or plain words, so none needs CSV quoting."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n" + "".join(lines))
 
 
-def _fixed(v: float) -> str:
-    return f"{v:.15f}"
+def _write_table(path: Path, header: list[str], xstr: list[str],
+                 values: np.ndarray, cell: str) -> None:
+    """One line per grid point: its preformatted ``xstr`` cell, then its
+    ``values`` row with each cell in the %-format ``cell``."""
+    line = "%s" + ("," + cell) * values.shape[1] + "\n"
+    _write_csv(path, header, map(line.__mod__, zip(xstr, *values.T.tolist())))
 
 
 def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
-    """Per eps, write rows x,y_1..y_n at the evaluation grid to
+    """Per eps, write rows x,y_1..y_n (``%.15f``) at the evaluation grid to
     ``<problem>_<kind>_eps<eps>.csv``; with ``oracle_data`` (A, f) also the
-    rows x,e_1..e_n of |hybrid - oracle| to ``<problem>_error_eps<eps>.csv``."""
+    rows x,e_1..e_n of |hybrid - oracle| (``%.15e``) to
+    ``<problem>_error_eps<eps>.csv``."""
     problem = manifest.problem
     xs = manifest.grid()
+    xstr = ["%.15f" % x for x in xs.tolist()]
     cfg = _solver_config(manifest)
     hybrids = map_cells(lambda eps: _solve_cell(problem, eps, cfg),
                         manifest.eps_list, manifest.jobs)
     for eps, hybrid in zip(manifest.eps_list, hybrids):
         values = hybrid.eval_many(xs)
         tag = _eps_tag(eps)
-        _write_csv(
+        _write_table(
             manifest.output_dir / f"{problem.name}_{kind}_eps{tag}.csv",
-            ["x"] + [f"y_{i + 1}" for i in range(problem.n)],
-            [[_fixed(x)] + [_fixed(v) for v in row] for x, row in zip(xs, values)],
+            ["x"] + [f"y_{i + 1}" for i in range(problem.n)], xstr, values, "%.15f",
         )
         if oracle_data is not None:
             err = np.abs(values - exact_constant_system(*oracle_data, eps)(xs))
-            _write_csv(
+            _write_table(
                 manifest.output_dir / f"{problem.name}_error_eps{tag}.csv",
-                ["x"] + [f"e_{i + 1}" for i in range(problem.n)],
-                [[_fixed(x)] + [f"{v:.15e}" for v in row] for x, row in zip(xs, err)],
+                ["x"] + [f"e_{i + 1}" for i in range(problem.n)], xstr, err, "%.15e",
             )
     return EXIT_OK
 
@@ -208,14 +211,15 @@ def cmd_convergence(manifest: RunManifest) -> int:
         rows.append(p_row)
         _write_csv(
             manifest.output_dir / f"{problem.name}_convergence_y{i + 1}.csv",
-            header, rows,
+            header, [",".join(row) + "\n" for row in rows],
         )
     return EXIT_OK
 
 
 def _constant_system_data(problem: ProblemConfig):
     """Return (A, f) when the problem has constant coefficients, constant
-    forcing, zero BCs, and a single swept diffusion parameter; else None."""
+    forcing, zero BCs, a single swept diffusion parameter and an A the
+    closed-form oracle accepts; else None."""
     if any(v != 0.0 for v in problem.bc_left + problem.bc_right):
         return None
     if any(not isinstance(d, str) for d in problem.diffusion):
@@ -225,6 +229,10 @@ def _constant_system_data(problem: ProblemConfig):
     A = sys.coeff_matrix(probe)
     f = sys.forcing_vector(probe)
     if np.max(np.ptp(A, axis=0)) > 1e-14 or np.max(np.ptp(f, axis=0)) > 1e-14:
+        return None
+    try:
+        exact_constant_system(A[0], f[0], 0.5)
+    except ValueError:  # e.g. a complex spectrum: no closed form
         return None
     return A[0], f[0]
 

@@ -199,9 +199,12 @@ def parse_eps_token(token: str) -> float:
         if sep in token:
             base, exp = token.split(sep, 1)
             try:
-                return float(base) ** float(exp)
-            except ValueError as exc:
+                value = float(base) ** float(exp)
+            except (ValueError, ArithmeticError) as exc:  # 2^10000, 0^-1
                 raise ConfigError(f"bad eps token {token!r}") from exc
+            if isinstance(value, complex):  # negative base, fractional power
+                raise ConfigError(f"bad eps token {token!r}: not a real number")
+            return value
     try:
         return float(token)
     except ValueError as exc:

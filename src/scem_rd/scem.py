@@ -44,7 +44,8 @@ import numpy as np
 from .collocation import CollocationSolution, FirstOrderBvp, SolverConfig, evaluate, solve
 from .system import ReactionDiffusionSystem, validate_assumptions
 
-#: condition-number ceiling beyond which the reduced matrix counts as singular
+#: 2-norm condition-number ceiling beyond which the reduced matrix counts as
+#: singular; the Varah bound certifies points below it, an SVD checks the rest
 _SINGULAR_COND = 1e14
 #: A_SS tables kept per layer problem, oldest dropped first; one mesh needs
 #: three (nodes, midpoints, residual quadrature points)
@@ -67,9 +68,29 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
+def _varah_certified(A: np.ndarray) -> np.ndarray:
+    """Per point of a (m, n, n) stack, whether cond_2(A) <= _SINGULAR_COND is
+    certain without an SVD.
+
+    Varah (1975): with excess = min_i (2|a_ii| - sum_j |a_ij|) > 0 (strict
+    row dominance), ||A^-1||_inf <= 1 / excess. Since cond_2 <= n cond_inf,
+    n ||A||_inf <= _SINGULAR_COND * excess bounds cond_2 by the ceiling.
+    NaN or inf entries are never certified.
+    """
+    absA = np.abs(A)
+    row_sums = absA.sum(axis=2)
+    excess = np.min(2.0 * np.diagonal(absA, axis1=1, axis2=2) - row_sums, axis=1)
+    return (excess > 0.0) & (A.shape[-1] * row_sums.max(axis=1) <= _SINGULAR_COND * excess)
+
+
 @dataclass(frozen=True)
 class OuterSolution:
-    """Reduced solution y_out(x) = A(x)^-1 f(x), evaluated lazily per query."""
+    """Reduced solution y_out(x) = A(x)^-1 f(x), evaluated lazily per query.
+
+    Each query rejects a numerically singular A(x) (cond_2 > 1e14); the
+    vectorised Varah bound clears strictly dominant points, and only the
+    others get an SVD.
+    """
 
     sys: ReactionDiffusionSystem
 
@@ -81,12 +102,14 @@ class OuterSolution:
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Pointwise solves on a grid; returns shape (len(xs), n)."""
         A = self.sys.coeff_matrix(xs)
-        conds = np.linalg.cond(A)
-        if np.any(conds > _SINGULAR_COND):
-            worst = float(xs[int(np.argmax(conds))])
-            raise SingularReducedMatrix(
-                f"reduced matrix numerically singular near x={worst:.6g}"
-            )
+        suspect = ~_varah_certified(A)
+        if np.any(suspect):
+            conds = np.linalg.cond(A[suspect])
+            if np.any(conds > _SINGULAR_COND):
+                worst = float(xs[suspect][int(np.argmax(conds))])
+                raise SingularReducedMatrix(
+                    f"reduced matrix numerically singular near x={worst:.6g}"
+                )
         rhs = self.sys.forcing_vector(xs)
         return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
 
@@ -95,8 +118,9 @@ def solve_reduced(sys: ReactionDiffusionSystem) -> OuterSolution:
     """Reduced (zero-diffusion) solution of the system.
 
     Raises SingularReducedMatrix on evaluation if any queried A(x) has a
-    condition estimate above 1e14; under the structural assumptions
-    (strict dominance) this cannot happen.
+    2-norm condition number above 1e14. Strictly dominant A(x) are cleared
+    by the Varah bound without an SVD, so under the structural assumptions
+    an SVD runs only where the dominance margin is below n ||A||_inf / 1e14.
     """
     return OuterSolution(sys)
 

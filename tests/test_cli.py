@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from scem_rd import cli
 from scem_rd.cli import main
 from scem_rd.config import (
     BUILTIN_PROBLEMS,
@@ -168,9 +172,13 @@ def test_convergence_needs_two_n_values(tmp_path):
         ["solve", "--eps", "inf"],
         ["convergence", "--eps", "0.5,nan", "--n", "16,32"],
         ["plotdata", "--eps", "inf"],
+        ["solve", "--eps", "2^10000"],
+        ["solve", "--eps=-2^0.5"],
+        ["solve", "--eps", "0^-1"],
     ],
     ids=["solve-n0", "convergence-n0", "convergence-negative-n", "solve-eps-nan",
-         "solve-eps-inf", "convergence-eps-nan", "plotdata-eps-inf"],
+         "solve-eps-inf", "convergence-eps-nan", "plotdata-eps-inf",
+         "solve-eps-overflow", "solve-eps-complex", "solve-eps-zero-division"],
 )
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, argv):
     argv = argv[:1] + ["--problem", "example1", "--out", str(tmp_path)] + argv[1:]
@@ -217,6 +225,50 @@ def test_plotdata_no_oracle_for_nonconstant_forcing(tmp_path):
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "example2_plot_eps0.01.csv").exists()
     assert not (tmp_path / "example2_error_eps0.01.csv").exists()
+
+
+def test_plotdata_no_oracle_for_complex_spectrum(tmp_path):
+    # strictly dominant with non-positive off-diagonals, so the solve is
+    # valid, but A's eigenvalues are complex and the closed form does not apply
+    config = {
+        "name": "rotor", "n": 3,
+        "coeff": [["2", "-1", "0"], ["0", "2", "-1"], ["-1", "0", "2"]],
+        "forcing": ["1", "1", "1"], "diffusion": ["eps"] * 3,
+        "bc_left": [0.0] * 3, "bc_right": [0.0] * 3,
+    }
+    path = tmp_path / "rotor.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["plotdata", "--problem", str(path), "--eps", "0.01",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "rotor_plot_eps0.01.csv").exists()
+    assert not (tmp_path / "rotor_error_eps0.01.csv").exists()
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e16, -3e17, 1e300,
+                     math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.sampled_from([2, 3]), cell=st.sampled_from(["f", "e"]))
+def test_table_writer_matches_csv_writer(tmp_path, data, n, cell):
+    rows = data.draw(st.lists(st.lists(_CELLS, min_size=n + 1, max_size=n + 1),
+                              min_size=1, max_size=20))
+    xs = [row[0] for row in rows]
+    values = np.array([row[1:] for row in rows])
+    header = ["x"] + [f"y_{i + 1}" for i in range(n)]
+    # the reference: csv.writer over per-element f-strings
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([[f"{x:.15f}"] + [format(v, f".15{cell}") for v in row]
+                      for x, row in zip(xs, values)])
+    path = tmp_path / "table.csv"
+    cli._write_table(path, header, ["%.15f" % x for x in xs], values, f"%.15{cell}")
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_convergence_full_sweep_example1(tmp_path):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_bvp
 
 import scem_rd.scem as scem
@@ -57,6 +59,58 @@ def test_reduced_singular_matrix_rejected():
     outer = solve_reduced(sys)
     with pytest.raises(SingularReducedMatrix):
         outer(0.5)
+
+
+class _TabulatedSystem:
+    """Stand-in system whose A at the k-th query point is ``mats[k]``."""
+
+    def __init__(self, mats):
+        self.mats = mats
+
+    def coeff_matrix(self, xs):
+        return self.mats
+
+    def forcing_vector(self, xs):
+        return np.ones(self.mats.shape[:2])
+
+
+@st.composite
+def _reduced_matrix(draw, n):
+    kind = draw(st.sampled_from(["dominant", "general", "near_singular"]))
+    if kind == "near_singular":  # [[1, 1], [1, 1 + delta]] in the leading block
+        A = np.eye(n)
+        A[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 10.0 ** draw(st.floats(-18.0, -8.0))]]
+        return A
+    entries = st.floats(-10.0, 10.0, allow_nan=False)
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if kind == "dominant":  # row margins from 1e-17 (SVD fallback) up to 10
+        margins = [10.0 ** draw(st.floats(-17.0, 1.0)) for _ in range(n)]
+        off = np.abs(A).sum(axis=1) - np.abs(np.diag(A))
+        np.fill_diagonal(A, np.where(np.diag(A) < 0, -1.0, 1.0) * (off + margins))
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([2, 3]), size=st.integers(1, 6))
+def test_singular_decision_matches_svd_condition_number(data, n, size):
+    mats = np.array([data.draw(_reduced_matrix(n)) for _ in range(size)])
+    outer = scem.OuterSolution(_TabulatedSystem(mats))
+    xs = np.linspace(0.0, 1.0, size)
+    if np.any(np.linalg.cond(mats) > 1e14):
+        with pytest.raises(SingularReducedMatrix):
+            outer.eval_many(xs)
+    else:
+        assert outer.eval_many(xs).shape == (size, n)
+
+
+@pytest.mark.parametrize("build", [example1, example2], ids=["example1", "example2"])
+def test_dominant_reduced_matrix_needs_no_svd(monkeypatch, build):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called on a strictly dominant A")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    outer = solve_reduced(build(1e-4))
+    assert outer.eval_many(np.linspace(0.0, 1.0, 2001)).shape[0] == 2001
 
 
 # ---------------------------------------------------------------------------
