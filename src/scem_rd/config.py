@@ -2,9 +2,10 @@
 
 Configs are JSON objects with the fields of :class:`ProblemConfig`;
 coefficient and forcing entries are expression strings in x (see
-``expressions``), diffusion entries are numbers or the literal marker
-``"eps"`` for the swept parameter. The two benchmark systems ship as
-built-in configs so table reproduction needs no authoring.
+``expressions``), diffusion entries are either all the literal marker
+``"eps"`` for the swept parameter or one repeated positive number. The two
+benchmark systems ship as built-in configs so table reproduction needs no
+authoring.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ class ProblemConfig:
     bc_right: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ConfigError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if len(self.coeff) != self.n or any(len(r) != self.n for r in self.coeff):
@@ -61,8 +64,14 @@ class ProblemConfig:
                     raise ConfigError(
                         f"diffusion entries must be numbers or {EPS_MARKER!r}, got {entry!r}"
                     )
-            elif float(entry) <= 0.0:
-                raise ConfigError("numeric diffusion entries must be positive")
+            elif not 0.0 < float(entry) < math.inf:
+                raise ConfigError("numeric diffusion entries must be positive and finite")
+        if len(set(self.diffusion)) != 1:
+            raise ConfigError("diffusion entries must be all 'eps' or one repeated number: "
+                              "unequal values (partially perturbed, nested layers) "
+                              "are not supported")
+        if not all(map(math.isfinite, self.bc_left + self.bc_right)):
+            raise ConfigError("boundary values must be finite")
 
     def to_dict(self) -> dict:
         return {
@@ -125,7 +134,7 @@ def config_from_dict(data: dict) -> ProblemConfig:
     try:
         return ProblemConfig(
             name=str(data["name"]),
-            n=int(data["n"]),
+            n=data["n"],
             coeff=tuple(tuple(_as_expr_str(e) for e in row) for row in data["coeff"]),
             forcing=tuple(_as_expr_str(e) for e in data["forcing"]),
             diffusion=tuple(

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive):
     atom   := NUMBER | 'x' | '(' expr ')'
 
 Just enough to express constants and polynomials in x; compiled to a
-numpy-vectorized callable.
+numpy-vectorized callable. At most ``MAX_TOKENS`` tokens are accepted, which
+bounds how deep parsing and evaluation recurse.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ import re
 from typing import Callable
 
 import numpy as np
+
+#: longest expression accepted: at most 100 nested parentheses, about 400
+#: parser frames, well inside the default recursion limit of 1000
+MAX_TOKENS = 200
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)|(x)|([()+\-*/]))")
 
@@ -112,7 +117,10 @@ def _eval_node(node, x):
 
 def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     """Parse an expression in x and return a vectorized evaluator."""
-    parser = _Parser(_tokenize(str(text)), str(text))
+    tokens = _tokenize(str(text))
+    if len(tokens) > MAX_TOKENS:
+        raise ExpressionError(f"expression longer than {MAX_TOKENS} tokens: {text[:40]!r}...")
+    parser = _Parser(tokens, str(text))
     tree = parser.expr()
     if parser.peek() is not None:
         raise ExpressionError(f"trailing tokens after expression in {text!r}")

@@ -27,10 +27,10 @@ problem, their composite contributions agree up to solver noise; the
 average also makes the prescribed boundary values hold exactly by
 construction (each correction's boundary datum cancels the mismatch).
 
-Components whose diffusion parameter is exactly 1 (the partially
-perturbed case) carry no boundary layer and receive no correction; the
-remaining components must share a single diffusion value. Two distinct
-sub-unit parameters (nested sublayers) are not supported.
+All components must share one diffusion value; unequal values raise
+ValueError. With some eps_i = 1 (partially perturbed) the reduced problem is
+a boundary-value problem that step 1 misses by O(1), and distinct small
+values nest layers of different widths.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .system import ReactionDiffusionSystem, validate_assumptions
 #: 2-norm condition-number ceiling beyond which the reduced matrix counts as
 #: singular; the Varah bound certifies points below it, an SVD checks the rest
 _SINGULAR_COND = 1e14
-#: A_SS tables kept per layer problem, oldest dropped first; one mesh needs
+#: A tables kept per layer problem, oldest dropped first; one mesh needs
 #: three (nodes, midpoints, residual quadrature points)
 _TABLE_MEMO_SIZE = 4
 #: Shishkin transition constant sigma in tau = sigma ln N / sqrt(beta): the
@@ -125,33 +125,13 @@ def solve_reduced(sys: ReactionDiffusionSystem) -> OuterSolution:
     return OuterSolution(sys)
 
 
-def _layered_components(sys: ReactionDiffusionSystem) -> tuple[tuple[int, ...], float]:
-    """Indices of components carrying a layer, and their shared diffusion value.
-
-    All-equal diffusion means every component is layered (even at the
-    value 1, where the stretched domain is just [0, 1]). Otherwise entries
-    equal to exactly 1 are unlayered and the rest must share one value.
-    """
-    d = np.asarray(sys.diffusion)
-    if np.all(d == d[0]):
-        return tuple(range(sys.n)), float(d[0])
-    sub = tuple(i for i in range(sys.n) if d[i] != 1.0)
-    vals = {d[i] for i in sub}
-    if len(vals) != 1:
-        raise ValueError(
-            "unequal sub-unit diffusion parameters (nested sublayers) are not supported"
-        )
-    return sub, float(vals.pop())
-
-
 @dataclass(frozen=True)
 class LayerProblem:
     """Complementary boundary-layer BVP in the stretched coordinate.
 
-    ``bvp`` is the first-order recast (dimension 2m for m layered
-    components) of -Psi'' + A_SS(x) Psi = 0 on ``stretched_interval``,
-    with A restricted to the layered components and evaluated at the
-    physical coordinate recovered from the stretched one. ``bc_values``
+    ``bvp`` is the first-order recast (dimension 2n for n components) of
+    -Psi'' + A(x) Psi = 0 on ``stretched_interval``, with A evaluated at
+    the physical coordinate recovered from the stretched one. ``bc_values``
     rows are the Dirichlet data at the interval's two endpoints; the row
     attached to each physical endpoint is the boundary mismatch
     (prescribed minus outer) there, so the assembled composite meets the
@@ -161,8 +141,7 @@ class LayerProblem:
     side: Side
     stretched_interval: tuple[float, float]
     bvp: FirstOrderBvp
-    bc_values: np.ndarray  # (2, m): data at interval left end, right end
-    components: tuple[int, ...]
+    bc_values: np.ndarray  # (2, n): data at interval left end, right end
     eps: float
 
 
@@ -177,14 +156,20 @@ def build_layer_problem(
     [-1/sqrt(eps), 0] on the right, covering the full image of the
     physical domain. Boundary data are the outer solution's mismatches at
     x = 0 and x = 1, mapped to the corresponding stretched endpoints.
+    Raises ValueError unless every component has the same diffusion value.
     """
-    components, eps = _layered_components(sys)
-    m = len(components)
+    if len(set(sys.diffusion)) != 1:
+        raise ValueError("all components must share one diffusion value: a partially "
+                         "perturbed system has a boundary-value reduced problem, and "
+                         "distinct small values nest layers of different widths")
+    eps = sys.diffusion[0]
+    n = sys.n
     root = np.sqrt(eps)
     span = 1.0 / root
 
-    mismatch0 = (sys.left_bc - outer(0.0))[list(components)]
-    mismatch1 = (sys.right_bc - outer(1.0))[list(components)]
+    # either way the interval's left end maps to x = 0 and its right to x = 1
+    left_val = sys.left_bc - outer(0.0)
+    right_val = sys.right_bc - outer(1.0)
     if side is Side.LEFT:
         interval = (0.0, span)
 
@@ -196,21 +181,15 @@ def build_layer_problem(
         def recover(tb):
             return 1.0 + root * tb
 
-    # either way the interval's left end maps to x = 0 and its right to x = 1
-    bc_pair = np.array([mismatch0, mismatch1])
-    idx = list(components)
-
     # Newton evaluates rhs and rhs_jac on the same nodes and midpoints many
-    # times per mesh, so A_SS is tabulated once per abscissa array.
+    # times per mesh, so A is tabulated once per abscissa array.
     tables: dict[bytes, np.ndarray] = {}
 
-    def submatrix(ts: np.ndarray) -> np.ndarray:
+    def tabulated(ts: np.ndarray) -> np.ndarray:
         key = ts.tobytes()
         A = tables.get(key)
         if A is None:
             A = sys.coeff_matrix(np.clip(recover(ts), 0.0, 1.0))
-            if m < sys.n:
-                A = A[np.ix_(range(ts.size), idx, idx)]
             A.flags.writeable = False
             if len(tables) >= _TABLE_MEMO_SIZE:
                 del tables[next(iter(tables))]
@@ -218,31 +197,28 @@ def build_layer_problem(
         return A
 
     def rhs(ts, U):
-        A = submatrix(ts)
+        A = tabulated(ts)
         out = np.empty_like(U)
-        out[:, :m] = U[:, m:]
-        out[:, m:] = np.einsum("kij,kj->ki", A, U[:, :m])
+        out[:, :n] = U[:, n:]
+        out[:, n:] = np.einsum("kij,kj->ki", A, U[:, :n])
         return out
 
     def rhs_jac(ts, U):
-        J = np.zeros((ts.size, 2 * m, 2 * m))
-        J[:, :m, m:] = np.eye(m)
-        J[:, m:, :m] = submatrix(ts)
+        J = np.zeros((ts.size, 2 * n, 2 * n))
+        J[:, :n, n:] = np.eye(n)
+        J[:, n:, :n] = tabulated(ts)
         return J
 
-    left_val, right_val = bc_pair
-
     def bc(ua, ub):
-        return np.concatenate([ua[:m] - left_val, ub[:m] - right_val])
+        return np.concatenate([ua[:n] - left_val, ub[:n] - right_val])
 
     return LayerProblem(
         side=side,
         stretched_interval=interval,
         bvp=FirstOrderBvp(
-            dim=2 * m, rhs=rhs, bc=bc, interval=interval, rhs_jac=rhs_jac,
+            dim=2 * n, rhs=rhs, bc=bc, interval=interval, rhs_jac=rhs_jac,
         ),
-        bc_values=bc_pair,
-        components=components,
+        bc_values=np.array([left_val, right_val]),
         eps=eps,
     )
 
@@ -255,7 +231,6 @@ class HybridApproximation:
     left_layer: CollocationSolution
     right_layer: CollocationSolution
     epsilon: float
-    components: tuple[int, ...]
 
     def eval(self, x) -> np.ndarray:
         """Composite values at scalar or 1-D x in [0, 1]."""
@@ -266,10 +241,10 @@ class HybridApproximation:
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         root = np.sqrt(self.epsilon)
         out = self.outer.eval_many(xs)
-        m = len(self.components)
-        left_vals = evaluate(self.left_layer, xs / root)[:, :m]
-        right_vals = evaluate(self.right_layer, (xs - 1.0) / root)[:, :m]
-        out[:, list(self.components)] += 0.5 * (left_vals + right_vals)
+        n = out.shape[1]
+        left_vals = evaluate(self.left_layer, xs / root)[:, :n]
+        right_vals = evaluate(self.right_layer, (xs - 1.0) / root)[:, :n]
+        out += 0.5 * (left_vals + right_vals)
         return out
 
 
@@ -278,23 +253,18 @@ def assemble_composite(
     left: CollocationSolution,
     right: CollocationSolution,
     eps: float,
-    components: tuple[int, ...] | None = None,
 ) -> HybridApproximation:
     """Combine outer and layer solutions into the composite evaluator.
 
-    ``components`` names the system components the layer corrections apply
-    to (default: the first solution component count, i.e. all of them).
+    Each layer solution carries Psi and Psi' for all n components.
     Evaluation maps each physical x into both stretched domains; a
     mismatched eps makes the mapped coordinate fall outside a layer
     interval, which evaluation rejects.
     """
-    if components is None:
-        components = tuple(range(left.dim // 2))
-    if left.dim != 2 * len(components) or right.dim != 2 * len(components):
-        raise ValueError("layer solutions must have dimension 2m for m components")
+    if not left.dim == right.dim == 2 * outer.sys.n:
+        raise ValueError("layer solutions must have dimension 2n for n components")
     return HybridApproximation(
-        outer=outer, left_layer=left, right_layer=right,
-        epsilon=float(eps), components=components,
+        outer=outer, left_layer=left, right_layer=right, epsilon=float(eps),
     )
 
 
@@ -307,8 +277,9 @@ def _layer_start_mesh(
     on each of [a, a + tau] and [b - tau, b] and the rest on the middle, where
     tau = 4 ln(N - 1) / sqrt(beta): a layer decaying like exp(-sqrt(beta) t)
     is below (N - 1)^-4, the method's order, past the transition. The
-    uniform start is kept when beta <= 0 (no decay bound) or when the
-    layer regions would cover half the interval anyway.
+    uniform start is kept when beta <= 0 (no decay bound), when the layer
+    regions would cover half the interval anyway, and when float spacing
+    would make the pieces not strictly increasing (span 1e15 at eps 1e-30).
     """
     a, b = interval
     n = cfg.initial_mesh_points - 1
@@ -318,11 +289,12 @@ def _layer_start_mesh(
     tau = _SHISHKIN_SIGMA * np.log(n) / np.sqrt(beta)
     if tau >= (b - a) / 4.0:
         return None
-    return np.concatenate([
+    mesh = np.concatenate([
         np.linspace(a, a + tau, q + 1),
         np.linspace(a + tau, b - tau, n - 2 * q + 1)[1:-1],
         np.linspace(b - tau, b, q + 1),
     ])
+    return mesh if np.all(np.diff(mesh) > 0.0) else None
 
 
 def hybrid_solve(
@@ -336,8 +308,8 @@ def hybrid_solve(
     fail on the 1001-point check grid: "raise" (default) raises
     AssumptionViolation, "warn" proceeds with a warning. Adaptive layer
     solves start from a Shishkin mesh with beta = the check's delta, which
-    bounds the eigenvalues of A and of A_SS from below (Gershgorin) only
-    when the assumptions hold; otherwise they start uniform.
+    bounds the eigenvalues of A from below (Gershgorin) only when the
+    assumptions hold; otherwise they start uniform.
     """
     if on_violation not in ("raise", "warn"):
         raise ValueError("on_violation must be 'raise' or 'warn'")
@@ -358,4 +330,4 @@ def hybrid_solve(
     beta = report.delta if cfg.adaptive and report.passed else 0.0
     left_sol = solve(left.bvp, cfg, _layer_start_mesh(left.stretched_interval, cfg, beta))
     right_sol = solve(right.bvp, cfg, _layer_start_mesh(right.stretched_interval, cfg, beta))
-    return assemble_composite(outer, left_sol, right_sol, left.eps, left.components)
+    return assemble_composite(outer, left_sol, right_sol, left.eps)

@@ -65,10 +65,9 @@ class ReactionDiffusionSystem:
     Attributes:
         coeff: n x n reaction matrix A(x), entries as ScalarFields.
         forcing: length-n forcing vector f(x).
-        diffusion: per-component positive diffusion parameters. All entries
-            equal means every component carries a boundary layer; entries
-            equal to exactly 1.0 alongside a smaller common value mark
-            components without layers.
+        diffusion: per-component positive, finite diffusion parameters.
+            ``hybrid_solve`` needs them all equal: every component then
+            carries a boundary layer of the same width.
         left_bc, right_bc: prescribed boundary values y(0), y(1).
     """
 
@@ -89,10 +88,12 @@ class ReactionDiffusionSystem:
             raise ValueError("coeff must be an n x n grid matching forcing length")
         if len(self.diffusion) != n:
             raise ValueError("diffusion must have one entry per component")
-        if any(d <= 0.0 for d in self.diffusion):
-            raise ValueError("diffusion parameters must be positive")
+        if not all(0.0 < d < np.inf for d in self.diffusion):
+            raise ValueError("diffusion parameters must be positive and finite")
         if self.left_bc.shape != (n,) or self.right_bc.shape != (n,):
             raise ValueError("boundary vectors must have length n")
+        if not (np.all(np.isfinite(self.left_bc)) and np.all(np.isfinite(self.right_bc))):
+            raise ValueError("boundary values must be finite")
 
     @property
     def n(self) -> int:

@@ -15,6 +15,7 @@ from scem_rd.cli import main
 from scem_rd.config import (
     BUILTIN_PROBLEMS,
     PAPER_GRID,
+    ConfigError,
     config_from_dict,
     dump_config,
     load_problem,
@@ -90,9 +91,15 @@ def test_unknown_problem_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_expression_exits_2(tmp_path, capsys):
+DEEP_NEST = "(" * 600 + "x" + ")" * 600
+LONG_CHAIN = "+".join(["1"] * 3000)
+
+
+@pytest.mark.parametrize("forcing", ["1 +", DEEP_NEST, LONG_CHAIN],
+                         ids=["dangling-plus", "deep-nest", "long-chain"])
+def test_bad_expression_exits_2(tmp_path, capsys, forcing):
     config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
-    config["forcing"] = ["1 +", "2"]
+    config["forcing"] = [forcing, "2"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["solve", "--problem", str(path), "--eps", "1",
@@ -312,3 +319,61 @@ def test_config_validation_errors():
     bad["forcing"] = ["1"]
     with pytest.raises(ValueError):
         config_from_dict(bad)
+    for field, value in (
+        ("diffusion", ["eps", 1.0]),  # partially perturbed
+        ("diffusion", ["eps", 0.5]),
+        ("diffusion", [0.5, 0.25]),
+        ("diffusion", [math.nan, math.nan]),
+        ("diffusion", [math.inf, math.inf]),
+        ("bc_left", [0.0, math.nan]),
+        ("bc_right", [math.inf, 0.0]),
+        ("bc_right", [0.0, -math.inf]),
+        ("n", 2.7),
+        ("n", 2.0),
+        ("n", "2"),
+    ):
+        bad = dict(base)
+        bad[field] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
+    good = dict(base)
+    good["diffusion"] = [0.5, 0.5]
+    assert config_from_dict(good).diffusion == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("command", ["solve", "plotdata", "convergence"])
+@pytest.mark.parametrize("second", [1.0, 0.5])
+def test_unequal_diffusion_config_exits_2(tmp_path, capsys, command, second):
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
+    config["diffusion"] = ["eps", second]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--problem", str(path), "--eps", "0.01", "--n", "16,32",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+_MALFORMED = {
+    "diffusion": st.sampled_from(["eps", 1.0, 0.5, 0, -1, math.nan, math.inf]),
+    "bc": st.sampled_from([0, 1, math.nan, math.inf, -math.inf]),
+    "n": st.sampled_from([2, 2.7]),
+    "forcing": st.sampled_from(["1", "1 +", DEEP_NEST, LONG_CHAIN]),
+}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_config_never_exits_1(tmp_path, data):
+    def pair(key):
+        return [data.draw(_MALFORMED[key]) for _ in range(2)]
+
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
+    config.update(name="drawn", n=data.draw(_MALFORMED["n"]), diffusion=pair("diffusion"),
+                  bc_left=pair("bc"), bc_right=pair("bc"), forcing=pair("forcing"))
+    path = tmp_path / "drawn.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["solve", "--problem", str(path), "--eps", "0.01", "--out",
+                 str(tmp_path / "out"), "--n", "16", "--grid", "3"]) in (0, 2, 3)

@@ -151,18 +151,24 @@ def test_right_layer_mirrors_left():
     assert np.max(np.abs(psi_r - psi_l)) <= 1e-10
 
 
-def test_partially_perturbed_components():
-    sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], [0.01, 1.0])
-    lp = build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
-    assert lp.components == (0,)
-    assert lp.bvp.dim == 2  # one layered component, first-order recast
-    assert lp.eps == 0.01
+# nested layers, and a partially perturbed system whose reduced problem is a BVP
+UNEQUAL_DIFFUSION = pytest.mark.parametrize(
+    "diffusion", [[0.01, 0.02], [0.01, 1.0]], ids=["nested", "partial"]
+)
 
 
-def test_two_distinct_small_parameters_rejected():
-    sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], [0.01, 0.02])
+@UNEQUAL_DIFFUSION
+def test_two_distinct_small_parameters_rejected(diffusion):
+    sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], diffusion)
     with pytest.raises(ValueError):
         build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
+
+
+@UNEQUAL_DIFFUSION
+def test_hybrid_solve_rejects_unequal_diffusion(diffusion):
+    sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], diffusion)
+    with pytest.raises(ValueError, match="share one diffusion value"):
+        hybrid_solve(sys, CFG)
 
 
 def test_all_unit_diffusion_is_allowed():
@@ -170,7 +176,7 @@ def test_all_unit_diffusion_is_allowed():
     sys = example1(1.0)
     lp = build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
     assert lp.stretched_interval == (0.0, 1.0)
-    assert lp.components == (0, 1)
+    assert lp.bvp.dim == 4
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +386,14 @@ def test_deep_eps_start_is_a_symmetric_shishkin_mesh(monkeypatch):
         h = np.diff(nodes)
         assert np.allclose(h[:249], tau / 249) and np.allclose(h[-249:], tau / 249)
         assert np.allclose(h[249:-249], (b - a - 2 * tau) / 501)
+
+
+def test_unrepresentable_shishkin_start_falls_back_to_uniform():
+    # eps = 1e-30: the layer spacing tau / 249 is below the float spacing
+    # (0.125) near 1e15, so the pieces would not be strictly increasing
+    assert scem._layer_start_mesh((0.0, 1e15), SolverConfig(), 1.0) is None
+    nodes = scem._layer_start_mesh((0.0, 1e12), SolverConfig(), 1.0)
+    assert nodes.size == 1000 and np.all(np.diff(nodes) > 0.0)
 
 
 def test_violating_system_starts_uniform(monkeypatch):

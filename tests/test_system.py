@@ -191,3 +191,12 @@ def test_system_rejects_bad_shapes():
         make_system([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.1, -0.1])
     with pytest.raises(ValueError):
         make_system([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.1])
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    for diffusion in ([np.nan, np.nan], [np.inf, np.inf], [0.1, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            make_system(eye, [1.0, 1.0], diffusion)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_system(eye, [1.0, 1.0], [0.1, 0.1], left_bc=[0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            make_system(eye, [1.0, 1.0], [0.1, 0.1], right_bc=[bad, 0.0])
