@@ -97,7 +97,7 @@ def _build_manifest(args, default_grid) -> RunManifest:
         raise ConfigError("--out is required")
     eps_list = parse_eps_list(args.eps)
     n_list = parse_n_list(args.n) if args.n else ()
-    return RunManifest(
+    manifest = RunManifest(
         problem=problem,
         eps_list=eps_list,
         n_list=n_list,
@@ -106,6 +106,11 @@ def _build_manifest(args, default_grid) -> RunManifest:
         adaptive=not args.no_adapt,
         jobs=args.jobs,
     )
+    try:
+        manifest.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
+    return manifest
 
 
 def _solver_config(manifest: RunManifest) -> SolverConfig:
@@ -130,7 +135,6 @@ def _eps_tag(eps: float) -> str:
 def _write_csv(path: Path, header: list[str], lines) -> None:
     """Write ``header`` and the already formatted ``lines`` (each ending in a
     newline). Cells are numbers or plain words, so none needs CSV quoting."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n" + "".join(lines))
 
@@ -182,6 +186,9 @@ def cmd_convergence(manifest: RunManifest) -> int:
         raise ConfigError("convergence needs an N list with at least 2 entries")
     problem = manifest.problem
     adaptive = manifest.adaptive
+    # Compile once up front: convergence_table would record a bad expression
+    # as a failed cell, and so as a solver failure.
+    problem.build_system(manifest.eps_list[0])
 
     def solver(eps: float, n: int) -> GridFunction:
         cfg = SolverConfig(initial_mesh_points=n + 1, adaptive=adaptive)

@@ -17,9 +17,12 @@ above the block-bidiagonal interval closures and the u(b) rows below them
 (the de Boor-Weiss SOLVEBLOK layout), and LAPACK band LU factors it. A
 condition coupling u(a) with u(b) adds a corner outside the band, and
 that Jacobian is factored by SuperLU. The mesh is refined by halving
-subintervals whose scaled ODE residual exceeds the tolerance, and the
-returned solution carries the collocation cubic as a continuous
-interpolant.
+subintervals whose scaled ODE residual exceeds the tolerance. That
+residual is a 5-point Gauss quadrature of the collocation cubic's defect;
+the Hermite basis and its derivative are tabulated once at the Gauss
+points, so the cubic at every quadrature point of every subinterval is
+one matrix product. The returned solution carries the collocation cubic
+as a continuous interpolant.
 """
 
 from __future__ import annotations
@@ -318,10 +321,8 @@ def _jacobian_blocks(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data)
     h6 = (h / 6.0)[:, None, None]
     h3 = (h / 3.0)[:, None, None]
     h212 = (h * h / 12.0)[:, None, None]
-    JmJk = np.einsum("kij,kjl->kil", J_mid, J_nodes[:-1])
-    JmJk1 = np.einsum("kij,kjl->kil", J_mid, J_nodes[1:])
-    L = -eye[None] - h6 * J_nodes[:-1] - h3 * J_mid - h212 * JmJk
-    R = eye[None] - h6 * J_nodes[1:] - h3 * J_mid + h212 * JmJk1
+    L = -eye[None] - h6 * J_nodes[:-1] - h3 * J_mid - h212 * (J_mid @ J_nodes[:-1])
+    R = eye[None] - h6 * J_nodes[1:] - h3 * J_mid + h212 * (J_mid @ J_nodes[1:])
 
     Ba, Bb = _bc_jacobians(bvp, Y[0].copy(), Y[-1].copy(), bc_res)
     return L, R, Ba, Bb
@@ -373,10 +374,13 @@ def _factor_banded(L, R, Ba, Bb, on_a):
     kl = pa + dim - 1
     ku = max(dim - 1, 2 * dim - 1 - pa)
     ab = np.zeros((2 * kl + ku + 1, (n_int + 1) * dim), order="F")
-    i, j = np.indices((dim, dim))
-    col = np.arange(n_int)[:, None, None] * dim + j
-    ab[kl + ku + pa + i - j, col] = L
-    ab[kl + ku + pa + i - j - dim, col + dim] = R
+    # V[k, j] is band column k * dim + j (a view). Closure k fills its rows
+    # d - j .. d - j + dim - 1 from L, closure k - 1 the dim rows above from R.
+    V = ab.T.reshape(n_int + 1, dim, -1)
+    d = kl + ku + pa
+    for j in range(dim):
+        V[:-1, j, d - j : d - j + dim] = L[:, :, j]
+        V[1:, j, d - dim - j : d - j] = R[:, :, j]
     r, c = np.indices((pa, dim))
     ab[kl + ku + r - c, c] = Ba[on_a]
     r, c = np.indices((dim - pa, dim))
@@ -470,6 +474,12 @@ def _decreases(F_try: np.ndarray, F: np.ndarray, alpha: float) -> bool:
 # ---------------------------------------------------------------------------
 
 _GAUSS_X, _GAUSS_W = leggauss(5)
+_GAUSS_TAU = 0.5 * (_GAUSS_X + 1.0)  # Gauss points mapped to [0, 1]
+# (5, 4): weights of (y0, y1, h s0, h s1) at the Gauss points, giving the
+# cubic and its derivative times h (the Hermite basis, read off _hermite)
+_GAUSS_VALUE, _GAUSS_SLOPE = (
+    _hermite(*np.eye(4), np.ones(5), _GAUSS_TAU, deriv=deriv) for deriv in (False, True)
+)
 
 
 def _residual_per_interval(
@@ -479,21 +489,16 @@ def _residual_per_interval(
     slopes: np.ndarray,
 ) -> np.ndarray:
     h = np.diff(nodes)
-    tau = 0.5 * (_GAUSS_X + 1.0)  # Gauss points mapped to [0, 1]
-    tq = nodes[:-1, None] + h[:, None] * tau[None, :]
-    y0 = values[:-1, None, :]
-    y1 = values[1:, None, :]
-    s0 = slopes[:-1, None, :]
-    s1 = slopes[1:, None, :]
-    hq = np.broadcast_to(h[:, None], tq.shape)
-    tb = np.broadcast_to(tau[None, :], tq.shape)
-    S = _hermite(y0, y1, s0, s1, hq, tb)
-    Sp = _hermite(y0, y1, s0, s1, hq, tb, deriv=True)
-    flat_t = tq.ravel()
-    flat_S = S.reshape(-1, bvp.dim)
-    fq = _rhs_all(bvp, flat_t, flat_S).reshape(S.shape)
-    g = np.max(np.abs(Sp - fq) / (1.0 + np.abs(fq)), axis=2)  # (N, 5)
-    return np.sqrt(np.sum((_GAUSS_W / 2.0)[None, :] * g * g, axis=1))
+    n_int, dim = h.size, bvp.dim
+    coef = np.stack([
+        values[:-1], values[1:], h[:, None] * slopes[:-1], h[:, None] * slopes[1:],
+    ]).reshape(4, n_int * dim)
+    S = (_GAUSS_VALUE @ coef).reshape(5, n_int, dim)
+    Sp = (_GAUSS_SLOPE @ coef).reshape(5, n_int, dim) / h[:, None]
+    tq = nodes[:-1] + _GAUSS_TAU[:, None] * h  # (5, N)
+    fq = _rhs_all(bvp, tq.ravel(), S.reshape(-1, dim)).reshape(S.shape)
+    g = np.max(np.abs(Sp - fq) / (1.0 + np.abs(fq)), axis=2)  # (5, N)
+    return np.sqrt(np.sum((_GAUSS_W / 2.0)[:, None] * g * g, axis=0))
 
 
 def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarray:
@@ -502,7 +507,9 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     Each entry is the root-mean-square over the subinterval of the
     componentwise-scaled defect max_i |u'_i(t) - rhs_i(t, u(t))| / (1 +
     |rhs_i|); the maximum over subintervals is the solution's
-    ``max_residual``.
+    ``max_residual``. The cubic u and its derivative at the Gauss points
+    come from the Hermite basis tabulated there, applied to the node values
+    and slopes.
     """
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 

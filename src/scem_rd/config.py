@@ -160,7 +160,11 @@ def load_problem(spec: str) -> ProblemConfig:
             f"({', '.join(sorted(BUILTIN_PROBLEMS))}) and no such file"
         )
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc})") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,6 +105,37 @@ def test_bad_expression_exits_2(tmp_path, capsys, forcing):
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["solve", "--problem", str(path), "--eps", "1",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("forcing", ["1 +", "1/x"], ids=["dangling-plus", "not-finite"])
+def test_convergence_bad_expression_is_a_config_error(tmp_path, capsys, forcing):
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
+    config["forcing"] = [forcing, "2"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["convergence", "--problem", str(path), "--eps", "0.01",
+                 "--n", "16,32", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("case", ["problem-is-directory", "problem-not-utf8",
+                                  "out-under-a-file"])
+def test_unreadable_problem_or_unusable_out_exits_2(tmp_path, capsys, monkeypatch, case):
+    problem, out = "example1", tmp_path / "out"
+    if case == "problem-is-directory":
+        problem = str(tmp_path)
+    elif case == "problem-not-utf8":
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+        problem = str(tmp_path / "bad.json")
+    else:
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "sub"
+    monkeypatch.setattr(cli, "hybrid_solve", mock.Mock(side_effect=AssertionError("solved")))
+    assert main(["convergence", "--problem", problem, "--eps", "0.5",
+                 "--n", "16,32", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_3_and_names_eps(tmp_path, capsys):

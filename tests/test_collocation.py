@@ -21,7 +21,7 @@ from scem_rd.collocation import (
     evaluate,
     solve,
 )
-from scem_rd.problems import example1
+from scem_rd.problems import example1, example2
 from scem_rd.scem import Side, build_layer_problem, solve_reduced
 
 
@@ -358,3 +358,94 @@ def test_linear_layer_problem_factors_once_per_pass(monkeypatch):
     assert len(passes) > 1  # refinement happened
     assert factor_sizes == [n * layer.bvp.dim for n in passes]
     assert sol.newton_iterations == 2 * len(passes)
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+
+
+def broadcast_hermite_residual(bvp, nodes, values, slopes):
+    """The residual quadrature written out with broadcast Hermite formulas on
+    (N, 5, dim) arrays: the reference for the tabulated-basis kernel."""
+    h = np.diff(nodes)
+    tau = 0.5 * (_GAUSS_X + 1.0)
+    tq = nodes[:-1, None] + h[:, None] * tau[None, :]
+    y0, y1 = values[:-1, None, :], values[1:, None, :]
+    s0, s1 = slopes[:-1, None, :], slopes[1:, None, :]
+    hh = h[:, None, None]
+    t = tau[None, :, None]
+    t2 = t * t
+    t3 = t2 * t
+    S = (y0 * (1.0 - 3.0 * t2 + 2.0 * t3) + y1 * (3.0 * t2 - 2.0 * t3)
+         + hh * s0 * (t - 2.0 * t2 + t3) + hh * s1 * (t3 - t2))
+    Sp = (y0 * (6.0 * t2 - 6.0 * t) + y1 * (6.0 * t - 6.0 * t2)
+          + hh * s0 * (1.0 - 4.0 * t + 3.0 * t2) + hh * s1 * (3.0 * t2 - 2.0 * t)) / hh
+    fq = bvp.rhs(tq.ravel(), S.reshape(-1, bvp.dim)).reshape(S.shape)
+    g = np.max(np.abs(Sp - fq) / (1.0 + np.abs(fq)), axis=2)
+    return np.sqrt(np.sum((_GAUSS_W / 2.0)[None, :] * g * g, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(min_value=1, max_value=4),
+       n_nodes=st.integers(min_value=2, max_value=60))
+def test_residual_kernel_matches_broadcast_hermite(data, dim, n_nodes):
+    # Spacing >= 2^-10 and |values|, |slopes| <= 10 bound every Hermite term
+    # of S' by 30/h + 20 < 3.1e4, so reordering the 4-term sums moves the
+    # residual by a few ulps of that: 1e-10 leaves a margin of about 10.
+    gaps = data.draw(st.lists(st.floats(min_value=2.0**-10, max_value=1.0),
+                              min_size=n_nodes - 1, max_size=n_nodes - 1))
+    nodes = np.concatenate([[0.0], np.cumsum(gaps)])
+    assume(np.all(np.diff(nodes) > 0.0))
+    bounded = st.floats(min_value=-10.0, max_value=10.0)
+    values, slopes = (
+        np.array(data.draw(st.lists(bounded, min_size=n_nodes * dim,
+                                    max_size=n_nodes * dim))).reshape(n_nodes, dim)
+        for _ in range(2)
+    )
+    bvp = FirstOrderBvp(dim=dim, rhs=lambda t, U: np.sin(U[:, ::-1]) + t[:, None],
+                        bc=lambda ua, ub: ua, interval=(nodes[0], nodes[-1]))
+    got = collocation._residual_per_interval(bvp, nodes, values, slopes)
+    want = broadcast_hermite_residual(bvp, nodes, values, slopes)
+    assert got.shape == (n_nodes - 1,)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def einsum_blocks(bvp, nodes, Y, data):
+    """Interval closure blocks with the block products taken by einsum."""
+    h, t_mid, f_nodes, y_mid, f_mid, _ = data
+    Jk = bvp.rhs_jac(nodes, Y)
+    Jm = bvp.rhs_jac(t_mid, y_mid)
+    eye = np.eye(bvp.dim)[None]
+    h6, h3, h212 = (x[:, None, None] for x in (h / 6.0, h / 3.0, h * h / 12.0))
+    L = -eye - h6 * Jk[:-1] - h3 * Jm - h212 * np.einsum("kij,kjl->kil", Jm, Jk[:-1])
+    R = eye - h6 * Jk[1:] - h3 * Jm + h212 * np.einsum("kij,kjl->kil", Jm, Jk[1:])
+    return L, R
+
+
+def jacobian_blocks_and_reference(bvp, nodes):
+    Y = np.cos(np.outer(nodes, np.arange(1, bvp.dim + 1)))
+    _, data = collocation._collocation_system(bvp, nodes, Y)
+    L, R, _, _ = collocation._jacobian_blocks(bvp, nodes, Y, data)
+    return (L, R), einsum_blocks(bvp, nodes, Y, data)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_jacobian_blocks_match_einsum_for_dense_jacobian(dim):
+    rng = np.random.default_rng(dim)
+    freq, phase = rng.normal(size=(2, dim, dim))
+    bvp = FirstOrderBvp(
+        dim=dim, rhs=lambda t, U: U, bc=lambda ua, ub: ua, interval=(0.0, 3.0),
+        rhs_jac=lambda t, U: np.cos(t[:, None, None] * freq + phase) * (1.0 + U[:, :, None]),
+    )
+    nodes = np.sort(np.concatenate([[0.0, 3.0], rng.uniform(0.0, 3.0, 200)]))
+    for got, want in zip(*jacobian_blocks_and_reference(bvp, nodes)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("make", [example1, example2], ids=["example1", "example2"])
+def test_jacobian_blocks_bitwise_for_layer_problem(make):
+    # the layer Jacobian [[0, I], [A, 0]]: every product has one nonzero term
+    sys = make(1e-4)
+    layer = build_layer_problem(sys, solve_reduced(sys), Side.RIGHT)
+    nodes = np.linspace(*layer.bvp.interval, 301)
+    for got, want in zip(*jacobian_blocks_and_reference(layer.bvp, nodes)):
+        assert np.array_equal(got, want)
