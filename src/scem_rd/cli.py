@@ -106,6 +106,12 @@ def _build_manifest(args, default_grid) -> RunManifest:
         adaptive=not args.no_adapt,
         jobs=args.jobs,
     )
+    if args.command == "convergence" and len(n_list) < 2:
+        raise ConfigError("convergence needs an N list with at least 2 entries")
+    # Compile once, before --out is created, so a bad expression is a config
+    # error that leaves no directory behind (convergence_table would record
+    # it as a failed cell, and so as a solver failure).
+    problem.build_system(eps_list[0])
     try:
         manifest.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -182,13 +188,8 @@ def cmd_solve(manifest: RunManifest) -> int:
 def cmd_convergence(manifest: RunManifest) -> int:
     """Double-mesh tables: one CSV per component, eps rows by N columns,
     followed by the max-over-eps D^N row and the order p^N row."""
-    if len(manifest.n_list) < 2:
-        raise ConfigError("convergence needs an N list with at least 2 entries")
     problem = manifest.problem
     adaptive = manifest.adaptive
-    # Compile once up front: convergence_table would record a bad expression
-    # as a failed cell, and so as a solver failure.
-    problem.build_system(manifest.eps_list[0])
 
     def solver(eps: float, n: int) -> GridFunction:
         cfg = SolverConfig(initial_mesh_points=n + 1, adaptive=adaptive)

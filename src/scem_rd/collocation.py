@@ -16,13 +16,15 @@ separated boundary conditions the Jacobian is banded: the u(a) rows go
 above the block-bidiagonal interval closures and the u(b) rows below them
 (the de Boor-Weiss SOLVEBLOK layout), and LAPACK band LU factors it. A
 condition coupling u(a) with u(b) adds a corner outside the band, and
-that Jacobian is factored by SuperLU. The mesh is refined by halving
-subintervals whose scaled ODE residual exceeds the tolerance. That
-residual is a 5-point Gauss quadrature of the collocation cubic's defect;
-the Hermite basis and its derivative are tabulated once at the Gauss
-points, so the cubic at every quadrature point of every subinterval is
-one matrix product. The returned solution carries the collocation cubic
-as a continuous interpolant.
+that Jacobian is factored by SuperLU. Adaptive solves refine the mesh by
+halving subintervals whose scaled ODE residual exceeds the tolerance.
+That residual is a 5-point Gauss quadrature of the collocation cubic's
+defect; the Hermite basis and its derivative are tabulated once at the
+Gauss points, so the cubic at every quadrature point of every subinterval
+is one matrix product. A fixed-mesh solve refines nothing, so it does not
+estimate the residual; :func:`estimate_residual` computes it on demand.
+The returned solution carries the collocation cubic as a continuous
+interpolant.
 """
 
 from __future__ import annotations
@@ -121,9 +123,10 @@ class SolverConfig:
     nodes; hybrid solves spend it on each layer problem's start mesh, which
     is uniform under ``adaptive`` False and layer-adapted (Shishkin) when
     adaptive refinement is on and the stretched interval is long.
-    ``adaptive`` False runs a single pass on the initial mesh and reports
-    the residual without refining (no MeshOverflow possible); useful for
-    mesh-convergence studies.
+    ``adaptive`` False runs a single pass on the initial mesh (no
+    MeshOverflow possible); useful for mesh-convergence studies. Such a
+    fixed-mesh solve does not estimate the residual, which only drives
+    refinement.
     """
 
     residual_tol: float = 1e-6
@@ -149,14 +152,17 @@ class CollocationSolution:
     ``interpolant`` evaluates the per-subinterval collocation cubic; it
     reproduces ``node_values`` exactly at the mesh nodes and is C^1 across
     them. ``max_residual`` is the largest scaled ODE residual over all
-    subintervals at termination; ``newton_iterations`` counts Newton steps
-    summed over all refinement passes.
+    subintervals at termination of an adaptive solve, and None after a
+    fixed-mesh solve, which does not estimate it; there
+    ``np.max(estimate_residual(bvp, sol))`` gives the same value.
+    ``newton_iterations`` counts Newton steps summed over all refinement
+    passes.
     """
 
     mesh: Mesh
     node_values: np.ndarray  # (N+1, dim)
     node_slopes: np.ndarray  # (N+1, dim), rhs at the nodes
-    max_residual: float
+    max_residual: float | None
     newton_iterations: int
 
     @property
@@ -506,10 +512,11 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
 
     Each entry is the root-mean-square over the subinterval of the
     componentwise-scaled defect max_i |u'_i(t) - rhs_i(t, u(t))| / (1 +
-    |rhs_i|); the maximum over subintervals is the solution's
-    ``max_residual``. The cubic u and its derivative at the Gauss points
-    come from the Hermite basis tabulated there, applied to the node values
-    and slopes.
+    |rhs_i|); the maximum over subintervals is the ``max_residual`` of an
+    adaptive solve. A fixed-mesh solve leaves ``max_residual`` None, and
+    this call is how to get its residual. The cubic u and its derivative
+    at the Gauss points come from the Hermite basis tabulated there,
+    applied to the node values and slopes.
     """
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 
@@ -524,13 +531,14 @@ def solve(
     The first pass runs on ``nodes`` when given (strictly increasing, from
     exactly a to exactly b of ``bvp.interval``, else ValueError), otherwise
     on ``cfg.initial_mesh_points`` uniform points. Newton solves the
-    collocation equations on the current mesh to the step tolerance, then
-    subintervals whose scaled residual exceeds ``cfg.residual_tol`` are
-    halved and the solve repeats from the interpolated previous solution.
-    Each pass is logged at debug level on the "scem_rd" logger. Raises
-    NewtonDivergence when the iteration fails to contract and MeshOverflow
-    when the tolerance is unreachable within ``cfg.max_mesh_points``
-    (adaptive mode only).
+    collocation equations on the current mesh to the step tolerance. With
+    ``cfg.adaptive`` False that single pass is the result, and its residual
+    is not estimated (``max_residual`` None). Otherwise subintervals whose
+    scaled residual exceeds ``cfg.residual_tol`` are halved and the solve
+    repeats from the interpolated previous solution. Each pass is logged
+    at debug level on the "scem_rd" logger. Raises NewtonDivergence when
+    the iteration fails to contract and MeshOverflow when the tolerance is
+    unreachable within ``cfg.max_mesh_points`` (adaptive mode only).
     """
     cfg = cfg or SolverConfig()
     a, b = bvp.interval
@@ -550,13 +558,18 @@ def solve(
         Y, iters = _newton(bvp, nodes, Y, cfg)
         total_newton += iters
         slopes = _rhs_all(bvp, nodes, Y)
-        res = _residual_per_interval(bvp, nodes, Y, slopes)
-        max_res = float(np.max(res))
+        if cfg.adaptive:
+            res = _residual_per_interval(bvp, nodes, Y, slopes)
+            max_res = float(np.max(res))
+            outcome = f"max residual {max_res:.3e}"
+        else:
+            max_res = None
+            outcome = "residual not estimated (fixed mesh)"
         _log.debug(
-            "pass %d (%s start): %d nodes, %d Newton iterations, max residual %.3e",
-            n_pass, start, nodes.size, iters, max_res,
+            "pass %d (%s start): %d nodes, %d Newton iterations, %s",
+            n_pass, start, nodes.size, iters, outcome,
         )
-        if not cfg.adaptive or max_res <= cfg.residual_tol:
+        if max_res is None or max_res <= cfg.residual_tol:
             return CollocationSolution(
                 mesh=Mesh(nodes),
                 node_values=Y,

@@ -94,8 +94,11 @@ class ProblemConfig:
         diffusion = [eps if d == EPS_MARKER else float(d) for d in self.diffusion]
         sys = make_system(coeff, forcing, diffusion, self.bc_left, self.bc_right)
         probe = np.linspace(0.0, 1.0, 101)
-        if not (np.all(np.isfinite(sys.coeff_matrix(probe)))
-                and np.all(np.isfinite(sys.forcing_vector(probe)))):
+        # a division by zero here is reported by the finiteness check below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            finite = (np.all(np.isfinite(sys.coeff_matrix(probe)))
+                      and np.all(np.isfinite(sys.forcing_vector(probe))))
+        if not finite:
             raise ConfigError(f"coefficients of {self.name!r} are not finite on [0, 1]")
         return sys
 

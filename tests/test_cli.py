@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -119,6 +120,51 @@ def test_convergence_bad_expression_is_a_config_error(tmp_path, capsys, forcing)
     assert "config error" in err and "Traceback" not in err
     assert not any(tmp_path.glob("*.csv"))
 
+
+
+def write_not_finite_config(tmp_path):
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
+    config["forcing"] = ["1/x", "2"]
+    path = tmp_path / "not_finite.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "plotdata", "convergence"])
+def test_not_finite_probe_raises_no_numpy_warning(tmp_path, capsys, command):
+    problem = write_not_finite_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--problem", problem, "--eps", "0.01", "--n", "16,32",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["fresh", "existing"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "--problem", "example1", "--n", "64"],
+        ["solve", "--problem", "NOT_FINITE"],
+        ["plotdata", "--problem", "NOT_FINITE"],
+        ["convergence", "--problem", "NOT_FINITE", "--n", "16,32"],
+    ],
+    ids=["convergence-one-n", "solve-not-finite", "plotdata-not-finite",
+         "convergence-not-finite"],
+)
+def test_config_error_leaves_out_untouched(tmp_path, capsys, argv, out):
+    argv = [write_not_finite_config(tmp_path) if a == "NOT_FINITE" else a for a in argv]
+    out_dir = tmp_path / "out"
+    if out == "existing":
+        out_dir.mkdir()
+        (out_dir / "keep.txt").write_text("kept", encoding="utf-8")
+    assert main(argv + ["--eps", "0.01", "--out", str(out_dir)]) == 2
+    assert "config error" in capsys.readouterr().err
+    if out == "existing":
+        assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+        assert (out_dir / "keep.txt").read_text(encoding="utf-8") == "kept"
+    else:
+        assert not out_dir.exists()
 
 @pytest.mark.parametrize("case", ["problem-is-directory", "problem-not-utf8",
                                   "out-under-a-file"])

@@ -360,6 +360,58 @@ def test_linear_layer_problem_factors_once_per_pass(monkeypatch):
     assert sol.newton_iterations == 2 * len(passes)
 
 
+def example1_layer_bvp(eps):
+    sys = example1(eps)
+    return build_layer_problem(sys, solve_reduced(sys), Side.LEFT).bvp
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """Node counts of the meshes the residual quadrature runs on."""
+    calls = []
+    residual = collocation._residual_per_interval
+
+    def counting_residual(bvp, nodes, *args):
+        calls.append(nodes.size)
+        return residual(bvp, nodes, *args)
+
+    monkeypatch.setattr(collocation, "_residual_per_interval", counting_residual)
+    return calls
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_fixed_mesh_solve_skips_residual_quadrature(residual_calls, n):
+    sol = solve(example1_layer_bvp(2.0**-10),
+                SolverConfig(initial_mesh_points=n + 1, adaptive=False))
+    assert residual_calls == []
+    assert sol.max_residual is None
+    assert sol.mesh.nodes.size == n + 1
+
+
+def test_one_pass_adaptive_solve_equals_fixed_mesh_solve(residual_calls):
+    # on 257 uniform nodes the first pass already meets residual_tol (6.1e-8)
+    bvp = example1_layer_bvp(2.0**-4)
+    fixed = solve(bvp, SolverConfig(initial_mesh_points=257, adaptive=False))
+    adaptive = solve(bvp, SolverConfig(initial_mesh_points=257))
+    assert residual_calls == [257]  # one pass
+    assert np.array_equal(adaptive.mesh.nodes, fixed.mesh.nodes)
+    assert np.array_equal(adaptive.node_values, fixed.node_values)
+    assert np.array_equal(adaptive.node_slopes, fixed.node_slopes)
+    assert adaptive.newton_iterations == fixed.newton_iterations
+    assert adaptive.max_residual <= SolverConfig().residual_tol
+    assert np.max(estimate_residual(bvp, fixed)) == adaptive.max_residual
+
+
+def test_fixed_mesh_pass_logs_that_no_residual_was_estimated(caplog):
+    caplog.set_level(logging.DEBUG, logger="scem_rd")
+    solve(scalar_layer_bvp(1e-4), SolverConfig(initial_mesh_points=21, adaptive=False))
+    passes = [r.getMessage() for r in caplog.records if r.name == "scem_rd"]
+    assert passes == [
+        "pass 1 (uniform start): 21 nodes, 2 Newton iterations, "
+        "residual not estimated (fixed mesh)"
+    ]
+
+
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 

@@ -361,6 +361,13 @@ def test_fixed_mesh_layer_solves_start_uniform():
         assert np.array_equal(layer.mesh.nodes, np.linspace(a, b, 201))
 
 
+
+def test_fixed_mesh_layer_solves_estimate_no_residual():
+    hybrid = hybrid_solve(example1(2.0**-10), SolverConfig(initial_mesh_points=65,
+                                                           adaptive=False))
+    assert hybrid.left_layer.max_residual is None
+    assert hybrid.right_layer.max_residual is None
+
 def test_short_stretched_interval_keeps_uniform_start():
     # tau = 4 ln 999 / sqrt(2) = 19.5 exceeds a quarter of the span 16
     sys = example1(2.0**-8)
