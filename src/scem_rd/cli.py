@@ -30,6 +30,7 @@ from .config import (
     parse_eps_list,
     parse_n_list,
 )
+from .numformat import format_table
 from .scem import AssumptionViolation, SingularReducedMatrix, hybrid_solve
 
 EXIT_OK = 0
@@ -106,6 +107,12 @@ def _build_manifest(args, default_grid) -> RunManifest:
         adaptive=not args.no_adapt,
         jobs=args.jobs,
     )
+    tags = [_eps_tag(eps) for eps in eps_list]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        # solve and plotdata name their files by tag, so each must be unique
+        raise ConfigError("eps values must differ in their first 10 significant "
+                          f"digits (the file tag); repeated: {', '.join(repeated)}")
     if args.command == "convergence" and len(n_list) < 2:
         raise ConfigError("convergence needs an N list with at least 2 entries")
     # Compile once, before --out is created, so a bad expression is a config
@@ -145,22 +152,30 @@ def _write_csv(path: Path, header: list[str], lines) -> None:
         fh.write(",".join(header) + "\n" + "".join(lines))
 
 
-def _write_table(path: Path, header: list[str], xstr: list[str],
-                 values: np.ndarray, cell: str) -> None:
-    """One line per grid point: its preformatted ``xstr`` cell, then its
-    ``values`` row with each cell in the %-format ``cell``."""
-    line = "%s" + ("," + cell) * values.shape[1] + "\n"
-    _write_csv(path, header, map(line.__mod__, zip(xstr, *values.T.tolist())))
+def _write_table(path: Path, header: list[str], xstr, values: np.ndarray,
+                 cell: str) -> None:
+    """One line per grid point: its preformatted ``xstr`` cell (a list of
+    str or a numpy ``S`` array), then its ``values`` row with each cell in
+    the %-format ``cell`` (``%.<p>f`` or ``%.<p>e``). The file is
+    byte-identical to ``%`` formatting: ``numformat.format_table`` rounds
+    each value exactly and formats only the cells it certifies; a row with
+    any other cell goes through ``%``. Rows are written in chunks."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for chunk in format_table(np.asarray(xstr, dtype="S"), values, cell):
+            fh.write(chunk)
 
 
 def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
     """Per eps, write rows x,y_1..y_n (``%.15f``) at the evaluation grid to
     ``<problem>_<kind>_eps<eps>.csv``; with ``oracle_data`` (A, f) also the
     rows x,e_1..e_n of |hybrid - oracle| (``%.15e``) to
-    ``<problem>_error_eps<eps>.csv``."""
+    ``<problem>_error_eps<eps>.csv``. The x cells are formatted once per
+    run; :func:`_write_table` writes each file, exactly rounded and
+    byte-identical to ``%``."""
     problem = manifest.problem
     xs = manifest.grid()
-    xstr = ["%.15f" % x for x in xs.tolist()]
+    xstr = np.array(["%.15f" % x for x in xs.tolist()], dtype="S")
     cfg = _solver_config(manifest)
     hybrids = map_cells(lambda eps: _solve_cell(problem, eps, cfg),
                         manifest.eps_list, manifest.jobs)

@@ -10,9 +10,10 @@ authoring.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,15 +85,15 @@ class ProblemConfig:
             "bc_right": list(self.bc_right),
         }
 
-    def build_system(self, eps: float) -> ReactionDiffusionSystem:
-        """Compile expressions and instantiate the system at the given eps."""
+    @functools.cached_property
+    def _template(self) -> ReactionDiffusionSystem:
+        """The system at unit diffusion, compiled and probed once per config."""
         try:
             coeff = [[compile_expression(e) for e in row] for row in self.coeff]
             forcing = [compile_expression(e) for e in self.forcing]
         except ExpressionError as exc:
             raise ConfigError(str(exc)) from exc
-        diffusion = [eps if d == EPS_MARKER else float(d) for d in self.diffusion]
-        sys = make_system(coeff, forcing, diffusion, self.bc_left, self.bc_right)
+        sys = make_system(coeff, forcing, [1.0] * self.n, self.bc_left, self.bc_right)
         probe = np.linspace(0.0, 1.0, 101)
         # a division by zero here is reported by the finiteness check below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -101,6 +102,12 @@ class ProblemConfig:
         if not finite:
             raise ConfigError(f"coefficients of {self.name!r} are not finite on [0, 1]")
         return sys
+
+    def build_system(self, eps: float) -> ReactionDiffusionSystem:
+        """Instantiate the system at the given eps; the expressions are
+        compiled and checked on the first call only."""
+        diffusion = tuple(float(eps if d == EPS_MARKER else d) for d in self.diffusion)
+        return replace(self._template, diffusion=diffusion)
 
 
 BUILTIN_PROBLEMS: dict[str, ProblemConfig] = {

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scem_rd import cli
+import scem_rd.config
+from scem_rd import cli, numformat
+from scem_rd.analysis import exact_constant_system
 from scem_rd.cli import main
 from scem_rd.config import (
     BUILTIN_PROBLEMS,
@@ -23,6 +25,9 @@ from scem_rd.config import (
     load_problem,
     parse_eps_list,
 )
+from scem_rd.expressions import compile_expression
+from scem_rd.numformat import percent_lines
+from scem_rd.scem import HybridApproximation
 
 
 def read_csv(path):
@@ -354,6 +359,134 @@ def test_table_writer_matches_csv_writer(tmp_path, data, n, cell):
     path = tmp_path / "table.csv"
     cli._write_table(path, header, ["%.15f" % x for x in xs], values, f"%.15{cell}")
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def _percent_table(header, xstr, values, cell):
+    """The reference rendering: every cell through ``%`` on its own."""
+    lines = [",".join(header)]
+    lines += [",".join([x] + [cell % v for v in row]) for x, row in zip(xstr, values.tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_TINY = 2.2250738585072014e-308  # smallest normal double
+_F_EDGE = 2.0 ** 63 / 1e15  # where |v| 10^15 leaves the int64 range of %.15f
+_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+          np.nextafter(_TINY, 0.0), _TINY, -_TINY, np.nextafter(_TINY, 1.0),
+          np.nextafter(_F_EDGE, 0.0), _F_EDGE, np.nextafter(_F_EDGE, math.inf),
+          2.0 ** 63, np.nextafter(2.0 ** 63, 0.0), 1.7976931348623157e308, 0.5, 2.5]
+
+
+def _ten_neighbours(rng, size):
+    """Powers of ten 10^-307..10^308 moved by up to 3 ulps, either sign."""
+    v = np.array([float(f"1e{k}") for k in rng.integers(-307, 309, size)])
+    for _ in range(3):
+        step = rng.integers(-1, 2, size)
+        v = np.where(step < 0, np.nextafter(v, 0.0), np.where(step > 0, np.nextafter(v, math.inf), v))
+    return v * rng.choice([-1.0, 1.0], size)
+
+
+def _formatter_values(rng, size):
+    """A dense mix of the hard cases of exact rounding, in random order."""
+    pools = [
+        # k/2^16 for odd k: ties of %.15f, and of %.15e from 1 to 256
+        rng.integers(-2 ** 24, 2 ** 24, size) / 65536.0,
+        _ten_neighbours(rng, size),
+        # every binade, subnormals included
+        np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1025, size)),
+        # solution- and error-like magnitudes
+        rng.uniform(-10.0, 10.0, size) * 10.0 ** rng.uniform(-17.0, 1.0, size),
+        rng.choice(np.array(_EDGES), size),
+    ]
+    return np.choose(rng.integers(0, len(pools), size), pools)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(200, 3000),
+       n=st.sampled_from([2, 3]), cell=st.sampled_from(["%.15f", "%.15e"]),
+       chunk=st.sampled_from([64, 1000, 4096]),
+       extra=st.lists(st.one_of(st.floats(), st.sampled_from(_EDGES)), max_size=40))
+def test_formatter_matches_percent_on_dense_arrays(tmp_path, seed, rows, n, cell, chunk, extra):
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        values = _formatter_values(rng, rows * n)
+    values[rng.integers(0, values.size, len(extra))] = extra
+    values = values.reshape(rows, n)
+    xstr = ["%.15f" % x for x in np.linspace(0.0, 1.0, rows)]
+    header = ["x"] + [f"y_{i + 1}" for i in range(n)]
+    path = tmp_path / "table.csv"
+    with mock.patch.object(numformat, "CHUNK_ROWS", chunk):
+        cli._write_table(path, header, xstr, values, cell)
+    got = path.read_bytes().split(b"\n")
+    want = _percent_table(header, xstr, values, cell).split(b"\n")
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"row {i}: {values[i - 1].tolist()!r} in {cell}: {g!r} != {w!r}"
+
+
+def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monkeypatch):
+    evaluated = []  # eval_many results of the run, in call order
+    eval_many = HybridApproximation.eval_many
+
+    def recording_eval_many(self, xs):
+        out = eval_many(self, xs)
+        evaluated.append(out)
+        return out
+
+    fallback_rows = []
+
+    def counting_percent_lines(line, xcol, values, rows):
+        fallback_rows.extend(rows)
+        return percent_lines(line, xcol, values, rows)
+
+    monkeypatch.setattr(HybridApproximation, "eval_many", recording_eval_many)
+    monkeypatch.setattr(numformat, "percent_lines", counting_percent_lines)
+    eps_tokens = ["2^-1", "2^-8", "2^-15"]
+    assert main(["plotdata", "--problem", "example1", "--eps", ",".join(eps_tokens),
+                 "--grid", "2001", "--out", str(tmp_path)]) == 0
+    xs = np.linspace(0.0, 1.0, 2001)
+    xstr = ["%.15f" % x for x in xs]
+    A, f = cli._constant_system_data(BUILTIN_PROBLEMS["example1"])
+    assert len(evaluated) == len(eps_tokens)
+    for token, values in zip(eps_tokens, evaluated):
+        eps = parse_eps_list(token)[0]
+        tag = format(eps, ".10g")
+        err = np.abs(values - exact_constant_system(A, f, eps)(xs))
+        assert (tmp_path / f"example1_plot_eps{tag}.csv").read_bytes() == \
+            _percent_table(["x", "y_1", "y_2"], xstr, values, "%.15f")
+        assert (tmp_path / f"example1_error_eps{tag}.csv").read_bytes() == \
+            _percent_table(["x", "e_1", "e_2"], xstr, err, "%.15e")
+    assert fallback_rows == []
+
+
+def test_convergence_compiles_each_expression_once(tmp_path, monkeypatch):
+    # a config loaded from a file is a fresh object, so nothing is cached yet
+    path = tmp_path / "ex1.json"
+    path.write_text(dump_config(BUILTIN_PROBLEMS["example1"]), encoding="utf-8")
+    compiled = []
+
+    def counting_compile(text):
+        compiled.append(text)
+        return compile_expression(text)
+
+    monkeypatch.setattr(scem_rd.config, "compile_expression", counting_compile)
+    assert main(["convergence", "--problem", str(path), "--eps", "0.5,0.25",
+                 "--n", "16,32,64", "--no-adapt", "--out", str(tmp_path / "out")]) == 0
+    n = BUILTIN_PROBLEMS["example1"].n
+    assert len(compiled) == n * n + n  # not once more per (eps, N) cell
+
+
+@pytest.mark.parametrize("command", ["solve", "plotdata", "convergence"])
+@pytest.mark.parametrize("eps", ["1e-4,1.00000000001e-4,0.01,0.01", "2^-2,0.25"],
+                         ids=["tag-collision", "duplicate"])
+def test_colliding_eps_tags_are_a_config_error(tmp_path, capsys, monkeypatch, command, eps):
+    monkeypatch.setattr(cli, "hybrid_solve", mock.Mock(side_effect=AssertionError("solved")))
+    out = tmp_path / "out"
+    assert main([command, "--problem", "example1", "--eps", eps, "--n", "16,32",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "repeated" in err
+    assert not out.exists()
 
 
 def test_convergence_full_sweep_example1(tmp_path):
