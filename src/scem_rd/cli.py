@@ -172,15 +172,17 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
     rows x,e_1..e_n of |hybrid - oracle| (``%.15e``) to
     ``<problem>_error_eps<eps>.csv``. The x cells are formatted once per
     run; :func:`_write_table` writes each file, exactly rounded and
-    byte-identical to ``%``."""
+    byte-identical to ``%``. The outer solution does not depend on eps, so
+    it is evaluated on the grid once per run."""
     problem = manifest.problem
     xs = manifest.grid()
     xstr = np.array(["%.15f" % x for x in xs.tolist()], dtype="S")
     cfg = _solver_config(manifest)
     hybrids = map_cells(lambda eps: _solve_cell(problem, eps, cfg),
                         manifest.eps_list, manifest.jobs)
+    outer_values = hybrids[0].outer.eval_many(xs)
     for eps, hybrid in zip(manifest.eps_list, hybrids):
-        values = hybrid.eval_many(xs)
+        values = hybrid.eval_many(xs, outer_values)
         tag = _eps_tag(eps)
         _write_table(
             manifest.output_dir / f"{problem.name}_{kind}_eps{tag}.csv",

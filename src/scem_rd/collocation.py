@@ -119,10 +119,11 @@ class SolverConfig:
     """Tolerances and limits for :func:`solve`.
 
     Newton starts from the constant ones vector. ``initial_mesh_points``
-    is the node count of the first pass when :func:`solve` gets no starting
-    nodes; hybrid solves spend it on each layer problem's start mesh, which
-    is uniform under ``adaptive`` False and layer-adapted (Shishkin) when
-    adaptive refinement is on and the stretched interval is long.
+    is the node count of the uniform first pass; hybrid solves spend it on
+    each layer problem. An adaptive hybrid solve that passes the assumption
+    check truncates each layer domain to length T = 42 / sqrt(delta) when
+    the stretched image 1/sqrt(eps) is at least T; otherwise, and under
+    ``adaptive`` False, the layers cover the full image.
     ``adaptive`` False runs a single pass on the initial mesh (no
     MeshOverflow possible); useful for mesh-convergence studies. Such a
     fixed-mesh solve does not estimate the residual, which only drives
@@ -521,36 +522,22 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 
 
-def solve(
-    bvp: FirstOrderBvp,
-    cfg: SolverConfig | None = None,
-    nodes: Sequence[float] | np.ndarray | None = None,
-) -> CollocationSolution:
+def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSolution:
     """Solve the BVP by Lobatto IIIa collocation with residual refinement.
 
-    The first pass runs on ``nodes`` when given (strictly increasing, from
-    exactly a to exactly b of ``bvp.interval``, else ValueError), otherwise
-    on ``cfg.initial_mesh_points`` uniform points. Newton solves the
-    collocation equations on the current mesh to the step tolerance. With
-    ``cfg.adaptive`` False that single pass is the result, and its residual
-    is not estimated (``max_residual`` None). Otherwise subintervals whose
-    scaled residual exceeds ``cfg.residual_tol`` are halved and the solve
-    repeats from the interpolated previous solution. Each pass is logged
+    The first pass runs on ``cfg.initial_mesh_points`` uniform points.
+    Newton solves the collocation equations on the current mesh to the
+    step tolerance. With ``cfg.adaptive`` False that single pass is the
+    result, and its residual is not estimated (``max_residual`` None).
+    Otherwise subintervals whose scaled residual exceeds
+    ``cfg.residual_tol`` are halved and the solve repeats from the
+    interpolated previous solution. Each pass is logged
     at debug level on the "scem_rd" logger. Raises NewtonDivergence when
     the iteration fails to contract and MeshOverflow when the tolerance is
     unreachable within ``cfg.max_mesh_points`` (adaptive mode only).
     """
     cfg = cfg or SolverConfig()
-    a, b = bvp.interval
-    start = "uniform" if nodes is None else "supplied"
-    if nodes is None:
-        nodes = np.linspace(a, b, cfg.initial_mesh_points)
-    else:
-        nodes = Mesh(np.array(nodes, dtype=float)).nodes
-        if nodes[0] != a or nodes[-1] != b:
-            raise ValueError(
-                f"starting nodes span [{nodes[0]}, {nodes[-1]}], not the interval [{a}, {b}]"
-            )
+    nodes = np.linspace(*bvp.interval, cfg.initial_mesh_points)
     Y = np.ones((nodes.size, bvp.dim))
 
     total_newton = 0
@@ -566,8 +553,8 @@ def solve(
             max_res = None
             outcome = "residual not estimated (fixed mesh)"
         _log.debug(
-            "pass %d (%s start): %d nodes, %d Newton iterations, %s",
-            n_pass, start, nodes.size, iters, outcome,
+            "pass %d: %d nodes, %d Newton iterations, %s",
+            n_pass, nodes.size, iters, outcome,
         )
         if max_res is None or max_res <= cfg.residual_tol:
             return CollocationSolution(

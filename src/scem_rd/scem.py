@@ -10,22 +10,21 @@ The uniformly valid approximation is assembled in three steps:
 
        -Psi'' + A(x) Psi = 0
 
-   over the full stretched image of [0, 1], with boundary data equal to
-   the outer solution's boundary mismatch (prescribed value minus outer
-   value) at both ends. Each correction is computed numerically by the
-   Lobatto IIIa collocation engine after the usual first-order recast.
-   Adaptive solves start from a piecewise-uniform Shishkin mesh of
-   ``initial_mesh_points`` nodes, fine within 4 ln(N - 1) / sqrt(delta) of
-   each end (delta from the assumption check bounds the eigenvalues of A from
-   below, so the layers decay at least like exp(-sqrt(delta) t)); this
-   keeps the refinement passes bounded as eps -> 0. Fixed-mesh solves
-   (``adaptive=False``) and short stretched intervals stay uniform.
-3. Composite: y(x) = y_out(x) + [Psi_L(x/sqrt(eps)) + Psi_R((x-1)/sqrt(eps))] / 2.
-
-Because the two stretched problems are transplants of the same physical
-problem, their composite contributions agree up to solver noise; the
-average also makes the prescribed boundary values hold exactly by
-construction (each correction's boundary datum cancels the mismatch).
+   by the Lobatto IIIa collocation engine from a uniform mesh of
+   ``initial_mesh_points`` nodes. Adaptive solves that pass the assumption
+   check truncate the domain when the stretched image 1/sqrt(eps) is at
+   least T = 42 / sqrt(delta): delta bounds the eigenvalues of A from
+   below, so a layer decays at least like exp(-sqrt(delta) t), below
+   exp(-42) ~ 6e-19 past T. The left layer is then solved on [0, T] and
+   the right on [-T, 0], each with the outer solution's boundary mismatch
+   (prescribed minus outer) at its own end and Psi = 0 at the cut, so the
+   cost does not grow as eps -> 0. Fixed-mesh solves, shorter images and
+   failed assumptions keep the full image of [0, 1], mismatches at both ends.
+3. Composite: truncated, y(x) = y_out(x) + Psi_L(x/sqrt(eps)) +
+   Psi_R((x-1)/sqrt(eps)), each term zero outside |t| <= T. Full, the
+   average y_out + [Psi_L + Psi_R] / 2 of two transplants of the same
+   physical problem. Either way each boundary datum cancels its mismatch,
+   so the prescribed boundary values hold exactly by construction.
 
 All components must share one diffusion value; unequal values raise
 ValueError. With some eps_i = 1 (partially perturbed) the reduced problem is
@@ -50,9 +49,9 @@ _SINGULAR_COND = 1e14
 #: A tables kept per layer problem, oldest dropped first; one mesh needs
 #: three (nodes, midpoints, residual quadrature points)
 _TABLE_MEMO_SIZE = 4
-#: Shishkin transition constant sigma in tau = sigma ln N / sqrt(beta): the
-#: collocation order, so the layer is resolved to the method's accuracy
-_SHISHKIN_SIGMA = 4.0
+#: truncated layer length in decay lengths 1 / sqrt(delta): past it a layer
+#: is below exp(-42) ~ 6e-19 of its boundary value
+_TRUNCATION = 42.0
 
 
 class SingularReducedMatrix(Exception):
@@ -132,10 +131,10 @@ class LayerProblem:
     ``bvp`` is the first-order recast (dimension 2n for n components) of
     -Psi'' + A(x) Psi = 0 on ``stretched_interval``, with A evaluated at
     the physical coordinate recovered from the stretched one. ``bc_values``
-    rows are the Dirichlet data at the interval's two endpoints; the row
-    attached to each physical endpoint is the boundary mismatch
-    (prescribed minus outer) there, so the assembled composite meets the
-    prescribed boundary condition.
+    rows are the Dirichlet data at the interval's two endpoints: the
+    boundary mismatch (prescribed minus outer) at an end that is a physical
+    endpoint, so the assembled composite meets the prescribed boundary
+    condition, and zero at the cut of a truncated interval.
     """
 
     side: Side
@@ -149,14 +148,16 @@ def build_layer_problem(
     sys: ReactionDiffusionSystem,
     outer: OuterSolution,
     side: Side,
+    length: float | None = None,
 ) -> LayerProblem:
     """Construct the left or right complementary layer problem.
 
     The stretched interval is [0, 1/sqrt(eps)] on the left and
-    [-1/sqrt(eps), 0] on the right, covering the full image of the
-    physical domain. Boundary data are the outer solution's mismatches at
-    x = 0 and x = 1, mapped to the corresponding stretched endpoints.
-    Raises ValueError unless every component has the same diffusion value.
+    [-1/sqrt(eps), 0] on the right, the full image of the physical domain,
+    with the outer solution's mismatches at x = 0 and x = 1 as data. A
+    ``length`` T truncates it to [0, T] or [-T, 0]: the mismatch at the
+    layer's own end, and Psi = 0 at the cut. Raises ValueError unless every
+    component has the same diffusion value and 0 < T <= 1/sqrt(eps).
     """
     if len(set(sys.diffusion)) != 1:
         raise ValueError("all components must share one diffusion value: a partially "
@@ -166,17 +167,25 @@ def build_layer_problem(
     n = sys.n
     root = np.sqrt(eps)
     span = 1.0 / root
+    if length is not None and not 0.0 < length <= span:
+        raise ValueError(f"truncated length {length!r} is not in (0, 1/sqrt(eps) = {span!r}]")
 
-    # either way the interval's left end maps to x = 0 and its right to x = 1
+    # the data at the stretched images of x = 0 and x = 1; a truncated
+    # interval reaches only its own end's image, and the cut gets zero
+    reach = span if length is None else length
     left_val = sys.left_bc - outer(0.0)
     right_val = sys.right_bc - outer(1.0)
     if side is Side.LEFT:
-        interval = (0.0, span)
+        interval = (0.0, reach)
+        if length is not None:
+            right_val = np.zeros(n)
 
         def recover(tb):
             return root * tb
     else:
-        interval = (-span, 0.0)
+        interval = (-reach, 0.0)
+        if length is not None:
+            left_val = np.zeros(n)
 
         def recover(tb):
             return 1.0 + root * tb
@@ -225,12 +234,20 @@ def build_layer_problem(
 
 @dataclass(frozen=True)
 class HybridApproximation:
-    """Uniformly valid composite: outer plus averaged layer corrections."""
+    """Uniformly valid composite: outer plus layer corrections.
+
+    ``truncated`` True: the layers were solved on [0, T] and [-T, 0], and
+    each correction is added where its stretched coordinate lies in its
+    interval and is zero elsewhere. False: they cover the full stretched
+    image of [0, 1] and are averaged; a point mapped outside a layer
+    interval (as a mismatched ``epsilon`` does) raises ValueError.
+    """
 
     outer: OuterSolution
     left_layer: CollocationSolution
     right_layer: CollocationSolution
     epsilon: float
+    truncated: bool
 
     def eval(self, x) -> np.ndarray:
         """Composite values at scalar or 1-D x in [0, 1]."""
@@ -238,13 +255,24 @@ class HybridApproximation:
         out = self.eval_many(np.atleast_1d(np.asarray(x, dtype=float)))
         return out[0] if scalar else out
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+    def eval_many(self, xs: np.ndarray, outer_values: np.ndarray | None = None) -> np.ndarray:
+        """Composite values on a grid, shape (len(xs), n). ``outer_values``,
+        if given, is ``self.outer.eval_many(xs)`` (not modified); it does not
+        depend on eps, so composites of one problem can share it."""
         root = np.sqrt(self.epsilon)
-        out = self.outer.eval_many(xs)
+        out = self.outer.eval_many(xs) if outer_values is None else outer_values.copy()
         n = out.shape[1]
-        left_vals = evaluate(self.left_layer, xs / root)[:, :n]
-        right_vals = evaluate(self.right_layer, (xs - 1.0) / root)[:, :n]
-        out += 0.5 * (left_vals + right_vals)
+        t_left = xs / root
+        t_right = (xs - 1.0) / root
+        if not self.truncated:
+            left_vals = evaluate(self.left_layer, t_left)[:, :n]
+            right_vals = evaluate(self.right_layer, t_right)[:, :n]
+            out += 0.5 * (left_vals + right_vals)
+            return out
+        near = t_left <= self.left_layer.mesh.b
+        out[near] += evaluate(self.left_layer, t_left[near])[:, :n]
+        near = t_right >= self.right_layer.mesh.a
+        out[near] += evaluate(self.right_layer, t_right[near])[:, :n]
         return out
 
 
@@ -253,48 +281,20 @@ def assemble_composite(
     left: CollocationSolution,
     right: CollocationSolution,
     eps: float,
+    truncated: bool = False,
 ) -> HybridApproximation:
     """Combine outer and layer solutions into the composite evaluator.
 
     Each layer solution carries Psi and Psi' for all n components.
-    Evaluation maps each physical x into both stretched domains; a
-    mismatched eps makes the mapped coordinate fall outside a layer
-    interval, which evaluation rejects.
+    ``truncated`` says whether they were solved on the truncated domains or
+    on the full stretched image; see :class:`HybridApproximation`.
     """
     if not left.dim == right.dim == 2 * outer.sys.n:
         raise ValueError("layer solutions must have dimension 2n for n components")
     return HybridApproximation(
         outer=outer, left_layer=left, right_layer=right, epsilon=float(eps),
+        truncated=truncated,
     )
-
-
-def _layer_start_mesh(
-    interval: tuple[float, float], cfg: SolverConfig, beta: float
-) -> np.ndarray | None:
-    """Piecewise-uniform Shishkin start for a layer solve; None means uniform.
-
-    Of the N - 1 intervals (N = ``cfg.initial_mesh_points``), a quarter go
-    on each of [a, a + tau] and [b - tau, b] and the rest on the middle, where
-    tau = 4 ln(N - 1) / sqrt(beta): a layer decaying like exp(-sqrt(beta) t)
-    is below (N - 1)^-4, the method's order, past the transition. The
-    uniform start is kept when beta <= 0 (no decay bound), when the layer
-    regions would cover half the interval anyway, and when float spacing
-    would make the pieces not strictly increasing (span 1e15 at eps 1e-30).
-    """
-    a, b = interval
-    n = cfg.initial_mesh_points - 1
-    q = n // 4
-    if beta <= 0.0 or q == 0:
-        return None
-    tau = _SHISHKIN_SIGMA * np.log(n) / np.sqrt(beta)
-    if tau >= (b - a) / 4.0:
-        return None
-    mesh = np.concatenate([
-        np.linspace(a, a + tau, q + 1),
-        np.linspace(a + tau, b - tau, n - 2 * q + 1)[1:-1],
-        np.linspace(b - tau, b, q + 1),
-    ])
-    return mesh if np.all(np.diff(mesh) > 0.0) else None
 
 
 def hybrid_solve(
@@ -306,10 +306,14 @@ def hybrid_solve(
 
     ``on_violation`` controls what happens when the structural assumptions
     fail on the 1001-point check grid: "raise" (default) raises
-    AssumptionViolation, "warn" proceeds with a warning. Adaptive layer
-    solves start from a Shishkin mesh with beta = the check's delta, which
-    bounds the eigenvalues of A from below (Gershgorin) only when the
-    assumptions hold; otherwise they start uniform.
+    AssumptionViolation, "warn" proceeds with a warning. An adaptive solve
+    whose assumptions hold truncates the layer domains to length
+    T = 42 / sqrt(delta) when the stretched image 1/sqrt(eps) is at least
+    T: the check's delta bounds the eigenvalues of A from below
+    (Gershgorin) only then. Otherwise, and on a fixed mesh, both layers
+    cover the full image. Each layer solve starts from the uniform
+    ``cfg.initial_mesh_points`` mesh; ``HybridApproximation.truncated``
+    records which domains were used.
     """
     if on_violation not in ("raise", "warn"):
         raise ValueError("on_violation must be 'raise' or 'warn'")
@@ -324,10 +328,15 @@ def hybrid_solve(
         warnings.warn(msg, stacklevel=2)
 
     outer = solve_reduced(sys)
-    left = build_layer_problem(sys, outer, Side.LEFT)
-    right = build_layer_problem(sys, outer, Side.RIGHT)
     cfg = cfg or SolverConfig()
-    beta = report.delta if cfg.adaptive and report.passed else 0.0
-    left_sol = solve(left.bvp, cfg, _layer_start_mesh(left.stretched_interval, cfg, beta))
-    right_sol = solve(right.bvp, cfg, _layer_start_mesh(right.stretched_interval, cfg, beta))
-    return assemble_composite(outer, left_sol, right_sol, left.eps)
+    length = None
+    if cfg.adaptive and report.passed:
+        cut = _TRUNCATION / np.sqrt(report.delta)
+        if cut <= 1.0 / np.sqrt(sys.diffusion[0]):  # unequal values: raised below
+            length = cut
+    left = build_layer_problem(sys, outer, Side.LEFT, length)
+    right = build_layer_problem(sys, outer, Side.RIGHT, length)
+    left_sol = solve(left.bvp, cfg)
+    right_sol = solve(right.bvp, cfg)
+    return assemble_composite(outer, left_sol, right_sol, left.eps,
+                              truncated=length is not None)

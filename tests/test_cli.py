@@ -27,7 +27,7 @@ from scem_rd.config import (
 )
 from scem_rd.expressions import compile_expression
 from scem_rd.numformat import percent_lines
-from scem_rd.scem import HybridApproximation
+from scem_rd.scem import HybridApproximation, OuterSolution
 
 
 def read_csv(path):
@@ -428,8 +428,8 @@ def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monke
     evaluated = []  # eval_many results of the run, in call order
     eval_many = HybridApproximation.eval_many
 
-    def recording_eval_many(self, xs):
-        out = eval_many(self, xs)
+    def recording_eval_many(self, xs, outer_values=None):
+        out = eval_many(self, xs, outer_values)
         evaluated.append(out)
         return out
 
@@ -457,6 +457,23 @@ def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monke
         assert (tmp_path / f"example1_error_eps{tag}.csv").read_bytes() == \
             _percent_table(["x", "e_1", "e_2"], xstr, err, "%.15e")
     assert fallback_rows == []
+
+
+@pytest.mark.parametrize("command", ["plotdata", "solve"])
+def test_outer_solution_is_evaluated_on_the_grid_once_per_run(tmp_path, monkeypatch, command):
+    grid_sizes = []  # point counts of every OuterSolution.eval_many call
+    eval_many = OuterSolution.eval_many
+
+    def counting_eval_many(self, xs):
+        grid_sizes.append(np.asarray(xs).size)
+        return eval_many(self, xs)
+
+    monkeypatch.setattr(OuterSolution, "eval_many", counting_eval_many)
+    assert main([command, "--problem", "example1", "--eps", "2^-1,2^-8,2^-15",
+                 "--grid", "2001", "--out", str(tmp_path)]) == 0
+    # each layer problem queries its two boundary mismatches; the grid, once
+    assert grid_sizes.count(2001) == 1
+    assert sorted(set(grid_sizes)) == [1, 2001]
 
 
 def test_convergence_compiles_each_expression_once(tmp_path, monkeypatch):

@@ -214,16 +214,16 @@ def test_mesh_validation():
     assert m.a == 0.0 and m.b == 1.0 and m.n_intervals == 2
 
 
-def test_starting_nodes_are_used_and_validated():
-    bvp = linear_ramp_bvp()
-    start = np.array([0.0, 0.1, 0.15, 0.5, 1.0])
-    sol = solve(bvp, SolverConfig(adaptive=False), start)
-    assert np.array_equal(sol.mesh.nodes, start)
-    assert np.max(np.abs(sol.node_values[:, 0] - start)) <= 1e-12
-    for bad in ([0.0, 0.5, 0.9], [0.1, 0.5, 1.0], [-0.1, 0.5, 1.0], [0.0, 0.6, 0.5, 1.0],
-                [0.0, np.nan, 1.0], [[0.0, 1.0]]):
-        with pytest.raises(ValueError):
-            solve(bvp, SolverConfig(), bad)
+def test_first_pass_runs_on_the_uniform_initial_mesh():
+    # the only start: cfg.initial_mesh_points uniform nodes over bvp.interval
+    bvp = dataclasses.replace(linear_ramp_bvp(), interval=(-0.5, 2.0),
+                              bc=lambda ua, ub: np.array([ua[0] + 0.5, ub[0] - 2.0]))
+    for points in (2, 7, 1000):
+        sol = solve(bvp, SolverConfig(initial_mesh_points=points, adaptive=False))
+        assert np.array_equal(sol.mesh.nodes, np.linspace(-0.5, 2.0, points))
+        assert np.max(np.abs(sol.node_values[:, 0] - sol.mesh.nodes)) <= 1e-12
+        adaptive = solve(bvp, SolverConfig(initial_mesh_points=points))
+        assert np.array_equal(adaptive.mesh.nodes, sol.mesh.nodes)  # exact: no refinement
 
 
 def test_refinement_passes_are_logged_at_debug_level(caplog):
@@ -231,8 +231,8 @@ def test_refinement_passes_are_logged_at_debug_level(caplog):
     sol = solve(scalar_layer_bvp(1e-4), SolverConfig(initial_mesh_points=21))
     passes = [r.getMessage() for r in caplog.records if r.name == "scem_rd"]
     assert len(passes) == sol.newton_iterations // 2 > 1  # linear: 2 iterations a pass
-    assert passes[0].startswith("pass 1 (uniform start): 21 nodes, 2 Newton iterations")
-    assert passes[-1].startswith(f"pass {len(passes)} (uniform start): {sol.mesh.nodes.size} nodes")
+    assert passes[0].startswith("pass 1: 21 nodes, 2 Newton iterations")
+    assert passes[-1].startswith(f"pass {len(passes)}: {sol.mesh.nodes.size} nodes")
     assert f"max residual {sol.max_residual:.3e}" in passes[-1]
 
 
@@ -407,7 +407,7 @@ def test_fixed_mesh_pass_logs_that_no_residual_was_estimated(caplog):
     solve(scalar_layer_bvp(1e-4), SolverConfig(initial_mesh_points=21, adaptive=False))
     passes = [r.getMessage() for r in caplog.records if r.name == "scem_rd"]
     assert passes == [
-        "pass 1 (uniform start): 21 nodes, 2 Newton iterations, "
+        "pass 1: 21 nodes, 2 Newton iterations, "
         "residual not estimated (fixed mesh)"
     ]
 

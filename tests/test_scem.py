@@ -11,7 +11,7 @@ from scipy.integrate import solve_bvp
 import scem_rd.scem as scem
 from scem_rd.analysis import GridFunction, exact_constant_system, max_norm
 from scem_rd.collocation import SolverConfig, evaluate, solve
-from scem_rd.config import BUILTIN_PROBLEMS
+from scem_rd.config import BUILTIN_PROBLEMS, config_from_dict
 from scem_rd.problems import example1, example2
 from scem_rd.scem import (
     AssumptionViolation,
@@ -331,19 +331,33 @@ def test_layer_locality_for_small_eps():
 
 
 # ---------------------------------------------------------------------------
-# layer start meshes and deep eps
+# layer domains and deep eps
 # ---------------------------------------------------------------------------
 
-def _capture_start_meshes(monkeypatch):
-    """Record the starting nodes hybrid_solve hands to each layer solve."""
-    starts = []
+#: example1's truncated layer length 42 / sqrt(delta), delta = 2
+T_EXAMPLE1 = 42.0 / np.sqrt(2.0)
+#: the variable-coefficient system of the deep-eps tests
+VARIABLE_A = {
+    "name": "variable_a",
+    "n": 2,
+    "coeff": [["2 + x", "-1"], ["-1", "3 - x*x"]],
+    "forcing": ["1 + x", "1/(1 + x)"],
+    "diffusion": ["eps", "eps"],
+    "bc_left": [0.0, 0.0],
+    "bc_right": [0.0, 0.0],
+}
 
-    def recording_solve(bvp, cfg=None, nodes=None):
-        starts.append((bvp.interval, nodes))
-        return solve(bvp, cfg, nodes)
+
+def _capture_layer_intervals(monkeypatch):
+    """Record the interval of each layer problem hybrid_solve solves."""
+    intervals = []
+
+    def recording_solve(bvp, cfg=None):
+        intervals.append(bvp.interval)
+        return solve(bvp, cfg)
 
     monkeypatch.setattr(scem, "solve", recording_solve)
-    return starts
+    return intervals
 
 
 def _layer_grid(eps):
@@ -353,11 +367,26 @@ def _layer_grid(eps):
     return np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), k, 1.0 - k]))
 
 
+def _stretched_grid(eps):
+    """Uniform 2001 points plus stretched steps of 1/200 out to t = 40 from
+    both ends, which resolves the layer cubics between their nodes."""
+    t = np.linspace(0.0, 40.0, 8001) * np.sqrt(eps)
+    t = t[t <= 1.0]
+    return np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), t, 1.0 - t]))
+
+
+def _example1_oracle(eps):
+    return exact_constant_system(np.array([[4.0, -2.0], [-1.0, 3.0]]),
+                                 np.array([1.0, 2.0]), eps)
+
+
 def test_fixed_mesh_layer_solves_start_uniform():
     cfg = SolverConfig(initial_mesh_points=201, adaptive=False)
     hybrid = hybrid_solve(example1(1e-8), cfg)
+    assert not hybrid.truncated  # fixed mesh keeps the full interval
     for layer in (hybrid.left_layer, hybrid.right_layer):
         a, b = layer.mesh.a, layer.mesh.b
+        assert b - a == 1e4
         assert np.array_equal(layer.mesh.nodes, np.linspace(a, b, 201))
 
 
@@ -369,50 +398,119 @@ def test_fixed_mesh_layer_solves_estimate_no_residual():
     assert hybrid.right_layer.max_residual is None
 
 def test_short_stretched_interval_keeps_uniform_start():
-    # tau = 4 ln 999 / sqrt(2) = 19.5 exceeds a quarter of the span 16
+    # the stretched image 1/sqrt(eps) = 16 is shorter than T = 29.7, so both
+    # layers keep the full interval, solved from the uniform start
     sys = example1(2.0**-8)
     hybrid = hybrid_solve(sys, SolverConfig())
+    assert not hybrid.truncated
     outer = solve_reduced(sys)
     for side, got in ((Side.LEFT, hybrid.left_layer), (Side.RIGHT, hybrid.right_layer)):
-        uniform = solve(build_layer_problem(sys, outer, side).bvp, SolverConfig())
+        problem = build_layer_problem(sys, outer, side)
+        uniform = solve(problem.bvp, SolverConfig())
+        assert (got.mesh.a, got.mesh.b) == problem.stretched_interval
         assert np.array_equal(got.mesh.nodes, uniform.mesh.nodes)
         assert np.array_equal(got.node_values, uniform.node_values)
         assert np.array_equal(got.node_slopes, uniform.node_slopes)
 
 
-def test_deep_eps_start_is_a_symmetric_shishkin_mesh(monkeypatch):
-    starts = _capture_start_meshes(monkeypatch)
-    hybrid_solve(example1(1e-8), SolverConfig())
-    tau = 4.0 * np.log(999) / np.sqrt(2.0)  # delta = 2 for example1
-    assert [interval for interval, _ in starts] == [(0.0, 1e4), (-1e4, 0.0)]
-    for (a, b), nodes in starts:
-        assert nodes.size == 1000 and nodes[0] == a and nodes[-1] == b
-        assert np.allclose(nodes - a, (b - nodes)[::-1], rtol=0.0, atol=1e-10 * (b - a))
-        assert nodes[249] == pytest.approx(a + tau, abs=1e-12 * (b - a))
-        assert nodes[-250] == pytest.approx(b - tau, abs=1e-12 * (b - a))
-        h = np.diff(nodes)
-        assert np.allclose(h[:249], tau / 249) and np.allclose(h[-249:], tau / 249)
-        assert np.allclose(h[249:-249], (b - a - 2 * tau) / 501)
+def test_deep_eps_layers_are_solved_on_truncated_domains(monkeypatch):
+    intervals = _capture_layer_intervals(monkeypatch)
+    sys = example1(1e-8)
+    hybrid = hybrid_solve(sys, SolverConfig())
+    assert hybrid.truncated
+    assert intervals == [(0.0, T_EXAMPLE1), (-T_EXAMPLE1, 0.0)]
+    # one pass on the uniform start: the linear problem takes 2 Newton iterations
+    assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, T_EXAMPLE1, 1000))
+    assert np.array_equal(hybrid.right_layer.mesh.nodes, np.linspace(-T_EXAMPLE1, 0.0, 1000))
+    assert hybrid.left_layer.newton_iterations == hybrid.right_layer.newton_iterations == 2
+    # each layer carries the mismatch at its own end and vanishes at the cut
+    outer = solve_reduced(sys)
+    left = build_layer_problem(sys, outer, Side.LEFT, T_EXAMPLE1)
+    right = build_layer_problem(sys, outer, Side.RIGHT, T_EXAMPLE1)
+    np.testing.assert_allclose(left.bc_values, [[-0.7, -0.9], [0.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(right.bc_values, [[0.0, 0.0], [-0.7, -0.9]], atol=1e-12)
+    assert np.max(np.abs(hybrid.left_layer.node_values[-1, :2])) <= 1e-15
+    assert np.max(np.abs(hybrid.right_layer.node_values[0, :2])) <= 1e-15
+    # each correction is zero off its support, |x| > T sqrt(eps) = 0.003 from
+    # its end, so there the composite is the outer solution itself
+    xs = np.linspace(0.005, 0.995, 101)
+    assert np.array_equal(hybrid.eval_many(xs), hybrid.outer.eval_many(xs))
 
 
-def test_unrepresentable_shishkin_start_falls_back_to_uniform():
-    # eps = 1e-30: the layer spacing tau / 249 is below the float spacing
-    # (0.125) near 1e15, so the pieces would not be strictly increasing
-    assert scem._layer_start_mesh((0.0, 1e15), SolverConfig(), 1.0) is None
-    nodes = scem._layer_start_mesh((0.0, 1e12), SolverConfig(), 1.0)
-    assert nodes.size == 1000 and np.all(np.diff(nodes) > 0.0)
+def test_truncated_layer_length_must_fit_the_stretched_image():
+    sys = example1(2.0**-8)  # stretched image 16
+    outer = solve_reduced(sys)
+    assert build_layer_problem(sys, outer, Side.RIGHT, 16.0).stretched_interval == (-16.0, 0.0)
+    for length in (16.5, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            build_layer_problem(sys, outer, Side.LEFT, length)
+
+
+def test_truncated_layer_problems_do_not_depend_on_eps():
+    # with constant A the truncated problems are the same at every eps, down
+    # to 1e-300, where the full stretched image would be 1e150 long
+    base = hybrid_solve(example1(1e-8), SolverConfig())
+    for eps in (1e-30, 1e-300):
+        hybrid = hybrid_solve(example1(eps), SolverConfig())
+        assert hybrid.truncated
+        for got, want in ((hybrid.left_layer, base.left_layer),
+                          (hybrid.right_layer, base.right_layer)):
+            assert np.array_equal(got.mesh.nodes, want.mesh.nodes)
+            assert np.array_equal(got.node_values, want.node_values)
 
 
 def test_violating_system_starts_uniform(monkeypatch):
     bad = make_system([[1.0, -2.0], [-1.0, 3.0]], [0.0, 0.0], [1e-8, 1e-8])  # delta = -1
-    starts = _capture_start_meshes(monkeypatch)
+    intervals = _capture_layer_intervals(monkeypatch)
     with pytest.warns(UserWarning):
         hybrid = hybrid_solve(bad, SolverConfig(), on_violation="warn")
-    assert [nodes for _, nodes in starts] == [None, None]
+    assert not hybrid.truncated  # no decay bound: the full interval is kept
+    assert intervals == [(0.0, 1e4), (-1e4, 0.0)]
     assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, 1e4, 1000))
+    assert np.array_equal(hybrid.right_layer.mesh.nodes, np.linspace(-1e4, 0.0, 1000))
 
 
-@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("eps", [2.0**-9, 2.0**-10], ids=["full", "truncated"])
+def test_error_is_bounded_across_the_truncation_switch(eps):
+    # 1/sqrt(eps) = 22.6 and 32 sit on either side of T = 29.7
+    hybrid = hybrid_solve(example1(eps), SolverConfig())
+    assert hybrid.truncated == (eps < 2.0**-9)
+    grid = _stretched_grid(eps)
+    assert np.max(np.abs(hybrid.eval_many(grid) - _example1_oracle(eps)(grid))) <= 1e-8
+    xs = np.linspace(0.0, 1.0, 1001)
+    vals = hybrid.eval_many(xs)
+    assert np.max(np.abs(vals - vals[::-1])) <= 1e-9
+
+
+def _deep_eps_problem(name, bc):
+    config = (config_from_dict(VARIABLE_A) if name == "variable_a"
+              else BUILTIN_PROBLEMS[name])
+    if bc == "zero":
+        return config
+    n = config.n
+    left = tuple(1.0 - 0.75 * i for i in range(n))
+    right = tuple(0.25 + i for i in range(n))
+    return dataclasses.replace(config, bc_left=left, bc_right=right)
+
+
+@pytest.mark.parametrize("bc", ["zero", "asymmetric"])
+@pytest.mark.parametrize("name", ["example1", "example2", "variable_a"])
+@pytest.mark.parametrize("eps", [1e-20, 1e-30, 1e-100, 1e-300])
+def test_deep_eps_solves_are_bounded_and_exact_at_the_boundary(eps, name, bc):
+    config = _deep_eps_problem(name, bc)
+    hybrid = hybrid_solve(config.build_system(eps), SolverConfig())
+    assert hybrid.truncated
+    for layer in (hybrid.left_layer, hybrid.right_layer):
+        assert layer.newton_iterations <= 4  # linear: 2 a pass, so <= 2 passes
+        assert layer.mesh.nodes.size <= 1100
+    ends = hybrid.eval_many(np.array([0.0, 1.0]))
+    assert np.max(np.abs(ends - [config.bc_left, config.bc_right])) <= 1e-9
+    if name == "example1" and bc == "zero":
+        grid = _stretched_grid(eps)
+        assert np.max(np.abs(hybrid.eval_many(grid) - _example1_oracle(eps)(grid))) <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12, 1e-300])
 def test_deep_eps_invariants_and_bounded_passes(eps):
     sys = example1(eps)
     hybrid = hybrid_solve(sys, SolverConfig())
@@ -431,11 +529,12 @@ def test_deep_eps_invariants_and_bounded_passes(eps):
     assert check_max_principle(sys, candidate, tol=1e-3)
     ceiling = stability_bound(sys, validate_assumptions(sys), forcing_max_norm(sys))
     assert np.max(max_norm(candidate)) <= ceiling
-    exact = exact_constant_system(np.array([[4.0, -2.0], [-1.0, 3.0]]), np.array([1.0, 2.0]), eps)
+    exact = _example1_oracle(eps)
     assert np.max(np.abs(candidate.values - exact(grid))) <= 1e-6
 
 
 def test_example2_deep_eps_layer_solves_take_at_most_three_passes():
-    hybrid = hybrid_solve(example2(1e-12), SolverConfig())
-    assert hybrid.left_layer.newton_iterations <= 6
-    assert hybrid.right_layer.newton_iterations <= 6
+    for eps in (1e-12, 1e-300):
+        hybrid = hybrid_solve(example2(eps), SolverConfig())
+        assert hybrid.left_layer.newton_iterations <= 6
+        assert hybrid.right_layer.newton_iterations <= 6
