@@ -31,7 +31,6 @@ from .scem import (
     OuterSolution,
     Side,
     SingularReducedMatrix,
-    assemble_composite,
     build_layer_problem,
     hybrid_solve,
     solve_reduced,
@@ -70,7 +69,6 @@ __all__ = [
     "SingularReducedMatrix",
     "SolverConfig",
     "as_scalar_field",
-    "assemble_composite",
     "build_layer_problem",
     "check_max_principle",
     "convergence_table",

@@ -120,10 +120,7 @@ class SolverConfig:
 
     Newton starts from the constant ones vector. ``initial_mesh_points``
     is the node count of the uniform first pass; hybrid solves spend it on
-    each layer problem. An adaptive hybrid solve that passes the assumption
-    check truncates each layer domain to length T = 42 / sqrt(delta) when
-    the stretched image 1/sqrt(eps) is at least T; otherwise, and under
-    ``adaptive`` False, the layers cover the full image.
+    each layer problem (see :func:`scem_rd.scem.hybrid_solve` for which).
     ``adaptive`` False runs a single pass on the initial mesh (no
     MeshOverflow possible); useful for mesh-convergence studies. Such a
     fixed-mesh solve does not estimate the residual, which only drives

@@ -19,12 +19,14 @@ The uniformly valid approximation is assembled in three steps:
    the right on [-T, 0], each with the outer solution's boundary mismatch
    (prescribed minus outer) at its own end and Psi = 0 at the cut, so the
    cost does not grow as eps -> 0. Fixed-mesh solves, shorter images and
-   failed assumptions keep the full image of [0, 1], mismatches at both ends.
-3. Composite: truncated, y(x) = y_out(x) + Psi_L(x/sqrt(eps)) +
-   Psi_R((x-1)/sqrt(eps)), each term zero outside |t| <= T. Full, the
-   average y_out + [Psi_L + Psi_R] / 2 of two transplants of the same
-   physical problem. Either way each boundary datum cancels its mismatch,
-   so the prescribed boundary values hold exactly by construction.
+   failed assumptions solve one problem on the full image [0, 1/sqrt(eps)]
+   of [0, 1], with the mismatches at both ends; it carries both layers.
+3. Composite: y(x) = y_out(x) plus each layer correction where its
+   stretched coordinate lies in its layer's interval: Psi_L(x/sqrt(eps))
+   for x <= T sqrt(eps) and Psi_R((x-1)/sqrt(eps)) for x >= 1 - T sqrt(eps)
+   when truncated, and Psi(x/sqrt(eps)) on all of [0, 1] on the full image.
+   Each boundary datum cancels its mismatch, so the prescribed boundary
+   values hold exactly by construction.
 
 All components must share one diffusion value; unequal values raise
 ValueError. With some eps_i = 1 (partially perturbed) the reduced problem is
@@ -236,18 +238,29 @@ def build_layer_problem(
 class HybridApproximation:
     """Uniformly valid composite: outer plus layer corrections.
 
-    ``truncated`` True: the layers were solved on [0, T] and [-T, 0], and
-    each correction is added where its stretched coordinate lies in its
-    interval and is zero elsewhere. False: they cover the full stretched
-    image of [0, 1] and are averaged; a point mapped outside a layer
-    interval (as a mismatched ``epsilon`` does) raises ValueError.
+    Each correction is added where its stretched coordinate, x / sqrt(eps)
+    for ``left_layer`` and (x - 1) / sqrt(eps) for ``right_layer``, lies in
+    the layer's interval, and is zero elsewhere. Truncated layers cover
+    [0, T] and [-T, 0]. On the full stretched image ``left_layer`` covers
+    [0, 1/sqrt(eps)] with both boundary mismatches, and ``right_layer`` is
+    None. Raises ValueError unless each layer has dimension 2n for n
+    components and the left interval fits in the stretched image of
+    ``epsilon``, which a lone left layer must cover.
     """
 
     outer: OuterSolution
     left_layer: CollocationSolution
-    right_layer: CollocationSolution
+    right_layer: CollocationSolution | None
     epsilon: float
-    truncated: bool
+
+    def __post_init__(self) -> None:
+        left, right = self.left_layer, self.right_layer
+        if any(layer.dim != 2 * self.outer.sys.n for layer in (left, right) if layer is not None):
+            raise ValueError("layer solutions must have dimension 2n for n components")
+        reach, span = left.mesh.b, 1.0 / np.sqrt(self.epsilon)
+        if reach > span or (right is None and reach != span):
+            raise ValueError(f"left layer interval [0, {reach!r}] does not fit the "
+                             f"stretched image of eps = {self.epsilon!r}")
 
     def eval(self, x) -> np.ndarray:
         """Composite values at scalar or 1-D x in [0, 1]."""
@@ -262,39 +275,12 @@ class HybridApproximation:
         root = np.sqrt(self.epsilon)
         out = self.outer.eval_many(xs) if outer_values is None else outer_values.copy()
         n = out.shape[1]
-        t_left = xs / root
-        t_right = (xs - 1.0) / root
-        if not self.truncated:
-            left_vals = evaluate(self.left_layer, t_left)[:, :n]
-            right_vals = evaluate(self.right_layer, t_right)[:, :n]
-            out += 0.5 * (left_vals + right_vals)
-            return out
-        near = t_left <= self.left_layer.mesh.b
-        out[near] += evaluate(self.left_layer, t_left[near])[:, :n]
-        near = t_right >= self.right_layer.mesh.a
-        out[near] += evaluate(self.right_layer, t_right[near])[:, :n]
+        for layer, end in ((self.left_layer, 0.0), (self.right_layer, 1.0)):
+            if layer is not None:
+                t = (xs - end) / root
+                near = (layer.mesh.a <= t) & (t <= layer.mesh.b)
+                out[near] += evaluate(layer, t[near])[:, :n]
         return out
-
-
-def assemble_composite(
-    outer: OuterSolution,
-    left: CollocationSolution,
-    right: CollocationSolution,
-    eps: float,
-    truncated: bool = False,
-) -> HybridApproximation:
-    """Combine outer and layer solutions into the composite evaluator.
-
-    Each layer solution carries Psi and Psi' for all n components.
-    ``truncated`` says whether they were solved on the truncated domains or
-    on the full stretched image; see :class:`HybridApproximation`.
-    """
-    if not left.dim == right.dim == 2 * outer.sys.n:
-        raise ValueError("layer solutions must have dimension 2n for n components")
-    return HybridApproximation(
-        outer=outer, left_layer=left, right_layer=right, epsilon=float(eps),
-        truncated=truncated,
-    )
 
 
 def hybrid_solve(
@@ -302,18 +288,18 @@ def hybrid_solve(
     cfg: SolverConfig | None = None,
     on_violation: str = "raise",
 ) -> HybridApproximation:
-    """Full pipeline: validate, reduce, solve both layers, assemble.
+    """Full pipeline: validate, reduce, solve the layers, assemble.
 
     ``on_violation`` controls what happens when the structural assumptions
     fail on the 1001-point check grid: "raise" (default) raises
     AssumptionViolation, "warn" proceeds with a warning. An adaptive solve
-    whose assumptions hold truncates the layer domains to length
-    T = 42 / sqrt(delta) when the stretched image 1/sqrt(eps) is at least
-    T: the check's delta bounds the eigenvalues of A from below
-    (Gershgorin) only then. Otherwise, and on a fixed mesh, both layers
-    cover the full image. Each layer solve starts from the uniform
-    ``cfg.initial_mesh_points`` mesh; ``HybridApproximation.truncated``
-    records which domains were used.
+    whose assumptions hold truncates the layer domains to [0, T] and
+    [-T, 0], T = 42 / sqrt(delta), when the stretched image 1/sqrt(eps) is
+    at least T: the check's delta bounds the eigenvalues of A from below
+    (Gershgorin) only then. Otherwise, and on a fixed mesh, one left layer
+    problem covers the full image and carries both boundary mismatches, and
+    the result's ``right_layer`` is None. Each layer solve starts from the
+    uniform ``cfg.initial_mesh_points`` mesh.
     """
     if on_violation not in ("raise", "warn"):
         raise ValueError("on_violation must be 'raise' or 'warn'")
@@ -335,8 +321,10 @@ def hybrid_solve(
         if cut <= 1.0 / np.sqrt(sys.diffusion[0]):  # unequal values: raised below
             length = cut
     left = build_layer_problem(sys, outer, Side.LEFT, length)
-    right = build_layer_problem(sys, outer, Side.RIGHT, length)
-    left_sol = solve(left.bvp, cfg)
-    right_sol = solve(right.bvp, cfg)
-    return assemble_composite(outer, left_sol, right_sol, left.eps,
-                              truncated=length is not None)
+    right = None if length is None else build_layer_problem(sys, outer, Side.RIGHT, length)
+    return HybridApproximation(
+        outer=outer,
+        left_layer=solve(left.bvp, cfg),
+        right_layer=None if right is None else solve(right.bvp, cfg),
+        epsilon=float(left.eps),
+    )

@@ -15,9 +15,9 @@ from scem_rd.config import BUILTIN_PROBLEMS, config_from_dict
 from scem_rd.problems import example1, example2
 from scem_rd.scem import (
     AssumptionViolation,
+    HybridApproximation,
     Side,
     SingularReducedMatrix,
-    assemble_composite,
     build_layer_problem,
     hybrid_solve,
     solve_reduced,
@@ -201,12 +201,12 @@ def test_composite_boundary_cancellation():
 
 
 def test_composite_mismatched_eps_rejected():
-    hybrid = hybrid_solve(example1(0.01), CFG)
-    bad = assemble_composite(
-        hybrid.outer, hybrid.left_layer, hybrid.right_layer, eps=0.0025
-    )
-    with pytest.raises(ValueError):
-        bad.eval(1.0)
+    hybrid = hybrid_solve(example1(0.01), CFG)  # one layer on [0, 10]
+    for eps in (0.0025, 0.04):  # stretched images 20 and 5
+        with pytest.raises(ValueError, match="stretched image"):
+            HybridApproximation(hybrid.outer, hybrid.left_layer, None, eps)
+    with pytest.raises(ValueError, match="dimension 2n"):
+        HybridApproximation(solve_reduced(example2(0.01)), hybrid.left_layer, None, 0.01)
 
 
 def test_zero_problem_composite_vanishes():
@@ -380,44 +380,64 @@ def _example1_oracle(eps):
                                  np.array([1.0, 2.0]), eps)
 
 
-def test_fixed_mesh_layer_solves_start_uniform():
+def test_fixed_mesh_layer_solves_start_uniform(monkeypatch):
+    # a fixed mesh solves one layer problem on the full stretched image
+    intervals = _capture_layer_intervals(monkeypatch)
     cfg = SolverConfig(initial_mesh_points=201, adaptive=False)
     hybrid = hybrid_solve(example1(1e-8), cfg)
-    assert not hybrid.truncated  # fixed mesh keeps the full interval
-    for layer in (hybrid.left_layer, hybrid.right_layer):
-        a, b = layer.mesh.a, layer.mesh.b
-        assert b - a == 1e4
-        assert np.array_equal(layer.mesh.nodes, np.linspace(a, b, 201))
+    assert intervals == [(0.0, 1e4)]
+    assert hybrid.right_layer is None
+    assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, 1e4, 201))
 
 
-
-def test_fixed_mesh_layer_solves_estimate_no_residual():
+def test_fixed_mesh_layer_solves_estimate_no_residual(monkeypatch):
+    # 1/sqrt(eps) = 32 exceeds T = 29.7, but a fixed mesh never truncates
+    intervals = _capture_layer_intervals(monkeypatch)
     hybrid = hybrid_solve(example1(2.0**-10), SolverConfig(initial_mesh_points=65,
                                                            adaptive=False))
+    assert intervals == [(0.0, 32.0)]
     assert hybrid.left_layer.max_residual is None
-    assert hybrid.right_layer.max_residual is None
 
-def test_short_stretched_interval_keeps_uniform_start():
-    # the stretched image 1/sqrt(eps) = 16 is shorter than T = 29.7, so both
-    # layers keep the full interval, solved from the uniform start
+
+def test_short_stretched_interval_keeps_uniform_start(monkeypatch):
+    # the stretched image 1/sqrt(eps) = 16 is shorter than T = 29.7, so one
+    # layer problem covers the full image, solved from the uniform start
+    intervals = _capture_layer_intervals(monkeypatch)
     sys = example1(2.0**-8)
     hybrid = hybrid_solve(sys, SolverConfig())
-    assert not hybrid.truncated
-    outer = solve_reduced(sys)
-    for side, got in ((Side.LEFT, hybrid.left_layer), (Side.RIGHT, hybrid.right_layer)):
-        problem = build_layer_problem(sys, outer, side)
-        uniform = solve(problem.bvp, SolverConfig())
-        assert (got.mesh.a, got.mesh.b) == problem.stretched_interval
-        assert np.array_equal(got.mesh.nodes, uniform.mesh.nodes)
-        assert np.array_equal(got.node_values, uniform.node_values)
-        assert np.array_equal(got.node_slopes, uniform.node_slopes)
+    assert intervals == [(0.0, 16.0)]
+    assert hybrid.right_layer is None
+    uniform = solve(build_layer_problem(sys, solve_reduced(sys), Side.LEFT).bvp, SolverConfig())
+    got = hybrid.left_layer
+    assert np.array_equal(got.mesh.nodes, uniform.mesh.nodes)
+    assert np.array_equal(got.node_values, uniform.node_values)
+    assert np.array_equal(got.node_slopes, uniform.node_slopes)
+
+
+@pytest.mark.parametrize("eps", [2.0**-6, 2.0**-12])
+def test_full_image_layer_serves_both_ends(eps, monkeypatch):
+    # both full-image problems carry the same data on shifted uniform meshes,
+    # so Psi_R(s) = Psi_L(s + 1/sqrt(eps)) and the one left solve carries the
+    # right layer too; checked on a variable-A system with asymmetric data
+    config = _deep_eps_problem("variable_a", "asymmetric")
+    sys = config.build_system(eps)
+    cfg = SolverConfig(initial_mesh_points=1025, adaptive=False)
+    intervals = _capture_layer_intervals(monkeypatch)
+    hybrid = hybrid_solve(sys, cfg)
+    span = 1.0 / np.sqrt(eps)
+    assert intervals == [(0.0, span)]
+    right = solve(build_layer_problem(sys, hybrid.outer, Side.RIGHT).bvp, cfg)
+    s = right.mesh.nodes
+    shifted = evaluate(hybrid.left_layer, s + span)[:, :2]
+    assert np.max(np.abs(right.node_values[:, :2] - shifted)) <= 1e-12
+    ends = hybrid.eval_many(np.array([0.0, 1.0]))
+    assert np.max(np.abs(ends - [config.bc_left, config.bc_right])) <= 1e-9
 
 
 def test_deep_eps_layers_are_solved_on_truncated_domains(monkeypatch):
     intervals = _capture_layer_intervals(monkeypatch)
     sys = example1(1e-8)
     hybrid = hybrid_solve(sys, SolverConfig())
-    assert hybrid.truncated
     assert intervals == [(0.0, T_EXAMPLE1), (-T_EXAMPLE1, 0.0)]
     # one pass on the uniform start: the linear problem takes 2 Newton iterations
     assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, T_EXAMPLE1, 1000))
@@ -446,13 +466,14 @@ def test_truncated_layer_length_must_fit_the_stretched_image():
             build_layer_problem(sys, outer, Side.LEFT, length)
 
 
-def test_truncated_layer_problems_do_not_depend_on_eps():
+def test_truncated_layer_problems_do_not_depend_on_eps(monkeypatch):
     # with constant A the truncated problems are the same at every eps, down
     # to 1e-300, where the full stretched image would be 1e150 long
     base = hybrid_solve(example1(1e-8), SolverConfig())
+    intervals = _capture_layer_intervals(monkeypatch)
     for eps in (1e-30, 1e-300):
         hybrid = hybrid_solve(example1(eps), SolverConfig())
-        assert hybrid.truncated
+        assert intervals[-2:] == [(0.0, T_EXAMPLE1), (-T_EXAMPLE1, 0.0)]
         for got, want in ((hybrid.left_layer, base.left_layer),
                           (hybrid.right_layer, base.right_layer)):
             assert np.array_equal(got.mesh.nodes, want.mesh.nodes)
@@ -464,17 +485,17 @@ def test_violating_system_starts_uniform(monkeypatch):
     intervals = _capture_layer_intervals(monkeypatch)
     with pytest.warns(UserWarning):
         hybrid = hybrid_solve(bad, SolverConfig(), on_violation="warn")
-    assert not hybrid.truncated  # no decay bound: the full interval is kept
-    assert intervals == [(0.0, 1e4), (-1e4, 0.0)]
+    assert intervals == [(0.0, 1e4)]  # no decay bound: one full-image problem
+    assert hybrid.right_layer is None
     assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, 1e4, 1000))
-    assert np.array_equal(hybrid.right_layer.mesh.nodes, np.linspace(-1e4, 0.0, 1000))
 
 
 @pytest.mark.parametrize("eps", [2.0**-9, 2.0**-10], ids=["full", "truncated"])
-def test_error_is_bounded_across_the_truncation_switch(eps):
+def test_error_is_bounded_across_the_truncation_switch(eps, monkeypatch):
     # 1/sqrt(eps) = 22.6 and 32 sit on either side of T = 29.7
+    intervals = _capture_layer_intervals(monkeypatch)
     hybrid = hybrid_solve(example1(eps), SolverConfig())
-    assert hybrid.truncated == (eps < 2.0**-9)
+    assert len(intervals) == (2 if eps < 2.0**-9 else 1)
     grid = _stretched_grid(eps)
     assert np.max(np.abs(hybrid.eval_many(grid) - _example1_oracle(eps)(grid))) <= 1e-8
     xs = np.linspace(0.0, 1.0, 1001)
@@ -496,10 +517,11 @@ def _deep_eps_problem(name, bc):
 @pytest.mark.parametrize("bc", ["zero", "asymmetric"])
 @pytest.mark.parametrize("name", ["example1", "example2", "variable_a"])
 @pytest.mark.parametrize("eps", [1e-20, 1e-30, 1e-100, 1e-300])
-def test_deep_eps_solves_are_bounded_and_exact_at_the_boundary(eps, name, bc):
+def test_deep_eps_solves_are_bounded_and_exact_at_the_boundary(eps, name, bc, monkeypatch):
     config = _deep_eps_problem(name, bc)
+    intervals = _capture_layer_intervals(monkeypatch)
     hybrid = hybrid_solve(config.build_system(eps), SolverConfig())
-    assert hybrid.truncated
+    assert len(intervals) == 2  # truncated
     for layer in (hybrid.left_layer, hybrid.right_layer):
         assert layer.newton_iterations <= 4  # linear: 2 a pass, so <= 2 passes
         assert layer.mesh.nodes.size <= 1100
