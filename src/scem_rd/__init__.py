@@ -29,7 +29,6 @@ from .scem import (
     HybridApproximation,
     LayerProblem,
     OuterSolution,
-    Side,
     SingularReducedMatrix,
     build_layer_problem,
     hybrid_solve,
@@ -65,7 +64,6 @@ __all__ = [
     "OuterSolution",
     "ReactionDiffusionSystem",
     "ScalarField",
-    "Side",
     "SingularReducedMatrix",
     "SolverConfig",
     "as_scalar_field",

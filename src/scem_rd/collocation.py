@@ -135,7 +135,7 @@ class SolverConfig:
     adaptive: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.residual_tol, self.newton_tol) <= 0.0:
+        if not (self.residual_tol > 0.0 and self.newton_tol > 0.0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if min(self.max_newton, self.max_mesh_points) <= 0:
             raise ValueError("iteration and mesh limits must be positive")

@@ -22,7 +22,7 @@ from scem_rd.collocation import (
     solve,
 )
 from scem_rd.problems import example1, example2
-from scem_rd.scem import Side, build_layer_problem, solve_reduced
+from scem_rd.scem import build_layer_problem, solve_reduced
 
 
 def exponential_bvp():
@@ -245,6 +245,14 @@ def test_config_validation():
         FirstOrderBvp(dim=1, rhs=lambda t, u: u, bc=lambda a, b: a, interval=(1.0, 0.0))
 
 
+@pytest.mark.parametrize("field", ["residual_tol", "newton_tol"])
+def test_nan_tolerance_rejected(field):
+    # a NaN residual_tol would mark no interval for refinement, so an
+    # unmet tolerance would repeat the same pass forever
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        SolverConfig(**{field: float("nan")})
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     c=st.tuples(*[st.floats(min_value=-2.0, max_value=2.0) for _ in range(4)]),
@@ -353,7 +361,7 @@ def test_linear_layer_problem_factors_once_per_pass(monkeypatch):
     monkeypatch.setattr(collocation, "dgbtrf", counting_dgbtrf)
     monkeypatch.setattr(collocation, "_residual_per_interval", counting_residual)
     sys = example1(1e-6)
-    layer = build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
+    layer = build_layer_problem(sys, solve_reduced(sys), 0.0)
     sol = solve(layer.bvp)
     assert len(passes) > 1  # refinement happened
     assert factor_sizes == [n * layer.bvp.dim for n in passes]
@@ -362,7 +370,7 @@ def test_linear_layer_problem_factors_once_per_pass(monkeypatch):
 
 def example1_layer_bvp(eps):
     sys = example1(eps)
-    return build_layer_problem(sys, solve_reduced(sys), Side.LEFT).bvp
+    return build_layer_problem(sys, solve_reduced(sys), 0.0).bvp
 
 
 @pytest.fixture
@@ -497,7 +505,7 @@ def test_jacobian_blocks_match_einsum_for_dense_jacobian(dim):
 def test_jacobian_blocks_bitwise_for_layer_problem(make):
     # the layer Jacobian [[0, I], [A, 0]]: every product has one nonzero term
     sys = make(1e-4)
-    layer = build_layer_problem(sys, solve_reduced(sys), Side.RIGHT)
+    layer = build_layer_problem(sys, solve_reduced(sys), 1.0)
     nodes = np.linspace(*layer.bvp.interval, 301)
     for got, want in zip(*jacobian_blocks_and_reference(layer.bvp, nodes)):
         assert np.array_equal(got, want)

@@ -16,7 +16,6 @@ from scem_rd.problems import example1, example2
 from scem_rd.scem import (
     AssumptionViolation,
     HybridApproximation,
-    Side,
     SingularReducedMatrix,
     build_layer_problem,
     hybrid_solve,
@@ -119,36 +118,52 @@ def test_dominant_reduced_matrix_needs_no_svd(monkeypatch, build):
 
 def test_left_layer_problem_shape():
     sys = example1(0.01)
-    lp = build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
-    assert lp.stretched_interval == (0.0, 10.0)
+    lp = build_layer_problem(sys, solve_reduced(sys), 0.0)
+    assert lp.end == 0.0
+    assert lp.bvp.interval == (0.0, 10.0)
     assert lp.bvp.dim == 4
     np.testing.assert_allclose(lp.bc_values, [[-0.7, -0.9], [-0.7, -0.9]], atol=1e-12)
 
 
 def test_right_layer_problem_shape():
+    # measured from x = 1: the same interval as the left problem
     sys = example1(0.01)
-    lp = build_layer_problem(sys, solve_reduced(sys), Side.RIGHT)
-    assert lp.stretched_interval == (-10.0, 0.0)
+    lp = build_layer_problem(sys, solve_reduced(sys), 1.0)
+    assert lp.end == 1.0
+    assert lp.bvp.interval == (0.0, 10.0)
     np.testing.assert_allclose(lp.bc_values, [[-0.7, -0.9], [-0.7, -0.9]], atol=1e-12)
+
+
+@pytest.mark.parametrize("end", [0.5, -1.0, 2.0, float("nan")])
+def test_layer_end_must_be_zero_or_one(end):
+    sys = example1(0.01)
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        build_layer_problem(sys, solve_reduced(sys), end)
 
 
 def test_zero_data_layer_solution_vanishes():
     sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [0.0, 0.0], [0.01, 0.01])
-    lp = build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
+    lp = build_layer_problem(sys, solve_reduced(sys), 0.0)
     np.testing.assert_allclose(lp.bc_values, 0.0, atol=1e-15)
     sol = solve(lp.bvp, CFG)
     assert np.max(np.abs(sol.node_values)) <= 1e-12
 
 
 def test_right_layer_mirrors_left():
-    sys = example1(0.01)
+    # both full-image problems describe the same x, at s = x/sqrt(eps) from
+    # x = 0 and at 1/sqrt(eps) - s from x = 1, so Psi_1(s) = Psi_0(1/sqrt(eps) - s);
+    # a variable A and asymmetric data make a wrong map of A(x) show
+    eps = 0.01
+    config = _deep_eps_problem("variable_a", "asymmetric")
+    sys = config.build_system(eps)
     outer = solve_reduced(sys)
-    left = solve(build_layer_problem(sys, outer, Side.LEFT).bvp, CFG)
-    right = solve(build_layer_problem(sys, outer, Side.RIGHT).bvp, CFG)
-    xbar = np.linspace(-10.0, 0.0, 501)
-    psi_r = evaluate(right, xbar)[:, :2]
-    psi_l = evaluate(left, -xbar)[:, :2]
-    assert np.max(np.abs(psi_r - psi_l)) <= 1e-10
+    cfg = SolverConfig(initial_mesh_points=1001, adaptive=False)
+    near, far = (build_layer_problem(sys, outer, end) for end in (0.0, 1.0))
+    np.testing.assert_array_equal(far.bc_values, near.bc_values[::-1])
+    psi0, psi1 = solve(near.bvp, cfg), solve(far.bvp, cfg)
+    s = psi1.mesh.nodes
+    mirrored = evaluate(psi0, 1.0 / np.sqrt(eps) - s)[:, :2]
+    assert np.max(np.abs(psi1.node_values[:, :2] - mirrored)) <= 1e-12
 
 
 # nested layers, and a partially perturbed system whose reduced problem is a BVP
@@ -161,7 +176,7 @@ UNEQUAL_DIFFUSION = pytest.mark.parametrize(
 def test_two_distinct_small_parameters_rejected(diffusion):
     sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], diffusion)
     with pytest.raises(ValueError):
-        build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
+        build_layer_problem(sys, solve_reduced(sys), 0.0)
 
 
 @UNEQUAL_DIFFUSION
@@ -174,8 +189,8 @@ def test_hybrid_solve_rejects_unequal_diffusion(diffusion):
 def test_all_unit_diffusion_is_allowed():
     # equal diffusion of 1: stretched domain is [0, 1] itself
     sys = example1(1.0)
-    lp = build_layer_problem(sys, solve_reduced(sys), Side.LEFT)
-    assert lp.stretched_interval == (0.0, 1.0)
+    lp = build_layer_problem(sys, solve_reduced(sys), 0.0)
+    assert lp.bvp.interval == (0.0, 1.0)
     assert lp.bvp.dim == 4
 
 
@@ -225,28 +240,65 @@ def test_hybrid_close_to_analytic_solution():
     assert np.max(np.abs(hybrid.eval_many(xs) - oracle(xs))) <= 1e-4
 
 
-@pytest.mark.parametrize("eps", [1e-2, 1e-3])
-def test_nonzero_asymmetric_boundary_values_match_solve_bvp(eps):
-    # example1's A and f with unequal, nonzero data at both ends, against
-    # scipy's solve_bvp on the unreduced first-order system
+def _example1_coefficients(x):
+    one = np.ones_like(x)
+    return np.array([[4.0 * one, -2.0 * one], [-one, 3.0 * one]]), np.array([one, 2.0 * one])
+
+
+def _variable_coefficients(x):
+    one = np.ones_like(x)
+    return (np.array([[8.0 + x, -one], [-one, 9.0 - x * x]]),
+            np.array([1.0 + x, 1.0 / (1.0 + x)]))
+
+
+#: A = [[8 + x, -1], [-1, 9 - x^2]] has delta = 7, so T = 42/sqrt(7) = 15.9:
+#: eps = 1e-2 keeps the full image and 1e-3 truncates; unlike example1 its
+#: composite has a real O(eps) error
+VARIABLE_A_REFERENCE = {
+    "name": "variable_a_reference",
+    "n": 2,
+    "coeff": [["8 + x", "-1"], ["-1", "9 - x*x"]],
+    "forcing": ["1 + x", "1/(1 + x)"],
+    "diffusion": ["eps", "eps"],
+    "bc_left": [0.0, 0.0],
+    "bc_right": [0.0, 0.0],
+}
+
+
+#: config, reference coefficients and C of the error bound max(1e-6, C eps)
+REFERENCE_SYSTEMS = {
+    "example1": (BUILTIN_PROBLEMS["example1"], _example1_coefficients, 0.0),  # exact composite
+    "variable_a": (config_from_dict(VARIABLE_A_REFERENCE), _variable_coefficients, 0.05),
+}
+
+
+@pytest.mark.parametrize("eps, name", [(1e-2, "example1"), (1e-3, "example1"),
+                                       (1e-2, "variable_a"), (1e-3, "variable_a")],
+                         ids=["0.01", "0.001", "variable_a-0.01", "variable_a-0.001"])
+def test_nonzero_asymmetric_boundary_values_match_solve_bvp(eps, name):
+    # unequal, nonzero data at both ends, against scipy's solve_bvp on the
+    # unreduced first-order system
+    config, coefficients, c_eps = REFERENCE_SYSTEMS[name]
     left, right = np.array([1.0, -0.5]), np.array([0.25, 2.0])
-    config = dataclasses.replace(
-        BUILTIN_PROBLEMS["example1"], bc_left=tuple(left), bc_right=tuple(right)
-    )
+    config = dataclasses.replace(config, bc_left=tuple(left), bc_right=tuple(right))
     hybrid = hybrid_solve(config.build_system(eps), SolverConfig())
     ends = hybrid.eval_many(np.array([0.0, 1.0]))
     assert np.max(np.abs(ends - [left, right])) <= 1e-9
 
-    A, f = np.array([[4.0, -2.0], [-1.0, 3.0]]), np.array([1.0, 2.0])
+    def unreduced(x, z):
+        A, f = coefficients(x)
+        return np.vstack([z[2:], (np.einsum("ijm,jm->im", A, z[:2]) - f) / eps])
+
     ref = solve_bvp(
-        lambda x, z: np.vstack([z[2:], (A @ z[:2] - f[:, None]) / eps]),
+        unreduced,
         lambda za, zb: np.concatenate([za[:2] - left, zb[:2] - right]),
         np.linspace(0.0, 1.0, 1001), np.zeros((4, 1001)), tol=1e-9, max_nodes=200000,
     )
     assert ref.success
     layer = np.linspace(0.0, min(20.0 * np.sqrt(eps), 1.0), 401)
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001), layer, 1.0 - layer]))
-    assert np.max(np.abs(hybrid.eval_many(xs) - ref.sol(xs)[:2].T)) <= 1e-6
+    err = np.max(np.abs(hybrid.eval_many(xs) - ref.sol(xs)[:2].T))
+    assert err <= max(1e-6, c_eps * eps)
 
 
 def test_assumption_violation_raises_and_warns():
@@ -407,7 +459,7 @@ def test_short_stretched_interval_keeps_uniform_start(monkeypatch):
     hybrid = hybrid_solve(sys, SolverConfig())
     assert intervals == [(0.0, 16.0)]
     assert hybrid.right_layer is None
-    uniform = solve(build_layer_problem(sys, solve_reduced(sys), Side.LEFT).bvp, SolverConfig())
+    uniform = solve(build_layer_problem(sys, solve_reduced(sys), 0.0).bvp, SolverConfig())
     got = hybrid.left_layer
     assert np.array_equal(got.mesh.nodes, uniform.mesh.nodes)
     assert np.array_equal(got.node_values, uniform.node_values)
@@ -416,9 +468,9 @@ def test_short_stretched_interval_keeps_uniform_start(monkeypatch):
 
 @pytest.mark.parametrize("eps", [2.0**-6, 2.0**-12])
 def test_full_image_layer_serves_both_ends(eps, monkeypatch):
-    # both full-image problems carry the same data on shifted uniform meshes,
-    # so Psi_R(s) = Psi_L(s + 1/sqrt(eps)) and the one left solve carries the
-    # right layer too; checked on a variable-A system with asymmetric data
+    # the full-image problem from x = 1 is the one from x = 0 mirrored,
+    # Psi_1(s) = Psi_0(1/sqrt(eps) - s), so the one solve from x = 0 carries
+    # the x = 1 layer too; checked on a variable-A system with asymmetric data
     config = _deep_eps_problem("variable_a", "asymmetric")
     sys = config.build_system(eps)
     cfg = SolverConfig(initial_mesh_points=1025, adaptive=False)
@@ -426,10 +478,10 @@ def test_full_image_layer_serves_both_ends(eps, monkeypatch):
     hybrid = hybrid_solve(sys, cfg)
     span = 1.0 / np.sqrt(eps)
     assert intervals == [(0.0, span)]
-    right = solve(build_layer_problem(sys, hybrid.outer, Side.RIGHT).bvp, cfg)
+    right = solve(build_layer_problem(sys, hybrid.outer, 1.0).bvp, cfg)
     s = right.mesh.nodes
-    shifted = evaluate(hybrid.left_layer, s + span)[:, :2]
-    assert np.max(np.abs(right.node_values[:, :2] - shifted)) <= 1e-12
+    mirrored = evaluate(hybrid.left_layer, span - s)[:, :2]
+    assert np.max(np.abs(right.node_values[:, :2] - mirrored)) <= 1e-12
     ends = hybrid.eval_many(np.array([0.0, 1.0]))
     assert np.max(np.abs(ends - [config.bc_left, config.bc_right])) <= 1e-9
 
@@ -438,19 +490,19 @@ def test_deep_eps_layers_are_solved_on_truncated_domains(monkeypatch):
     intervals = _capture_layer_intervals(monkeypatch)
     sys = example1(1e-8)
     hybrid = hybrid_solve(sys, SolverConfig())
-    assert intervals == [(0.0, T_EXAMPLE1), (-T_EXAMPLE1, 0.0)]
+    assert intervals == [(0.0, T_EXAMPLE1), (0.0, T_EXAMPLE1)]
     # one pass on the uniform start: the linear problem takes 2 Newton iterations
-    assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, T_EXAMPLE1, 1000))
-    assert np.array_equal(hybrid.right_layer.mesh.nodes, np.linspace(-T_EXAMPLE1, 0.0, 1000))
-    assert hybrid.left_layer.newton_iterations == hybrid.right_layer.newton_iterations == 2
-    # each layer carries the mismatch at its own end and vanishes at the cut
+    for layer in (hybrid.left_layer, hybrid.right_layer):
+        assert np.array_equal(layer.mesh.nodes, np.linspace(0.0, T_EXAMPLE1, 1000))
+        assert layer.newton_iterations == 2
+        assert np.max(np.abs(layer.node_values[-1, :2])) <= 1e-15
+    # each layer carries the mismatch at its own end and vanishes at the cut;
+    # with constant A and symmetric data the two problems are the same one
     outer = solve_reduced(sys)
-    left = build_layer_problem(sys, outer, Side.LEFT, T_EXAMPLE1)
-    right = build_layer_problem(sys, outer, Side.RIGHT, T_EXAMPLE1)
-    np.testing.assert_allclose(left.bc_values, [[-0.7, -0.9], [0.0, 0.0]], atol=1e-12)
-    np.testing.assert_allclose(right.bc_values, [[0.0, 0.0], [-0.7, -0.9]], atol=1e-12)
-    assert np.max(np.abs(hybrid.left_layer.node_values[-1, :2])) <= 1e-15
-    assert np.max(np.abs(hybrid.right_layer.node_values[0, :2])) <= 1e-15
+    for end in (0.0, 1.0):
+        layer = build_layer_problem(sys, outer, end, T_EXAMPLE1)
+        np.testing.assert_allclose(layer.bc_values, [[-0.7, -0.9], [0.0, 0.0]], atol=1e-12)
+    assert np.array_equal(hybrid.right_layer.node_values, hybrid.left_layer.node_values)
     # each correction is zero off its support, |x| > T sqrt(eps) = 0.003 from
     # its end, so there the composite is the outer solution itself
     xs = np.linspace(0.005, 0.995, 101)
@@ -460,10 +512,10 @@ def test_deep_eps_layers_are_solved_on_truncated_domains(monkeypatch):
 def test_truncated_layer_length_must_fit_the_stretched_image():
     sys = example1(2.0**-8)  # stretched image 16
     outer = solve_reduced(sys)
-    assert build_layer_problem(sys, outer, Side.RIGHT, 16.0).stretched_interval == (-16.0, 0.0)
+    assert build_layer_problem(sys, outer, 1.0, 16.0).bvp.interval == (0.0, 16.0)
     for length in (16.5, 0.0, -1.0):
         with pytest.raises(ValueError):
-            build_layer_problem(sys, outer, Side.LEFT, length)
+            build_layer_problem(sys, outer, 0.0, length)
 
 
 def test_truncated_layer_problems_do_not_depend_on_eps(monkeypatch):
@@ -473,7 +525,7 @@ def test_truncated_layer_problems_do_not_depend_on_eps(monkeypatch):
     intervals = _capture_layer_intervals(monkeypatch)
     for eps in (1e-30, 1e-300):
         hybrid = hybrid_solve(example1(eps), SolverConfig())
-        assert intervals[-2:] == [(0.0, T_EXAMPLE1), (-T_EXAMPLE1, 0.0)]
+        assert intervals[-2:] == [(0.0, T_EXAMPLE1), (0.0, T_EXAMPLE1)]
         for got, want in ((hybrid.left_layer, base.left_layer),
                           (hybrid.right_layer, base.right_layer)):
             assert np.array_equal(got.mesh.nodes, want.mesh.nodes)
