@@ -41,10 +41,6 @@ class GridFunction:
         if self.grid.size and np.any(np.diff(self.grid) <= 0.0):
             raise ValueError("grid must be strictly increasing")
 
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[1]
-
 
 def max_norm(g: GridFunction) -> np.ndarray:
     """Per-component maximum norm max_j |values[j, i]| over the grid."""

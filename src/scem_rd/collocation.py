@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -137,10 +138,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (self.residual_tol > 0.0 and self.newton_tol > 0.0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        if min(self.max_newton, self.max_mesh_points) <= 0:
-            raise ValueError("iteration and mesh limits must be positive")
-        if self.initial_mesh_points < 2:
-            raise ValueError("initial mesh needs at least two points")
+        for name, least in (("max_newton", 1), ("max_mesh_points", 1), ("initial_mesh_points", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -426,8 +427,10 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
 
     After a full step the factors are kept and the next step is a chord
     step with them, as in BVP_SOLVER and scipy's solve_bvp. A chord step
-    is never damped: when its full step fails the decrease test the
-    Jacobian is refactored at the current iterate.
+    is never damped, and it is accepted only when it cuts the residual norm
+    tenfold (or to roundoff level): otherwise the Jacobian is refactored at
+    the current iterate, so a chord that barely contracts cannot use up
+    ``max_newton`` at a linear rate.
     """
     F, data = _collocation_system(bvp, nodes, Y)
     solve_lin = None
@@ -438,7 +441,7 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
                 return Y + d, it
             Y_try = Y + d
             F_try, data_try = _collocation_system(bvp, nodes, Y_try)
-            if _decreases(F_try, F, 1.0):
+            if _decreases(F_try, F, 1.0, rate=0.9):
                 Y, F, data = Y_try, F_try, data_try
                 continue
         solve_lin = _factor_jacobian(bvp, nodes, Y, data)
@@ -466,11 +469,12 @@ def _step_size(d: np.ndarray, Y: np.ndarray) -> float:
     return float(np.max(np.abs(d) / (1.0 + np.abs(Y))))
 
 
-def _decreases(F_try: np.ndarray, F: np.ndarray, alpha: float) -> bool:
-    """Armijo-type sufficient decrease of the residual norm, or roundoff level."""
+def _decreases(F_try: np.ndarray, F: np.ndarray, alpha: float, rate: float = 1e-4) -> bool:
+    """Armijo-type sufficient decrease of the residual norm, ||F_try|| <=
+    (1 - rate * alpha) ||F||, or roundoff level."""
     norm_try = float(np.linalg.norm(F_try))
     floor = 1e-13 * np.sqrt(F.size)
-    return norm_try <= (1.0 - 1e-4 * alpha) * float(np.linalg.norm(F)) or norm_try <= floor
+    return norm_try <= (1.0 - rate * alpha) * float(np.linalg.norm(F)) or norm_try <= floor
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Hybrid asymptotic-numerical pipeline for layered reaction-diffusion systems.
 
-The uniformly valid approximation is assembled in three steps:
+A system must pass the structural assumption check (strict diagonal
+dominance, non-positive off-diagonals; AssumptionViolation otherwise).
+The uniformly valid approximation is then assembled in three steps:
 
 1. Outer (reduced) solution: drop the diffusion terms and solve the
    pointwise algebraic system A(x) y = f(x).
@@ -13,16 +15,15 @@ The uniformly valid approximation is assembled in three steps:
    on [0, L] by the Lobatto IIIa collocation engine from a uniform mesh of
    ``initial_mesh_points`` nodes. The equation does not change under
    s -> -s, so both ends pose the same kind of problem. Adaptive solves
-   that pass the assumption check truncate the domain when the stretched
-   image 1/sqrt(eps) is at least T = 42 / sqrt(delta): delta bounds the
+   truncate the domain when the stretched image 1/sqrt(eps) is at least
+   T = 42 / sqrt(delta): the assumption check's delta bounds the
    eigenvalues of A from below, so a layer decays at least like
    exp(-sqrt(delta) s), below exp(-42) ~ 6e-19 past T. Each end's layer is
    then solved on [0, T] with the outer solution's boundary mismatch
    (prescribed minus outer) at s = 0 and Psi = 0 at the cut, so the cost
-   does not grow as eps -> 0. Fixed-mesh solves, shorter images and
-   failed assumptions solve one problem from x = 0 on the full image
-   [0, 1/sqrt(eps)], with the mismatches at both ends; it carries both
-   layers.
+   does not grow as eps -> 0. Fixed-mesh solves and shorter images solve
+   one problem from x = 0 on the full image [0, 1/sqrt(eps)], with the
+   mismatches at both ends; it carries both layers.
 3. Composite: y(x) = y_out(x) plus each layer correction Psi(s) where the
    distance s from its end lies in [0, L]: the x = 0 layer at x / sqrt(eps)
    for x <= T sqrt(eps) and the x = 1 layer at (1 - x) / sqrt(eps) for
@@ -39,7 +40,6 @@ values nest layers of different widths.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,11 +170,11 @@ def build_layer_problem(
         raise ValueError(f"truncated length {length!r} is not in (0, 1/sqrt(eps) = {span!r}]")
 
     # data at s = 0 (this end) and s = L (the other end, or zero at a cut)
-    data = [sys.left_bc - outer(0.0), sys.right_bc - outer(1.0)]
-    if end:
-        data.reverse()
+    prescribed = np.array([sys.left_bc, sys.right_bc])[[int(end), 1 - int(end)]]
+    data = prescribed - outer.eval_many(np.array([end, 1.0 - end]))
     if length is not None:
-        data[1] = np.zeros(n)
+        data[1] = 0.0
+    data.flags.writeable = False
     near_val, far_val = data
     step = -root if end else root
 
@@ -215,7 +215,7 @@ def build_layer_problem(
         bvp=FirstOrderBvp(
             dim=2 * n, rhs=rhs, bc=bc, interval=interval, rhs_jac=rhs_jac,
         ),
-        bc_values=np.array(data),
+        bc_values=data,
     )
 
 
@@ -226,27 +226,27 @@ class HybridApproximation:
     Each layer is posed in the distance s = |x - end| / sqrt(eps) from its
     end, x = 0 for ``left_layer`` and x = 1 for ``right_layer``, and its
     correction is added where s lies in the layer's interval [0, L] and is
-    zero elsewhere. Truncated layers both cover [0, T]. On the full
-    stretched image ``left_layer`` covers [0, 1/sqrt(eps)] with both
-    boundary mismatches, and ``right_layer`` is None. Raises ValueError
-    unless each layer has dimension 2n for n components and the left
-    interval fits in the stretched image of ``epsilon``, which a lone left
-    layer must cover.
+    zero elsewhere; eps is the outer system's shared diffusion value.
+    Truncated layers both cover [0, T]. On the full stretched image
+    ``left_layer`` covers [0, 1/sqrt(eps)] with both boundary mismatches,
+    and ``right_layer`` is None. Raises ValueError unless each layer has
+    dimension 2n for n components and the left interval fits in the
+    stretched image, which a lone left layer must cover.
     """
 
     outer: OuterSolution
     left_layer: CollocationSolution
     right_layer: CollocationSolution | None
-    epsilon: float
 
     def __post_init__(self) -> None:
         left, right = self.left_layer, self.right_layer
         if any(layer.dim != 2 * self.outer.sys.n for layer in (left, right) if layer is not None):
             raise ValueError("layer solutions must have dimension 2n for n components")
-        reach, span = left.mesh.b, 1.0 / np.sqrt(self.epsilon)
+        eps = self.outer.sys.diffusion[0]
+        reach, span = left.mesh.b, 1.0 / np.sqrt(eps)
         if reach > span or (right is None and reach != span):
             raise ValueError(f"left layer interval [0, {reach!r}] does not fit the "
-                             f"stretched image of eps = {self.epsilon!r}")
+                             f"stretched image of eps = {eps!r}")
 
     def eval(self, x) -> np.ndarray:
         """Composite values at scalar or 1-D x in [0, 1]."""
@@ -257,8 +257,11 @@ class HybridApproximation:
     def eval_many(self, xs: np.ndarray, outer_values: np.ndarray | None = None) -> np.ndarray:
         """Composite values on a grid, shape (len(xs), n). ``outer_values``,
         if given, is ``self.outer.eval_many(xs)`` (not modified); it does not
-        depend on eps, so composites of one problem can share it."""
-        root = np.sqrt(self.epsilon)
+        depend on eps, so composites of one problem can share it. Raises
+        ValueError unless every x lies in [0, 1]."""
+        if not np.all((xs >= 0.0) & (xs <= 1.0)):  # NaN fails too
+            raise ValueError("composite evaluated outside the domain [0, 1]")
+        root = np.sqrt(self.outer.sys.diffusion[0])
         out = self.outer.eval_many(xs) if outer_values is None else outer_values.copy()
         n = out.shape[1]
         for layer, end in ((self.left_layer, 0.0), (self.right_layer, 1.0)):
@@ -272,40 +275,30 @@ class HybridApproximation:
 def hybrid_solve(
     sys: ReactionDiffusionSystem,
     cfg: SolverConfig | None = None,
-    on_violation: str = "raise",
 ) -> HybridApproximation:
     """Full pipeline: validate, reduce, solve the layers, assemble.
 
-    ``on_violation`` controls what happens when the structural assumptions
-    fail on the 1001-point check grid: "raise" (default) raises
-    AssumptionViolation, "warn" proceeds with a warning. An adaptive solve
-    whose assumptions hold solves one layer problem at each end, measured
-    from that end on [0, T], T = 42 / sqrt(delta), when the stretched image
-    1/sqrt(eps) is at least T: the check's delta bounds the eigenvalues of
-    A from below (Gershgorin) only then. Otherwise, and on a fixed mesh,
-    one problem from x = 0 covers the full image and carries both boundary
-    mismatches, and the result's ``right_layer`` is None. Each layer solve
-    starts from the uniform ``cfg.initial_mesh_points`` mesh.
+    Raises AssumptionViolation when the structural assumptions fail on the
+    1001-point check grid. The check's delta then bounds the eigenvalues of
+    A from below (Gershgorin), and an adaptive solve whose stretched image
+    1/sqrt(eps) is at least T = 42 / sqrt(delta) solves one layer problem
+    at each end, measured from that end on [0, T]. Otherwise, and on a
+    fixed mesh, one problem from x = 0 covers the full image and carries
+    both boundary mismatches, and the result's ``right_layer`` is None.
+    Each layer solve starts from the uniform ``cfg.initial_mesh_points``
+    mesh.
     """
-    if on_violation not in ("raise", "warn"):
-        raise ValueError("on_violation must be 'raise' or 'warn'")
     report = validate_assumptions(sys)
     if not report.passed:
-        msg = (
+        raise AssumptionViolation(
             f"structural assumptions fail (dominant={report.diagonally_dominant}, "
             f"offdiag_nonpositive={report.offdiag_nonpositive}, delta={report.delta:.6g})"
         )
-        if on_violation == "raise":
-            raise AssumptionViolation(msg)
-        warnings.warn(msg, stacklevel=2)
-
     outer = solve_reduced(sys)
     cfg = cfg or SolverConfig()
-    length = None
-    if cfg.adaptive and report.passed:
-        cut = _TRUNCATION / np.sqrt(report.delta)
-        if cut <= 1.0 / np.sqrt(sys.diffusion[0]):  # unequal values: raised below
-            length = cut
+    cut = _TRUNCATION / np.sqrt(report.delta)
+    # unequal diffusion values are raised by build_layer_problem
+    length = cut if cfg.adaptive and cut <= 1.0 / np.sqrt(sys.diffusion[0]) else None
     ends = (0.0,) if length is None else (0.0, 1.0)
     # build both problems before either solve: interleaving them shifts when
     # the cyclic garbage collector runs, and measured ~8% slower at deep eps
@@ -315,5 +308,4 @@ def hybrid_solve(
         outer=outer,
         left_layer=layers[0],
         right_layer=layers[1] if length is not None else None,
-        epsilon=float(sys.diffusion[0]),
     )

@@ -34,9 +34,6 @@ class ScalarField:
 
     fn: Callable[[float], float]
 
-    def __call__(self, x: float) -> float:
-        return float(self.fn(x))
-
     def sample(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         try:

@@ -471,9 +471,9 @@ def test_outer_solution_is_evaluated_on_the_grid_once_per_run(tmp_path, monkeypa
     monkeypatch.setattr(OuterSolution, "eval_many", counting_eval_many)
     assert main([command, "--problem", "example1", "--eps", "2^-1,2^-8,2^-15",
                  "--grid", "2001", "--out", str(tmp_path)]) == 0
-    # each layer problem queries its two boundary mismatches; the grid, once
+    # each layer problem queries both ends in one call; the grid, once
     assert grid_sizes.count(2001) == 1
-    assert sorted(set(grid_sizes)) == [1, 2001]
+    assert sorted(set(grid_sizes)) == [2, 2001]
 
 
 def test_convergence_compiles_each_expression_once(tmp_path, monkeypatch):

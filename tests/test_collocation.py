@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_bvp
 from scipy.linalg import expm
 
 import scem_rd.collocation as collocation
@@ -199,6 +200,59 @@ def test_nonlinear_problem_converges():
     assert abs(sol.interpolant(1.0)[0] - 1.0) <= 1e-8
 
 
+# u'' = g(u) with u(0), u(1): Troesch's problem at lambda = 3 and 5, an
+# exponential and a cubic nonlinearity; each stalled the chord iteration
+SECOND_ORDER_NONLINEAR = {
+    "troesch-3": (lambda u: 3.0 * np.sinh(3.0 * u), 0.0, 1.0),
+    "troesch-5": (lambda u: 5.0 * np.sinh(5.0 * u), 0.0, 1.0),
+    "exp-20": (lambda u: 20.0 * np.exp(u), 0.0, 0.0),
+    "cubic-50": (lambda u: 50.0 * u**3, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", SECOND_ORDER_NONLINEAR)
+def test_nonlinear_second_order_problems_match_solve_bvp(name):
+    g, left, right = SECOND_ORDER_NONLINEAR[name]
+    bvp = FirstOrderBvp(
+        dim=2,
+        rhs=lambda t, u: np.column_stack([u[:, 1], g(u[:, 0])]),
+        bc=lambda ua, ub: np.array([ua[0] - left, ub[0] - right]),
+        interval=(0.0, 1.0),
+    )
+    sol = solve(bvp, SolverConfig(initial_mesh_points=50))
+    xs = np.linspace(0.0, 1.0, 201)
+    ref = solve_bvp(lambda t, y: np.vstack([y[1], g(y[0])]),
+                    lambda ya, yb: np.array([ya[0] - left, yb[0] - right]),
+                    xs, np.ones((2, xs.size)), tol=1e-8, max_nodes=10000)
+    assert ref.success
+    assert np.max(np.abs(sol.interpolant(xs)[:, 0] - ref.sol(xs)[0])) <= 1e-6
+
+
+def test_damped_newton_halves_the_step_until_the_residual_falls(monkeypatch):
+    # bc arctan(10 u(a)) = 0 from u = 1: the full Newton step overshoots
+    # to u = -13.8, where the residual is no smaller
+    bvp = FirstOrderBvp(
+        dim=1,
+        rhs=lambda t, u: np.zeros_like(u),
+        bc=lambda ua, ub: np.arctan(10.0 * ua),
+        interval=(0.0, 1.0),
+    )
+    alphas = []
+    decreases = collocation._decreases
+
+    def recording(F_try, F, alpha, **kwargs):
+        alphas.append(alpha)
+        return decreases(F_try, F, alpha, **kwargs)
+
+    monkeypatch.setattr(collocation, "_decreases", recording)
+    sol = solve(bvp, SolverConfig(initial_mesh_points=50))
+    assert min(alphas) < 1.0
+    assert np.max(np.abs(sol.node_values)) <= 1e-12
+    monkeypatch.setattr(collocation, "_decreases", lambda *args, **kwargs: False)
+    with pytest.raises(NewtonDivergence, match="no residual decrease after 10 step halvings"):
+        solve(bvp, SolverConfig(initial_mesh_points=50))
+
+
 def test_mesh_overflow_when_budget_too_small():
     bvp = scalar_layer_bvp(1e-6)
     with pytest.raises(MeshOverflow):
@@ -243,6 +297,15 @@ def test_config_validation():
         SolverConfig(initial_mesh_points=1)
     with pytest.raises(ValueError):
         FirstOrderBvp(dim=1, rhs=lambda t, u: u, bc=lambda a, b: a, interval=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), 2.5, 0, 1.0])
+@pytest.mark.parametrize("field", ["max_newton", "max_mesh_points", "initial_mesh_points"])
+def test_limits_must_be_integers(field, value):
+    # a NaN max_mesh_points would disable the MeshOverflow budget, as
+    # size > nan is never true
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["residual_tol", "newton_tol"])

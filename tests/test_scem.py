@@ -219,9 +219,19 @@ def test_composite_mismatched_eps_rejected():
     hybrid = hybrid_solve(example1(0.01), CFG)  # one layer on [0, 10]
     for eps in (0.0025, 0.04):  # stretched images 20 and 5
         with pytest.raises(ValueError, match="stretched image"):
-            HybridApproximation(hybrid.outer, hybrid.left_layer, None, eps)
+            HybridApproximation(solve_reduced(example1(eps)), hybrid.left_layer, None)
     with pytest.raises(ValueError, match="dimension 2n"):
-        HybridApproximation(solve_reduced(example2(0.01)), hybrid.left_layer, None, 0.01)
+        HybridApproximation(solve_reduced(example2(0.01)), hybrid.left_layer, None)
+
+
+@pytest.mark.parametrize("x", [-0.05, 1.5, -np.inf, np.nan])
+def test_composite_rejects_points_outside_the_domain(x):
+    # a layer measured by |x - end| would otherwise mirror x = -0.05 onto 0.05
+    hybrid = hybrid_solve(example1(0.01), CFG)
+    with pytest.raises(ValueError, match="outside the domain"):
+        hybrid.eval(x)
+    with pytest.raises(ValueError, match="outside the domain"):
+        hybrid.eval_many(np.array([0.0, x, 1.0]))
 
 
 def test_zero_problem_composite_vanishes():
@@ -301,15 +311,10 @@ def test_nonzero_asymmetric_boundary_values_match_solve_bvp(eps, name):
     assert err <= max(1e-6, c_eps * eps)
 
 
-def test_assumption_violation_raises_and_warns():
+def test_assumption_violation_raises():
     bad = make_system([[1.0, -2.0], [-1.0, 3.0]], [0.0, 0.0], [0.01, 0.01])
     with pytest.raises(AssumptionViolation):
         hybrid_solve(bad, CFG)
-    with pytest.warns(UserWarning):
-        hybrid = hybrid_solve(bad, CFG, on_violation="warn")
-    assert np.max(np.abs(hybrid.eval(0.5))) <= 1e-10  # zero data, zero solution
-    with pytest.raises(ValueError):
-        hybrid_solve(bad, CFG, on_violation="ignore")
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +535,6 @@ def test_truncated_layer_problems_do_not_depend_on_eps(monkeypatch):
                           (hybrid.right_layer, base.right_layer)):
             assert np.array_equal(got.mesh.nodes, want.mesh.nodes)
             assert np.array_equal(got.node_values, want.node_values)
-
-
-def test_violating_system_starts_uniform(monkeypatch):
-    bad = make_system([[1.0, -2.0], [-1.0, 3.0]], [0.0, 0.0], [1e-8, 1e-8])  # delta = -1
-    intervals = _capture_layer_intervals(monkeypatch)
-    with pytest.warns(UserWarning):
-        hybrid = hybrid_solve(bad, SolverConfig(), on_violation="warn")
-    assert intervals == [(0.0, 1e4)]  # no decay bound: one full-image problem
-    assert hybrid.right_layer is None
-    assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, 1e4, 1000))
 
 
 @pytest.mark.parametrize("eps", [2.0**-9, 2.0**-10], ids=["full", "truncated"])

@@ -1,5 +1,7 @@
 """Tests for the problem container and structural-condition verifiers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,14 @@ from scem_rd.system import (
     stability_bound,
     validate_assumptions,
 )
+
+
+def test_scalar_only_callable_is_sampled_point_by_point():
+    # math.cos rejects an array, so sample falls back to one call per point
+    xs = np.linspace(0.0, 1.0, 11)
+    scalar = make_system([[lambda x: 2.0 + math.cos(x), -1.0], [-1.0, 3.0]], [1.0, 1.0], [0.1, 0.1])
+    vector = make_system([[lambda x: 2.0 + np.cos(x), -1.0], [-1.0, 3.0]], [1.0, 1.0], [0.1, 0.1])
+    assert np.array_equal(scalar.coeff_matrix(xs), vector.coeff_matrix(xs))
 
 
 def test_example1_assumptions():
