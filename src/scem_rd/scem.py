@@ -40,12 +40,13 @@ values nest layers of different widths.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collocation import CollocationSolution, FirstOrderBvp, SolverConfig, evaluate, solve
-from .system import ReactionDiffusionSystem, validate_assumptions
+from .system import AssumptionReport, ReactionDiffusionSystem, validate_assumptions
 
 #: 2-norm condition-number ceiling beyond which the reduced matrix counts as
 #: singular; the Varah bound certifies points below it, an SVD checks the rest
@@ -56,6 +57,11 @@ _TABLE_MEMO_SIZE = 4
 #: truncated layer length in decay lengths 1 / sqrt(delta): past it a layer
 #: is below exp(-42) ~ 6e-19 of its boundary value
 _TRUNCATION = 42.0
+#: assumption reports kept by coefficient field, oldest dropped first; an
+#: eps sweep builds every system of one problem on one coefficient field
+_REPORT_MEMO_SIZE = 8
+_reports: dict[tuple, AssumptionReport] = {}
+_reports_lock = threading.Lock()
 
 
 class SingularReducedMatrix(Exception):
@@ -81,13 +87,20 @@ def _varah_certified(A: np.ndarray) -> np.ndarray:
     return (excess > 0.0) & (A.shape[-1] * row_sums.max(axis=1) <= _SINGULAR_COND * excess)
 
 
+def _check_domain(xs: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every x lies in [0, 1]; NaN fails too."""
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError(f"{what} evaluated outside the domain [0, 1]")
+
+
 @dataclass(frozen=True)
 class OuterSolution:
     """Reduced solution y_out(x) = A(x)^-1 f(x), evaluated lazily per query.
 
     Each query rejects a numerically singular A(x) (cond_2 > 1e14); the
     vectorised Varah bound clears strictly dominant points, and only the
-    others get an SVD.
+    others get an SVD. Queries outside [0, 1], NaN included, raise
+    ValueError.
     """
 
     sys: ReactionDiffusionSystem
@@ -99,6 +112,7 @@ class OuterSolution:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Pointwise solves on a grid; returns shape (len(xs), n)."""
+        _check_domain(xs, "outer solution")
         A = self.sys.coeff_matrix(xs)
         suspect = ~_varah_certified(A)
         if np.any(suspect):
@@ -258,12 +272,18 @@ class HybridApproximation:
         """Composite values on a grid, shape (len(xs), n). ``outer_values``,
         if given, is ``self.outer.eval_many(xs)`` (not modified); it does not
         depend on eps, so composites of one problem can share it. Raises
-        ValueError unless every x lies in [0, 1]."""
-        if not np.all((xs >= 0.0) & (xs <= 1.0)):  # NaN fails too
-            raise ValueError("composite evaluated outside the domain [0, 1]")
+        ValueError unless every x lies in [0, 1] and ``outer_values`` has
+        shape (len(xs), n)."""
+        _check_domain(xs, "composite")
+        n = self.outer.sys.n
+        if outer_values is None:
+            out = self.outer.eval_many(xs)
+        elif np.shape(outer_values) == (len(xs), n):
+            out = np.array(outer_values, dtype=float)
+        else:
+            raise ValueError(f"outer_values has shape {np.shape(outer_values)}, "
+                             f"not (len(xs), n) = {(len(xs), n)}")
         root = np.sqrt(self.outer.sys.diffusion[0])
-        out = self.outer.eval_many(xs) if outer_values is None else outer_values.copy()
-        n = out.shape[1]
         for layer, end in ((self.left_layer, 0.0), (self.right_layer, 1.0)):
             if layer is not None:
                 s = np.abs(xs - end) / root
@@ -287,8 +307,14 @@ def hybrid_solve(
     both boundary mismatches, and the result's ``right_layer`` is None.
     Each layer solve starts from the uniform ``cfg.initial_mesh_points``
     mesh.
+
+    The check depends only on ``sys.coeff``, which every system of one
+    problem shares across an eps sweep (``ProblemConfig.build_system``), so
+    its report is kept for the last few coefficient fields and the check
+    runs once per field; a failing field raises on every call, and
+    unhashable coefficients are checked on every call.
     """
-    report = validate_assumptions(sys)
+    report = _assumption_report(sys)
     if not report.passed:
         raise AssumptionViolation(
             f"structural assumptions fail (dominant={report.diagonally_dominant}, "
@@ -309,3 +335,19 @@ def hybrid_solve(
         left_layer=layers[0],
         right_layer=layers[1] if length is not None else None,
     )
+
+
+def _assumption_report(sys: ReactionDiffusionSystem) -> AssumptionReport:
+    """validate_assumptions(sys), memoised on the coefficient field."""
+    key = sys.coeff
+    try:
+        report = _reports.get(key)
+    except TypeError:  # an unhashable coefficient callable
+        return validate_assumptions(sys)
+    if report is None:
+        report = validate_assumptions(sys)
+        with _reports_lock:
+            if len(_reports) >= _REPORT_MEMO_SIZE:
+                del _reports[next(iter(_reports))]
+            _reports[key] = report
+    return report

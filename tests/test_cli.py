@@ -459,21 +459,62 @@ def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monke
     assert fallback_rows == []
 
 
-@pytest.mark.parametrize("command", ["plotdata", "solve"])
+@pytest.mark.parametrize("command", ["plotdata", "solve", "convergence"])
 def test_outer_solution_is_evaluated_on_the_grid_once_per_run(tmp_path, monkeypatch, command):
+    # a config loaded from a file is a fresh object, so no assumption report
+    # is kept for its coefficients yet
+    path = tmp_path / "example1.json"
+    path.write_text(dump_config(BUILTIN_PROBLEMS["example1"]), encoding="utf-8")
     grid_sizes = []  # point counts of every OuterSolution.eval_many call
+    checked = []  # systems passed to the assumption check
     eval_many = OuterSolution.eval_many
+    validate = scem_rd.scem.validate_assumptions
 
     def counting_eval_many(self, xs):
         grid_sizes.append(np.asarray(xs).size)
         return eval_many(self, xs)
 
+    def counting_validate(sys):
+        checked.append(sys)
+        return validate(sys)
+
     monkeypatch.setattr(OuterSolution, "eval_many", counting_eval_many)
-    assert main([command, "--problem", "example1", "--eps", "2^-1,2^-8,2^-15",
-                 "--grid", "2001", "--out", str(tmp_path)]) == 0
-    # each layer problem queries both ends in one call; the grid, once
-    assert grid_sizes.count(2001) == 1
-    assert sorted(set(grid_sizes)) == [2, 2001]
+    monkeypatch.setattr(scem_rd.scem, "validate_assumptions", counting_validate)
+    grid_args, grids = {
+        "plotdata": (["--grid", "2001"], [2001]),
+        "solve": (["--grid", "2001"], [2001]),
+        # the sweep also solves at 2 and 4 times the largest N
+        "convergence": (["--n", "16,32"], [17, 33, 65, 129]),
+    }[command]
+    assert main([command, "--problem", str(path), "--eps", "2^-1,2^-8,2^-15",
+                 *grid_args, "--out", str(tmp_path / "out")]) == 0
+    # each layer problem queries both ends in one call; each grid, once
+    assert sorted(size for size in grid_sizes if size != 2) == grids
+    assert 2 in grid_sizes
+    assert len(checked) == 1
+
+
+def test_convergence_tables_do_not_depend_on_jobs(tmp_path):
+    for jobs in ("1", "2"):
+        assert main(["convergence", "--problem", "example2", "--eps", "2^-1,2^-8,2^-15",
+                     "--n", "16,32", "--no-adapt", "--jobs", jobs,
+                     "--out", str(tmp_path / jobs)]) == 0
+    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert names == [f"example2_convergence_y{i}.csv" for i in (1, 2, 3)]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_convergence_cell_with_a_singular_outer_grid_point_fails(tmp_path, capsys):
+    # A(x) = [[1, -g], [-g, 1]] with g = 1 only at x = 1/16: off the 1001-point
+    # assumption grid, so the check passes, but on every grid of the sweep
+    g = "-1/(1+1000*(x-0.0625)*(x-0.0625))"
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), coeff=[["1", g], [g, "1"]])
+    path = tmp_path / "near_singular.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["convergence", "--problem", str(path), "--eps", "0.5,0.25",
+                 "--n", "16,32", "--no-adapt", "--out", str(tmp_path / "out")]) == 3
+    assert "numerically singular near x=0.0625" in capsys.readouterr().err
 
 
 def test_convergence_compiles_each_expression_once(tmp_path, monkeypatch):

@@ -234,6 +234,29 @@ def test_composite_rejects_points_outside_the_domain(x):
         hybrid.eval_many(np.array([0.0, x, 1.0]))
 
 
+@pytest.mark.parametrize("x", [1.5, -3.0, np.nan])
+def test_outer_solution_rejects_points_outside_the_domain(x):
+    outer = solve_reduced(example1(0.01))
+    with pytest.raises(ValueError, match="outside the domain"):
+        outer(x)
+    with pytest.raises(ValueError, match="outside the domain"):
+        outer.eval_many(np.array([0.5, x]))
+
+
+def test_composite_checks_shared_outer_values():
+    hybrid = hybrid_solve(example1(0.01), CFG)
+    xs = np.linspace(0.0, 1.0, 11)
+    outer_values = hybrid.outer.eval_many(xs)
+    assert np.array_equal(hybrid.eval_many(xs, outer_values), hybrid.eval_many(xs))
+    # the composite keeps its own domain check when handed the outer values
+    with pytest.raises(ValueError, match="outside the domain"):
+        hybrid.eval_many(np.append(xs, 1.5), np.vstack([outer_values, [0.7, 0.9]]))
+    for bad in (outer_values[:-1], outer_values[:, :1], outer_values.T,
+                outer_values.ravel(), np.zeros((11, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            hybrid.eval_many(xs, bad)
+
+
 def test_zero_problem_composite_vanishes():
     sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [0.0, 0.0], [0.01, 0.01])
     hybrid = hybrid_solve(sys, CFG)
@@ -311,10 +334,67 @@ def test_nonzero_asymmetric_boundary_values_match_solve_bvp(eps, name):
     assert err <= max(1e-6, c_eps * eps)
 
 
-def test_assumption_violation_raises():
+def _counting_validate(monkeypatch) -> list:
+    """Route hybrid_solve's assumption checks through a recorder; returns
+    the list of checked systems."""
+    checked = []
+
+    def counting(sys):
+        checked.append(sys)
+        return validate_assumptions(sys)
+
+    monkeypatch.setattr(scem, "validate_assumptions", counting)
+    return checked
+
+
+def test_assumption_violation_raises(monkeypatch):
+    checked = _counting_validate(monkeypatch)
     bad = make_system([[1.0, -2.0], [-1.0, 3.0]], [0.0, 0.0], [0.01, 0.01])
-    with pytest.raises(AssumptionViolation):
-        hybrid_solve(bad, CFG)
+    for _ in range(2):  # the kept report fails the repeat too
+        with pytest.raises(AssumptionViolation):
+            hybrid_solve(bad, CFG)
+    assert len(checked) == 1
+
+
+def test_assumption_reports_are_kept_per_coefficient_field(monkeypatch):
+    checked = _counting_validate(monkeypatch)
+    # delta = min row sum sets the truncated layer length 42 / sqrt(delta)
+    fields = {
+        2.0: make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], [1e-8, 1e-8]),
+        8.0: make_system([[9.0, -1.0], [-1.0, 9.0]], [1.0, 2.0], [1e-8, 1e-8]),
+    }
+    for eps in (1e-8, 1e-10):
+        for delta, sys in fields.items():
+            hybrid = hybrid_solve(dataclasses.replace(sys, diffusion=(eps, eps)))
+            assert hybrid.left_layer.mesh.b == pytest.approx(42.0 / np.sqrt(delta), rel=1e-15)
+    assert [sys.coeff for sys in checked] == [sys.coeff for sys in fields.values()]
+
+
+class _UnhashableConstant:
+    """A coefficient callable with value equality, and so no hash."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, x):
+        return self.value + 0.0 * np.asarray(x)
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashableConstant) and other.value == self.value
+
+
+def test_unhashable_coefficients_are_checked_on_every_call(monkeypatch):
+    checked = _counting_validate(monkeypatch)
+    sys = make_system([[_UnhashableConstant(4.0), -2.0], [-1.0, 3.0]], [1.0, 2.0],
+                      [0.01, 0.01])
+    with pytest.raises(TypeError):
+        hash(sys.coeff)
+    plain = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], [0.01, 0.01])
+    xs = np.linspace(0.0, 1.0, 101)
+    want = hybrid_solve(plain, CFG).eval_many(xs)
+    for _ in range(2):
+        assert np.array_equal(hybrid_solve(sys, CFG).eval_many(xs), want)
+    assert len(checked) == 3
 
 
 # ---------------------------------------------------------------------------
