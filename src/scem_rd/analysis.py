@@ -15,7 +15,7 @@ the test suite).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,9 +71,7 @@ class ErrorReport:
     ``per_eps[eps][N]`` holds the per-component D for that cell;
     ``d_n[N]`` the per-component max over eps; ``order[N]`` the
     per-component p = log2(d_n[N] / d_n[2N]), NaN where either D is at or
-    below the noise floor. ``failures`` records (eps, N, message) once for
-    each sweep cell whose solver raised, in sweep order; the D entries that
-    need such a cell are simply absent.
+    below the noise floor.
     """
 
     eps_list: tuple[float, ...]
@@ -81,16 +79,20 @@ class ErrorReport:
     per_eps: dict[float, dict[int, np.ndarray]] = field(default_factory=dict)
     d_n: dict[int, np.ndarray] = field(default_factory=dict)
     order: dict[int, np.ndarray] = field(default_factory=dict)
-    failures: list[tuple[float, int, str]] = field(default_factory=list)
 
 
 def map_cells(work: Callable, cells, jobs: int) -> list:
-    """work(cell) for each cell, in a thread pool of ``jobs`` workers when
-    jobs > 1; results come back in input order either way."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, cells))
-    return [work(cell) for cell in cells]
+    """work(cell) for every cell in a pool of ``jobs`` threads; results come
+    back in input order. Every cell runs, then the first cell in input
+    order that raised re-raises here, so neither the cells run nor the
+    exception depends on ``jobs``. An interrupt cancels cells not started."""
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        futures = [pool.submit(work, cell) for cell in cells]
+        wait(futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
 
 
 def check_doubling(n_list, error: type[ValueError] = ValueError) -> None:
@@ -123,10 +125,10 @@ def convergence_table(
     ``solver`` must return the approximation sampled on the uniform grid of
     N+1 points. D^N needs the 2N solution and p^N needs D^{2N}, so the
     sweep internally also solves at 2*max(N) and 4*max(N); the reported
-    columns remain exactly ``n_list``. Solver failures are recorded per
-    cell instead of aborting the sweep. Cells may be evaluated in a thread
-    pool (``jobs``); the reduction order is fixed, so reports are
-    reproducible regardless of scheduling.
+    columns remain exactly ``n_list``. Cells run through :func:`map_cells`
+    with ``jobs`` workers, so the sweep raises the exception of its first
+    failing cell in sweep order (eps-major). The reduction order is fixed,
+    so reports are reproducible regardless of scheduling.
     """
     eps_list = tuple(float(e) for e in eps_list)
     n_list = tuple(int(n) for n in n_list)
@@ -134,35 +136,17 @@ def convergence_table(
 
     solve_ns = n_list + (2 * n_list[-1], 4 * n_list[-1])
     cells = [(eps, n) for eps in eps_list for n in solve_ns]
+    results = dict(zip(cells, map_cells(lambda cell: solver(*cell), cells, jobs)))
 
-    def run(cell: tuple[float, int]):
-        eps, n = cell
-        try:
-            return solver(eps, n)
-        except Exception as exc:  # recorded, not fatal
-            return exc
-
-    results = dict(zip(cells, map_cells(run, cells, jobs)))
-
-    failures = [(eps, n, str(r)) for (eps, n), r in results.items() if isinstance(r, Exception)]
-    report = ErrorReport(eps_list=eps_list, n_list=n_list, failures=failures)
+    report = ErrorReport(eps_list=eps_list, n_list=n_list)
     diff_ns = n_list + (2 * n_list[-1],)
     for eps in eps_list:
-        row: dict[int, np.ndarray] = {}
-        for n in diff_ns:
-            coarse, fine = results[(eps, n)], results[(eps, 2 * n)]
-            if not isinstance(coarse, Exception) and not isinstance(fine, Exception):
-                row[n] = double_mesh_diff(coarse, fine)
-        report.per_eps[eps] = row
-
+        report.per_eps[eps] = {
+            n: double_mesh_diff(results[(eps, n)], results[(eps, 2 * n)]) for n in diff_ns
+        }
     for n in diff_ns:
-        cols = [row[n] for row in report.per_eps.values() if n in row]
-        if cols:
-            report.d_n[n] = np.max(np.stack(cols), axis=0)
-
+        report.d_n[n] = np.max(np.stack([row[n] for row in report.per_eps.values()]), axis=0)
     for n in n_list:
-        if n not in report.d_n or 2 * n not in report.d_n:
-            continue
         report.order[n] = np.array(
             [convergence_order(d, d2) for d, d2 in zip(report.d_n[n], report.d_n[2 * n])]
         )

@@ -4,7 +4,7 @@ Examples:
 
     scem-rd solve --problem example1 --eps 1,0.01,1e-4 --out results/
     scem-rd convergence --problem example1 --eps 2^-1,2^-2,2^-3 \\
-        --n 64,128,256,512,1024 --out results/ --jobs 4
+        --n 64,128,256,512,1024 --out results/
     scem-rd plotdata --problem example2 --eps 1,0.01,0.0001 --grid 2001 --out figs/
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, help="worker pool size")
         p.add_argument("--grid", default=None,
                        help="evaluation grid: a point count or 'paper' "
-                            "(default: paper for solve, 2001 for plotdata)")
+                            "(default: paper for solve, 2001 for plotdata; "
+                            "convergence takes none)")
         p.add_argument("--no-adapt", action="store_true",
                        help="disable residual-driven mesh refinement")
         p.add_argument("--dump-config", action="store_true",
@@ -113,11 +114,21 @@ def _build_manifest(args, default_grid) -> RunManifest:
         # solve and plotdata name their files by tag, so each must be unique
         raise ConfigError("eps values must differ in their first 10 significant "
                           f"digits (the file tag); repeated: {', '.join(repeated)}")
-    if args.command == "convergence" and len(n_list) < 2:
-        raise ConfigError("convergence needs an N list with at least 2 entries")
+    if args.command == "convergence":
+        if len(n_list) < 2:
+            raise ConfigError("convergence needs an N list with at least 2 entries")
+        if args.grid is not None:
+            raise ConfigError("convergence takes no --grid: each N is sampled "
+                              "on its own uniform N+1-point grid")
+    # the largest start mesh; the convergence sweep also solves at 4*max(N)
+    points = 4 * n_list[-1] + 1 if args.command == "convergence" else _start_points(n_list)
+    try:
+        SolverConfig(initial_mesh_points=points)
+    except ValueError as exc:
+        raise ConfigError(f"--n {args.n}: {exc}") from exc
     # Compile once, before --out is created, so a bad expression is a config
-    # error that leaves no directory behind (convergence_table would record
-    # it as a failed cell, and so as a solver failure).
+    # error that leaves no directory behind (the first sweep cell would find
+    # it only after --out exists).
     problem.build_system(eps_list[0])
     try:
         manifest.output_dir.mkdir(parents=True, exist_ok=True)
@@ -126,19 +137,36 @@ def _build_manifest(args, default_grid) -> RunManifest:
     return manifest
 
 
-def _solver_config(manifest: RunManifest) -> SolverConfig:
-    if manifest.n_list:
-        points = manifest.n_list[-1] + 1
-    else:
-        points = 1000
-    return SolverConfig(initial_mesh_points=points, adaptive=manifest.adaptive)
+def _start_points(n_list: tuple[int, ...]) -> int:
+    """Start mesh of the solves of a solve or plotdata run: N+1 nodes for the largest N, else 1000."""
+    return n_list[-1] + 1 if n_list else 1000
 
 
-def _solve_cell(problem: ProblemConfig, eps: float, cfg: SolverConfig):
-    try:
-        return hybrid_solve(problem.build_system(eps), cfg)
-    except _SOLVER_ERRORS as exc:
-        raise SolverFailure(f"eps={eps:g}: {exc}") from exc
+def _cell_solver(manifest: RunManifest):
+    """Return ``cell(eps, xs, n=None)``, the sweep cell of every command:
+    the composite values at ``xs`` of the solve at ``eps`` from n+1 uniform
+    nodes, or from :func:`_start_points` without n. The eps-independent
+    outer values are evaluated once per grid (a run's grids differ in size)
+    by the first cell there. Every solver error becomes a SolverFailure
+    naming the cell's eps, and its N when n is given."""
+    problem, adaptive = manifest.problem, manifest.adaptive
+    run_points = _start_points(manifest.n_list)
+    outer_on_grid: dict[int, np.ndarray] = {}
+
+    def cell(eps: float, xs: np.ndarray, n: int | None = None) -> np.ndarray:
+        points = run_points if n is None else n + 1
+        try:
+            hybrid = hybrid_solve(problem.build_system(eps),
+                                  SolverConfig(initial_mesh_points=points, adaptive=adaptive))
+            outer_values = outer_on_grid.get(xs.size)
+            if outer_values is None:
+                outer_values = outer_on_grid.setdefault(xs.size, hybrid.outer.eval_many(xs))
+            return hybrid.eval_many(xs, outer_values)
+        except _SOLVER_ERRORS as exc:
+            where = f"eps={eps:g}" if n is None else f"eps={eps:g} (N={n})"
+            raise SolverFailure(f"{where}: {exc}") from exc
+
+    return cell
 
 
 def _eps_tag(eps: float) -> str:
@@ -172,17 +200,15 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
     rows x,e_1..e_n of |hybrid - oracle| (``%.15e``) to
     ``<problem>_error_eps<eps>.csv``. The x cells are formatted once per
     run; :func:`_write_table` writes each file, exactly rounded and
-    byte-identical to ``%``. The outer solution does not depend on eps, so
-    it is evaluated on the grid once per run."""
+    byte-identical to ``%``. Each worker solves, evaluates and writes one
+    eps at a time."""
     problem = manifest.problem
     xs = manifest.grid()
     xstr = np.array(["%.15f" % x for x in xs.tolist()], dtype="S")
-    cfg = _solver_config(manifest)
-    hybrids = map_cells(lambda eps: _solve_cell(problem, eps, cfg),
-                        manifest.eps_list, manifest.jobs)
-    outer_values = hybrids[0].outer.eval_many(xs)
-    for eps, hybrid in zip(manifest.eps_list, hybrids):
-        values = hybrid.eval_many(xs, outer_values)
+    cell = _cell_solver(manifest)
+
+    def write(eps: float) -> None:
+        values = cell(eps, xs)
         tag = _eps_tag(eps)
         _write_table(
             manifest.output_dir / f"{problem.name}_{kind}_eps{tag}.csv",
@@ -194,6 +220,8 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
                 manifest.output_dir / f"{problem.name}_error_eps{tag}.csv",
                 ["x"] + [f"e_{i + 1}" for i in range(problem.n)], xstr, err, "%.15e",
             )
+
+    map_cells(write, manifest.eps_list, manifest.jobs)
     return EXIT_OK
 
 
@@ -204,46 +232,24 @@ def cmd_solve(manifest: RunManifest) -> int:
 
 def cmd_convergence(manifest: RunManifest) -> int:
     """Double-mesh tables: one CSV per component, eps rows by N columns,
-    followed by the max-over-eps D^N row and the order p^N row.
-
-    Only the layer solves depend on eps. The assumption check runs once per
-    problem (``hybrid_solve`` keeps its report), and the outer solution is
-    evaluated once per grid N, by the first cell on that grid to get there,
-    and shared by the others. An evaluation that raises is recorded as that
-    cell's failure, like a failed solve, and the next cell on N retries it."""
+    followed by the max-over-eps D^N row and the order p^N row. Each
+    (eps, N) cell samples its composite on the uniform N+1-point grid."""
     problem = manifest.problem
-    adaptive = manifest.adaptive
-    outer_on_grid: dict[int, np.ndarray] = {}
+    cell = _cell_solver(manifest)
 
     def solver(eps: float, n: int) -> GridFunction:
-        cfg = SolverConfig(initial_mesh_points=n + 1, adaptive=adaptive)
-        hybrid = _solve_cell(problem, eps, cfg)
         grid = np.linspace(0.0, 1.0, n + 1)
-        outer_values = outer_on_grid.get(n)
-        if outer_values is None:
-            outer_values = outer_on_grid.setdefault(n, hybrid.outer.eval_many(grid))
-        return GridFunction(grid=grid, values=hybrid.eval_many(grid, outer_values))
+        return GridFunction(grid=grid, values=cell(eps, grid, n))
 
     report = convergence_table(solver, manifest.eps_list, manifest.n_list,
                                jobs=manifest.jobs)
-    if report.failures:
-        eps, n, msg = report.failures[0]
-        raise SolverFailure(f"eps={eps:g} (N={n}): {msg}")
-
     header = ["eps"] + [f"N={n}" for n in manifest.n_list]
     for i in range(problem.n):
-        rows = []
-        for eps in manifest.eps_list:
-            cells = report.per_eps[eps]
-            rows.append([repr(eps)] + [
-                repr(float(cells[n][i])) if n in cells else "" for n in manifest.n_list
-            ])
+        rows = [[repr(eps)] + [repr(float(report.per_eps[eps][n][i])) for n in manifest.n_list]
+                for eps in manifest.eps_list]
         rows.append(["D^N"] + [repr(float(report.d_n[n][i])) for n in manifest.n_list])
-        p_row = ["p^N"]
-        for n in manifest.n_list:
-            p = float(report.order[n][i]) if n in report.order else float("nan")
-            p_row.append("undefined" if np.isnan(p) else repr(p))
-        rows.append(p_row)
+        orders = (float(report.order[n][i]) for n in manifest.n_list)
+        rows.append(["p^N"] + ["undefined" if np.isnan(p) else repr(p) for p in orders])
         _write_csv(
             manifest.output_dir / f"{problem.name}_convergence_y{i + 1}.csv",
             header, [",".join(row) + "\n" for row in rows],
@@ -280,7 +286,7 @@ def cmd_plotdata(manifest: RunManifest) -> int:
 
 _COMMANDS = {
     "solve": (cmd_solve, PAPER_GRID),
-    "convergence": (cmd_convergence, 2001),
+    "convergence": (cmd_convergence, None),
     "plotdata": (cmd_plotdata, 2001),
 }
 

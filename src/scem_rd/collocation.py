@@ -120,8 +120,9 @@ class SolverConfig:
     """Tolerances and limits for :func:`solve`.
 
     Newton starts from the constant ones vector. ``initial_mesh_points``
-    is the node count of the uniform first pass; hybrid solves spend it on
-    each layer problem (see :func:`scem_rd.scem.hybrid_solve` for which).
+    is the node count of the uniform first pass, at most
+    ``max_mesh_points``; hybrid solves spend it on each layer problem (see
+    :func:`scem_rd.scem.hybrid_solve` for which).
     ``adaptive`` False runs a single pass on the initial mesh (no
     MeshOverflow possible); useful for mesh-convergence studies. Such a
     fixed-mesh solve does not estimate the residual, which only drives
@@ -142,6 +143,9 @@ class SolverConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+        if self.initial_mesh_points > self.max_mesh_points:
+            raise ValueError(f"initial_mesh_points {self.initial_mesh_points} exceeds "
+                             f"max_mesh_points {self.max_mesh_points}")
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ class RunManifest:
     eps_list: tuple[float, ...]
     n_list: tuple[int, ...]
     output_dir: Path
-    eval_grid: tuple[float, ...] | int = 2001
+    eval_grid: tuple[float, ...] | int | None = 2001  # None: convergence, which has none
     adaptive: bool = True
     jobs: int = 1
 

@@ -157,28 +157,23 @@ def test_example1_sweep_trends():
     assert 3.5 <= float(report.order[128][0]) <= 4.5
 
 
-def test_failures_recorded_not_raised():
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_first_failing_cell_raises_after_every_cell_ran(jobs):
+    # two cells fail; (0.5, 1024) comes first in sweep order (eps-major),
+    # though (0.25, 64) is the smaller N
+    calls = []
+
     def solver(eps, n):
-        if n >= 64:
-            raise RuntimeError("boom")
+        calls.append((eps, n))
+        if (eps, n) in ((0.5, 1024), (0.25, 64)):
+            raise RuntimeError(f"boom at eps={eps} N={n}")
         return uniform_gf(n + 1, lambda xs: xs[:, None])
 
-    report = convergence_table(solver, [0.5], [16, 32])
-    assert report.failures
-    assert 16 in report.per_eps[0.5]
-    assert 32 not in report.per_eps[0.5]
-
-
-def test_failing_cell_recorded_once():
-    # N = 128 is both the fine partner of 64 and the coarse side of 256
-    def solver(eps, n):
-        if n == 128:
-            raise RuntimeError("boom")
-        return uniform_gf(n + 1, lambda xs: xs[:, None])
-
-    report = convergence_table(solver, [0.5], [64, 128, 256])
-    assert report.failures == [(0.5, 128, "boom")]
-    assert sorted(report.per_eps[0.5]) == [256, 512]
+    with pytest.raises(RuntimeError, match="boom at eps=0.5 N=1024"):
+        convergence_table(solver, [0.5, 0.25], [64, 128, 256], jobs=jobs)
+    # the sweep solves at 2 and 4 times the largest N too; every cell ran
+    assert sorted(calls) == sorted((eps, n) for eps in (0.5, 0.25)
+                                   for n in (64, 128, 256, 512, 1024))
 
 
 def test_nondoubling_chain_rejected():

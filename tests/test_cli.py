@@ -517,6 +517,61 @@ def test_convergence_cell_with_a_singular_outer_grid_point_fails(tmp_path, capsy
     assert "numerically singular near x=0.0625" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "plotdata"])
+def test_singular_outer_grid_point_is_a_solver_failure(tmp_path, capsys, command):
+    # the config of the convergence test above; x = 1/16 is a point of the
+    # 17-point evaluation grid
+    g = "-1/(1+1000*(x-0.0625)*(x-0.0625))"
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), coeff=[["1", g], [g, "1"]])
+    path = tmp_path / "near_singular.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--problem", str(path), "--eps", "0.5,0.25", "--grid", "17",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: eps=0.5: " in err
+    assert "numerically singular near x=0.0625" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_sweep_names_its_first_cell_once(tmp_path, capsys, monkeypatch, jobs):
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), coeff=[["1", "-2"], ["-1", "3"]])
+    path = tmp_path / "undominated.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    solve = mock.Mock(side_effect=cli.hybrid_solve)
+    monkeypatch.setattr(cli, "hybrid_solve", solve)
+    assert main(["convergence", "--problem", str(path), "--eps", "0.5,0.25",
+                 "--n", "16,32", "--jobs", jobs, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: eps=0.5 (N=16): structural assumptions fail" in err
+    assert err.count("eps=") == 1
+    # every cell of the sweep (2 eps x N = 16, 32, 64, 128) is attempted,
+    # whatever the pool size; the first in sweep order is reported
+    assert solve.call_count == 8
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convergence", "--n", "16,32", "--grid", "2001"], "convergence takes no --grid"),
+        (["solve", "--n", "100000"],
+         "--n 100000: initial_mesh_points 100001 exceeds max_mesh_points 100000"),
+        (["convergence", "--n", "16384,32768"],
+         "--n 16384,32768: initial_mesh_points 131073 exceeds max_mesh_points 100000"),
+    ],
+    ids=["convergence-grid", "solve-mesh-budget", "convergence-mesh-budget"],
+)
+def test_run_options_are_checked_before_out_is_created(tmp_path, capsys, monkeypatch,
+                                                        argv, message):
+    # the mesh budget is checked on the arguments; no mesh is allocated
+    monkeypatch.setattr(cli, "hybrid_solve", mock.Mock(side_effect=AssertionError("solved")))
+    out = tmp_path / "out"
+    assert main([argv[0], "--problem", "example1", "--eps", "0.5", *argv[1:],
+                 "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convergence_compiles_each_expression_once(tmp_path, monkeypatch):
     # a config loaded from a file is a fresh object, so nothing is cached yet
     path = tmp_path / "ex1.json"

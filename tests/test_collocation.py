@@ -308,6 +308,12 @@ def test_limits_must_be_integers(field, value):
         SolverConfig(**{field: value})
 
 
+def test_start_mesh_must_fit_the_budget():
+    SolverConfig(initial_mesh_points=100, max_mesh_points=100)
+    with pytest.raises(ValueError, match="initial_mesh_points 101 exceeds max_mesh_points 100"):
+        SolverConfig(initial_mesh_points=101, max_mesh_points=100)
+
+
 @pytest.mark.parametrize("field", ["residual_tol", "newton_tol"])
 def test_nan_tolerance_rejected(field):
     # a NaN residual_tol would mark no interval for refinement, so an
