@@ -15,7 +15,6 @@ the test suite).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,7 +37,7 @@ class GridFunction:
             raise ValueError("grid must be 1-D and values 2-D")
         if self.values.shape[0] != self.grid.size:
             raise ValueError("values must have one row per grid point")
-        if self.grid.size and np.any(np.diff(self.grid) <= 0.0):
+        if self.grid.size and not np.all(np.diff(self.grid) > 0.0):
             raise ValueError("grid must be strictly increasing")
 
 
@@ -81,18 +80,18 @@ class ErrorReport:
     order: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def map_cells(work: Callable, cells, jobs: int) -> list:
-    """work(cell) for every cell in a pool of ``jobs`` threads; results come
-    back in input order. Every cell runs, then the first cell in input
-    order that raised re-raises here, so neither the cells run nor the
-    exception depends on ``jobs``. An interrupt cancels cells not started."""
-    pool = ThreadPoolExecutor(max_workers=jobs)
-    try:
-        futures = [pool.submit(work, cell) for cell in cells]
-        wait(futures)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
+def map_cells(work: Callable, cells) -> list:
+    """work(cell) for every cell in input order, returning the results.
+    Every cell runs, then the first cell that raised re-raises here."""
+    results, first_error = [], None
+    for cell in cells:
+        try:
+            results.append(work(cell))
+        except Exception as exc:
+            first_error = first_error or exc
+    if first_error is not None:
+        raise first_error
+    return results
 
 
 def check_doubling(n_list, error: type[ValueError] = ValueError) -> None:
@@ -118,17 +117,15 @@ def convergence_table(
     solver: Callable[[float, int], GridFunction],
     eps_list: list[float] | tuple[float, ...],
     n_list: list[int] | tuple[int, ...],
-    jobs: int = 1,
 ) -> ErrorReport:
     """Run the double-mesh sweep solver(eps, N) over eps_list x n_list.
 
     ``solver`` must return the approximation sampled on the uniform grid of
     N+1 points. D^N needs the 2N solution and p^N needs D^{2N}, so the
     sweep internally also solves at 2*max(N) and 4*max(N); the reported
-    columns remain exactly ``n_list``. Cells run through :func:`map_cells`
-    with ``jobs`` workers, so the sweep raises the exception of its first
-    failing cell in sweep order (eps-major). The reduction order is fixed,
-    so reports are reproducible regardless of scheduling.
+    columns remain exactly ``n_list``. Cells run through :func:`map_cells`,
+    so every cell runs and the sweep raises the exception of its first
+    failing cell in sweep order (eps-major).
     """
     eps_list = tuple(float(e) for e in eps_list)
     n_list = tuple(int(n) for n in n_list)
@@ -136,7 +133,7 @@ def convergence_table(
 
     solve_ns = n_list + (2 * n_list[-1], 4 * n_list[-1])
     cells = [(eps, n) for eps in eps_list for n in solve_ns]
-    results = dict(zip(cells, map_cells(lambda cell: solver(*cell), cells, jobs)))
+    results = dict(zip(cells, map_cells(lambda cell: solver(*cell), cells)))
 
     report = ErrorReport(eps_list=eps_list, n_list=n_list)
     diff_ns = n_list + (2 * n_list[-1],)
@@ -174,7 +171,7 @@ def exact_constant_system(
     f = np.asarray(f, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or f.shape != (A.shape[0],):
         raise ValueError("A must be square and f a matching vector")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
 
     lam, P = np.linalg.eig(A)

@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated mesh-interval counts (doubling chain "
                             "for convergence; the largest is used for solve/plotdata)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+        p.add_argument("--jobs", type=int, choices=[1],
+                       help="kept for existing command lines; cells run one at a time")
         p.add_argument("--grid", default=None,
                        help="evaluation grid: a point count or 'paper' "
                             "(default: paper for solve, 2001 for plotdata; "
@@ -106,7 +107,6 @@ def _build_manifest(args, default_grid) -> RunManifest:
         output_dir=Path(args.out),
         eval_grid=_parse_grid(args.grid, default_grid),
         adaptive=not args.no_adapt,
-        jobs=args.jobs,
     )
     tags = [_eps_tag(eps) for eps in eps_list]
     repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
@@ -200,8 +200,8 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
     rows x,e_1..e_n of |hybrid - oracle| (``%.15e``) to
     ``<problem>_error_eps<eps>.csv``. The x cells are formatted once per
     run; :func:`_write_table` writes each file, exactly rounded and
-    byte-identical to ``%``. Each worker solves, evaluates and writes one
-    eps at a time."""
+    byte-identical to ``%``. Each cell solves, evaluates and writes one
+    eps."""
     problem = manifest.problem
     xs = manifest.grid()
     xstr = np.array(["%.15f" % x for x in xs.tolist()], dtype="S")
@@ -221,7 +221,7 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
                 ["x"] + [f"e_{i + 1}" for i in range(problem.n)], xstr, err, "%.15e",
             )
 
-    map_cells(write, manifest.eps_list, manifest.jobs)
+    map_cells(write, manifest.eps_list)
     return EXIT_OK
 
 
@@ -241,8 +241,7 @@ def cmd_convergence(manifest: RunManifest) -> int:
         grid = np.linspace(0.0, 1.0, n + 1)
         return GridFunction(grid=grid, values=cell(eps, grid, n))
 
-    report = convergence_table(solver, manifest.eps_list, manifest.n_list,
-                               jobs=manifest.jobs)
+    report = convergence_table(solver, manifest.eps_list, manifest.n_list)
     header = ["eps"] + [f"N={n}" for n in manifest.n_list]
     for i in range(problem.n):
         rows = [[repr(eps)] + [repr(float(report.per_eps[eps][n][i])) for n in manifest.n_list]

@@ -49,6 +49,10 @@ class ProblemConfig:
     bc_right: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # the name is pasted into output file names, so it must be one plain name
+        if (not self.name or self.name.startswith(".")
+                or any(c in self.name for c in "/\\\0")):
+            raise ConfigError(f"name must be a plain file name, got {self.name!r}")
         if type(self.n) is not int:
             raise ConfigError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
@@ -197,7 +201,6 @@ class RunManifest:
     output_dir: Path
     eval_grid: tuple[float, ...] | int | None = 2001  # None: convergence, which has none
     adaptive: bool = True
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if not self.eps_list:
@@ -206,8 +209,6 @@ class RunManifest:
             raise ConfigError("eps values must be positive and finite")
         if self.n_list:
             check_doubling(self.n_list, ConfigError)
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
 
     def grid(self) -> np.ndarray:
         if isinstance(self.eval_grid, int):

@@ -1,5 +1,7 @@
 """Tests for norms, double-mesh differences, orders, and the oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from scem_rd.analysis import (
     convergence_table,
     double_mesh_diff,
     exact_constant_system,
+    map_cells,
     max_norm,
     recompute_orders,
 )
@@ -82,6 +85,13 @@ def test_double_mesh_grid_mismatch_rejected():
                            values=np.zeros((65, 1)))
     with pytest.raises(ValueError):
         double_mesh_diff(uniform_gf(33, fn), shifted)
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.5, 0.5], [0.0, 0.7, 0.5], [0.0, math.nan, 1.0]],
+                         ids=["repeated", "decreasing", "nan"])
+def test_grid_must_be_strictly_increasing(bad):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GridFunction(grid=np.array(bad), values=np.zeros((3, 1)))
 
 
 def test_double_mesh_example1_magnitude():
@@ -157,8 +167,7 @@ def test_example1_sweep_trends():
     assert 3.5 <= float(report.order[128][0]) <= 4.5
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_first_failing_cell_raises_after_every_cell_ran(jobs):
+def test_first_failing_cell_raises_after_every_cell_ran():
     # two cells fail; (0.5, 1024) comes first in sweep order (eps-major),
     # though (0.25, 64) is the smaller N
     calls = []
@@ -170,26 +179,27 @@ def test_first_failing_cell_raises_after_every_cell_ran(jobs):
         return uniform_gf(n + 1, lambda xs: xs[:, None])
 
     with pytest.raises(RuntimeError, match="boom at eps=0.5 N=1024"):
-        convergence_table(solver, [0.5, 0.25], [64, 128, 256], jobs=jobs)
+        convergence_table(solver, [0.5, 0.25], [64, 128, 256])
     # the sweep solves at 2 and 4 times the largest N too; every cell ran
     assert sorted(calls) == sorted((eps, n) for eps in (0.5, 0.25)
                                    for n in (64, 128, 256, 512, 1024))
 
 
+def test_interrupt_stops_the_sweep_at_once():
+    calls = []
+
+    def work(cell):
+        calls.append(cell)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        map_cells(work, [1, 2, 3])
+    assert calls == [1]
+
+
 def test_nondoubling_chain_rejected():
     with pytest.raises(ValueError):
         convergence_table(lambda e, n: None, [0.5], [16, 24])
-
-
-def test_jobs_parameter_is_deterministic():
-    def solver(eps, n):
-        return hybrid_gf(eps, n, adaptive=False)
-
-    seq = convergence_table(solver, [0.5, 0.25], [16, 32], jobs=1)
-    par = convergence_table(solver, [0.5, 0.25], [16, 32], jobs=4)
-    for n in (16, 32):
-        np.testing.assert_array_equal(seq.d_n[n], par.d_n[n])
-        np.testing.assert_array_equal(seq.order[n], par.order[n])
 
 
 def test_recompute_orders_helper():
@@ -254,8 +264,9 @@ def test_oracle_rejects_bad_spectrum():
         exact_constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]), F1, 0.01)
     with pytest.raises(ValueError):
         exact_constant_system(np.array([[1.0, 2.0], [0.0, 1.0]]), F1, 0.01)
-    with pytest.raises(ValueError):
-        exact_constant_system(A1, F1, -1.0)
+    for eps in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            exact_constant_system(A1, F1, eps)
 
 
 def test_hybrid_error_stays_small_uniformly_in_eps():

@@ -283,7 +283,7 @@ def test_convergence_rejects_nondoubling_chain(tmp_path):
 
 def test_plotdata_files_and_plateaus(tmp_path):
     code = main(["plotdata", "--problem", "example1", "--eps", "1,0.01,0.0001",
-                 "--grid", "2001", "--out", str(tmp_path), "--jobs", "2"])
+                 "--grid", "2001", "--out", str(tmp_path)])
     assert code == 0
     for tag in ("1", "0.01", "0.0001"):
         assert (tmp_path / f"example1_plot_eps{tag}.csv").exists()
@@ -494,15 +494,24 @@ def test_outer_solution_is_evaluated_on_the_grid_once_per_run(tmp_path, monkeypa
     assert len(checked) == 1
 
 
-def test_convergence_tables_do_not_depend_on_jobs(tmp_path):
-    for jobs in ("1", "2"):
+def test_jobs_accepts_only_one(tmp_path):
+    # --jobs stays for existing command lines: 1 changes no output byte
+    for name, extra in (("plain", []), ("jobs1", ["--jobs", "1"])):
         assert main(["convergence", "--problem", "example2", "--eps", "2^-1,2^-8,2^-15",
-                     "--n", "16,32", "--no-adapt", "--jobs", jobs,
-                     "--out", str(tmp_path / jobs)]) == 0
-    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+                     "--n", "16,32", "--no-adapt", *extra,
+                     "--out", str(tmp_path / name)]) == 0
+    names = sorted(path.name for path in (tmp_path / "plain").iterdir())
     assert names == [f"example2_convergence_y{i}.csv" for i in (1, 2, 3)]
+    assert sorted(path.name for path in (tmp_path / "jobs1").iterdir()) == names
     for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "jobs1" / name).read_bytes())
+    # any other count is a usage error, raised before --out is created
+    with pytest.raises(SystemExit) as exc_info:
+        main(["convergence", "--problem", "example2", "--eps", "0.5", "--n", "16,32",
+              "--jobs", "2", "--out", str(tmp_path / "jobs2")])
+    assert exc_info.value.code == 2
+    assert not (tmp_path / "jobs2").exists()
 
 
 def test_convergence_cell_with_a_singular_outer_grid_point_fails(tmp_path, capsys):
@@ -532,20 +541,19 @@ def test_singular_outer_grid_point_is_a_solver_failure(tmp_path, capsys, command
     assert "numerically singular near x=0.0625" in err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_failing_sweep_names_its_first_cell_once(tmp_path, capsys, monkeypatch, jobs):
+def test_failing_sweep_names_its_first_cell_once(tmp_path, capsys, monkeypatch):
     config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), coeff=[["1", "-2"], ["-1", "3"]])
     path = tmp_path / "undominated.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     solve = mock.Mock(side_effect=cli.hybrid_solve)
     monkeypatch.setattr(cli, "hybrid_solve", solve)
     assert main(["convergence", "--problem", str(path), "--eps", "0.5,0.25",
-                 "--n", "16,32", "--jobs", jobs, "--out", str(tmp_path / "out")]) == 3
+                 "--n", "16,32", "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "solver failure: eps=0.5 (N=16): structural assumptions fail" in err
     assert err.count("eps=") == 1
-    # every cell of the sweep (2 eps x N = 16, 32, 64, 128) is attempted,
-    # whatever the pool size; the first in sweep order is reported
+    # every cell of the sweep (2 eps x N = 16, 32, 64, 128) is attempted;
+    # the first in sweep order is reported
     assert solve.call_count == 8
     assert list((tmp_path / "out").iterdir()) == []
 
@@ -608,7 +616,7 @@ def test_convergence_full_sweep_example1(tmp_path):
     eps = ",".join(f"2^-{k}" for k in range(1, 16))
     code = main(["convergence", "--problem", "example1", "--eps", eps,
                  "--n", "64,128,256,512,1024", "--out", str(tmp_path),
-                 "--no-adapt", "--jobs", "4"])
+                 "--no-adapt"])
     assert code == 0
     _, rows = read_csv(tmp_path / "example1_convergence_y1.csv")
     d_row = [float(v) for v in rows[-2][1:]]
@@ -622,7 +630,7 @@ def test_convergence_full_sweep_example2(tmp_path):
     eps = ",".join(f"2^-{k}" for k in range(1, 16))
     code = main(["convergence", "--problem", "example2", "--eps", eps,
                  "--n", "64,128,256,512,1024", "--out", str(tmp_path),
-                 "--no-adapt", "--jobs", "4"])
+                 "--no-adapt"])
     assert code == 0
     _, rows = read_csv(tmp_path / "example2_convergence_y3.csv")
     d_row = [float(v) for v in rows[-2][1:]]
@@ -655,6 +663,12 @@ def test_config_validation_errors():
         ("n", 2.7),
         ("n", 2.0),
         ("n", "2"),
+        ("name", ""),
+        ("name", "../escape"),
+        ("name", ".hidden"),
+        ("name", "sub/dir"),
+        ("name", "sub\\dir"),
+        ("name", "nul\0byte"),
     ):
         bad = dict(base)
         bad[field] = value
@@ -684,6 +698,7 @@ _MALFORMED = {
     "bc": st.sampled_from([0, 1, math.nan, math.inf, -math.inf]),
     "n": st.sampled_from([2, 2.7]),
     "forcing": st.sampled_from(["1", "1 +", DEEP_NEST, LONG_CHAIN]),
+    "name": st.sampled_from(["drawn", "", ".", "../escape", "sub/dir", "sub\\dir", "a\0b"]),
 }
 
 
@@ -695,9 +710,23 @@ def test_malformed_config_never_exits_1(tmp_path, data):
         return [data.draw(_MALFORMED[key]) for _ in range(2)]
 
     config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
-    config.update(name="drawn", n=data.draw(_MALFORMED["n"]), diffusion=pair("diffusion"),
+    config.update(name=data.draw(_MALFORMED["name"]), n=data.draw(_MALFORMED["n"]),
+                  diffusion=pair("diffusion"),
                   bc_left=pair("bc"), bc_right=pair("bc"), forcing=pair("forcing"))
     path = tmp_path / "drawn.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["solve", "--problem", str(path), "--eps", "0.01", "--out",
                  str(tmp_path / "out"), "--n", "16", "--grid", "3"]) in (0, 2, 3)
+    # nothing is written outside --out, whatever the name
+    assert {p.name for p in tmp_path.iterdir()} <= {"drawn.json", "out"}
+
+
+@pytest.mark.parametrize("name", ["../escape", "sub/dir"])
+def test_name_that_is_not_a_plain_file_name_exits_2(tmp_path, capsys, name):
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), name=name)
+    path = tmp_path / "bad_name.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["solve", "--problem", str(path), "--eps", "0.1", "--out", str(out)]) == 2
+    assert "config error: name must be a plain file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad_name.json"]
