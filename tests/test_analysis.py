@@ -167,18 +167,24 @@ def test_example1_sweep_trends():
     assert 3.5 <= float(report.order[128][0]) <= 4.5
 
 
-def test_first_failing_cell_raises_after_every_cell_ran():
-    # two cells fail; (0.5, 1024) comes first in sweep order (eps-major),
+# the failing cells, in no particular order; the first n_failing of them fail
+_FAILING_CELLS = [(0.25, 64), (0.5, 1024), (0.25, 512), (0.25, 1024)]
+
+
+@pytest.mark.parametrize("n_failing, first", [(1, "eps=0.25 N=64"), (4, "eps=0.5 N=1024")],
+                         ids=["1", "4"])
+def test_first_failing_cell_raises_after_every_cell_ran(n_failing, first):
+    # with 4 failing cells, (0.5, 1024) comes first in sweep order (eps-major),
     # though (0.25, 64) is the smaller N
     calls = []
 
     def solver(eps, n):
         calls.append((eps, n))
-        if (eps, n) in ((0.5, 1024), (0.25, 64)):
+        if (eps, n) in _FAILING_CELLS[:n_failing]:
             raise RuntimeError(f"boom at eps={eps} N={n}")
         return uniform_gf(n + 1, lambda xs: xs[:, None])
 
-    with pytest.raises(RuntimeError, match="boom at eps=0.5 N=1024"):
+    with pytest.raises(RuntimeError, match=f"boom at {first}$"):
         convergence_table(solver, [0.5, 0.25], [64, 128, 256])
     # the sweep solves at 2 and 4 times the largest N too; every cell ran
     assert sorted(calls) == sorted((eps, n) for eps in (0.5, 0.25)

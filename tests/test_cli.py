@@ -541,20 +541,22 @@ def test_singular_outer_grid_point_is_a_solver_failure(tmp_path, capsys, command
     assert "numerically singular near x=0.0625" in err
 
 
-def test_failing_sweep_names_its_first_cell_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("n_eps", [1, 2])
+def test_failing_sweep_names_its_first_cell_once(tmp_path, capsys, monkeypatch, n_eps):
     config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), coeff=[["1", "-2"], ["-1", "3"]])
     path = tmp_path / "undominated.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     solve = mock.Mock(side_effect=cli.hybrid_solve)
     monkeypatch.setattr(cli, "hybrid_solve", solve)
-    assert main(["convergence", "--problem", str(path), "--eps", "0.5,0.25",
+    eps = ",".join(["0.5", "0.25"][:n_eps])
+    assert main(["convergence", "--problem", str(path), "--eps", eps,
                  "--n", "16,32", "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "solver failure: eps=0.5 (N=16): structural assumptions fail" in err
     assert err.count("eps=") == 1
-    # every cell of the sweep (2 eps x N = 16, 32, 64, 128) is attempted;
+    # every cell of the sweep (n_eps eps x N = 16, 32, 64, 128) is attempted;
     # the first in sweep order is reported
-    assert solve.call_count == 8
+    assert solve.call_count == 4 * n_eps
     assert list((tmp_path / "out").iterdir()) == []
 
 
