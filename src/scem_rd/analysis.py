@@ -80,20 +80,6 @@ class ErrorReport:
     order: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def map_cells(work: Callable, cells) -> list:
-    """work(cell) for every cell in input order, returning the results.
-    Every cell runs, then the first cell that raised re-raises here."""
-    results, first_error = [], None
-    for cell in cells:
-        try:
-            results.append(work(cell))
-        except Exception as exc:
-            first_error = first_error or exc
-    if first_error is not None:
-        raise first_error
-    return results
-
-
 def check_doubling(n_list, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` unless n_list is a nonempty chain N, 2N, 4N, ... with N >= 1."""
     if not n_list:
@@ -123,17 +109,15 @@ def convergence_table(
     ``solver`` must return the approximation sampled on the uniform grid of
     N+1 points. D^N needs the 2N solution and p^N needs D^{2N}, so the
     sweep internally also solves at 2*max(N) and 4*max(N); the reported
-    columns remain exactly ``n_list``. Cells run through :func:`map_cells`,
-    so every cell runs and the sweep raises the exception of its first
-    failing cell in sweep order (eps-major).
+    columns remain exactly ``n_list``. Cells run in sweep order (eps-major),
+    and the first that raises stops the sweep with its exception.
     """
     eps_list = tuple(float(e) for e in eps_list)
     n_list = tuple(int(n) for n in n_list)
     check_doubling(n_list)
 
     solve_ns = n_list + (2 * n_list[-1], 4 * n_list[-1])
-    cells = [(eps, n) for eps in eps_list for n in solve_ns]
-    results = dict(zip(cells, map_cells(lambda cell: solver(*cell), cells)))
+    results = {(eps, n): solver(eps, n) for eps in eps_list for n in solve_ns}
 
     report = ErrorReport(eps_list=eps_list, n_list=n_list)
     diff_ns = n_list + (2 * n_list[-1],)
@@ -198,15 +182,3 @@ def exact_constant_system(
 
     return solution
 
-
-def recompute_orders(d_values: dict[int, float]) -> dict[int, float]:
-    """Orders implied by a single-component D column map {N: D^N}.
-
-    Helper for verifying emitted tables: p^N = log2(D^N / D^{2N}) wherever
-    both values exceed the noise floor, NaN otherwise.
-    """
-    return {
-        n: convergence_order(d, d_values[2 * n])
-        for n, d in d_values.items()
-        if 2 * n in d_values
-    }

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import GridFunction, convergence_table, exact_constant_system, map_cells
+from .analysis import GridFunction, convergence_table, exact_constant_system
 from .collocation import CollocationError, SolverConfig
 from .config import (
     PAPER_GRID,
@@ -148,7 +148,8 @@ def _cell_solver(manifest: RunManifest):
     nodes, or from :func:`_start_points` without n. The eps-independent
     outer values are evaluated once per grid (a run's grids differ in size)
     by the first cell there. Every solver error becomes a SolverFailure
-    naming the cell's eps, and its N when n is given."""
+    naming the cell's eps, and its N when n is given; it stops the run, so
+    no later cell is solved."""
     problem, adaptive = manifest.problem, manifest.adaptive
     run_points = _start_points(manifest.n_list)
     outer_on_grid: dict[int, np.ndarray] = {}
@@ -160,7 +161,7 @@ def _cell_solver(manifest: RunManifest):
                                   SolverConfig(initial_mesh_points=points, adaptive=adaptive))
             outer_values = outer_on_grid.get(xs.size)
             if outer_values is None:
-                outer_values = outer_on_grid.setdefault(xs.size, hybrid.outer.eval_many(xs))
+                outer_values = outer_on_grid[xs.size] = hybrid.outer.eval_many(xs)
             return hybrid.eval_many(xs, outer_values)
         except _SOLVER_ERRORS as exc:
             where = f"eps={eps:g}" if n is None else f"eps={eps:g} (N={n})"
@@ -200,14 +201,13 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
     rows x,e_1..e_n of |hybrid - oracle| (``%.15e``) to
     ``<problem>_error_eps<eps>.csv``. The x cells are formatted once per
     run; :func:`_write_table` writes each file, exactly rounded and
-    byte-identical to ``%``. Each cell solves, evaluates and writes one
-    eps."""
+    byte-identical to ``%``. Each eps is solved, evaluated and written in
+    turn, so a failing eps leaves the files of the eps before it."""
     problem = manifest.problem
     xs = manifest.grid()
     xstr = np.array(["%.15f" % x for x in xs.tolist()], dtype="S")
     cell = _cell_solver(manifest)
-
-    def write(eps: float) -> None:
+    for eps in manifest.eps_list:
         values = cell(eps, xs)
         tag = _eps_tag(eps)
         _write_table(
@@ -220,8 +220,6 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
                 manifest.output_dir / f"{problem.name}_error_eps{tag}.csv",
                 ["x"] + [f"e_{i + 1}" for i in range(problem.n)], xstr, err, "%.15e",
             )
-
-    map_cells(write, manifest.eps_list)
     return EXIT_OK
 
 

@@ -222,7 +222,7 @@ def _interp_arrays(
 ) -> np.ndarray:
     a, b = nodes[0], nodes[-1]
     slack = 1e-10 * max(1.0, abs(b - a))
-    if np.any(ts < a - slack) or np.any(ts > b + slack):
+    if not np.all((ts >= a - slack) & (ts <= b + slack)):  # NaN fails too
         raise ValueError(f"evaluation point outside [{a}, {b}]")
     ts = np.clip(ts, a, b)
     k = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, nodes.size - 2)

@@ -40,7 +40,6 @@ values nest layers of different widths.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,6 @@ _TRUNCATION = 42.0
 #: eps sweep builds every system of one problem on one coefficient field
 _REPORT_MEMO_SIZE = 8
 _reports: dict[tuple, AssumptionReport] = {}
-_reports_lock = threading.Lock()
 
 
 class SingularReducedMatrix(Exception):
@@ -346,8 +344,7 @@ def _assumption_report(sys: ReactionDiffusionSystem) -> AssumptionReport:
         return validate_assumptions(sys)
     if report is None:
         report = validate_assumptions(sys)
-        with _reports_lock:
-            if len(_reports) >= _REPORT_MEMO_SIZE:
-                del _reports[next(iter(_reports))]
-            _reports[key] = report
+        if len(_reports) >= _REPORT_MEMO_SIZE:
+            del _reports[next(iter(_reports))]
+        _reports[key] = report
     return report

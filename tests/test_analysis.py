@@ -13,9 +13,7 @@ from scem_rd.analysis import (
     convergence_table,
     double_mesh_diff,
     exact_constant_system,
-    map_cells,
     max_norm,
-    recompute_orders,
 )
 from scem_rd.collocation import SolverConfig
 from scem_rd.problems import example1
@@ -169,9 +167,11 @@ def test_example1_sweep_trends():
 
 # the failing cells, in no particular order; the first n_failing of them fail
 _FAILING_CELLS = [(0.25, 64), (0.5, 1024), (0.25, 512), (0.25, 1024)]
+_SWEEP_ORDER = [(eps, n) for eps in (0.5, 0.25) for n in (64, 128, 256, 512, 1024)]
 
 
-@pytest.mark.parametrize("n_failing, first", [(1, "eps=0.25 N=64"), (4, "eps=0.5 N=1024")],
+# the name is kept for its test ids: the sweep stops at its first failing cell
+@pytest.mark.parametrize("n_failing, first", [(1, (0.25, 64)), (4, (0.5, 1024))],
                          ids=["1", "4"])
 def test_first_failing_cell_raises_after_every_cell_ran(n_failing, first):
     # with 4 failing cells, (0.5, 1024) comes first in sweep order (eps-major),
@@ -184,34 +184,28 @@ def test_first_failing_cell_raises_after_every_cell_ran(n_failing, first):
             raise RuntimeError(f"boom at eps={eps} N={n}")
         return uniform_gf(n + 1, lambda xs: xs[:, None])
 
-    with pytest.raises(RuntimeError, match=f"boom at {first}$"):
+    with pytest.raises(RuntimeError, match=f"boom at eps={first[0]} N={first[1]}$"):
         convergence_table(solver, [0.5, 0.25], [64, 128, 256])
-    # the sweep solves at 2 and 4 times the largest N too; every cell ran
-    assert sorted(calls) == sorted((eps, n) for eps in (0.5, 0.25)
-                                   for n in (64, 128, 256, 512, 1024))
+    # the sweep solves at 2 and 4 times the largest N too, in sweep order,
+    # and no cell after the first failing one
+    assert calls == _SWEEP_ORDER[:_SWEEP_ORDER.index(first) + 1]
 
 
 def test_interrupt_stops_the_sweep_at_once():
     calls = []
 
-    def work(cell):
-        calls.append(cell)
+    def solver(eps, n):
+        calls.append((eps, n))
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        map_cells(work, [1, 2, 3])
-    assert calls == [1]
+        convergence_table(solver, [0.5, 0.25], [16, 32])
+    assert calls == [(0.5, 16)]
 
 
 def test_nondoubling_chain_rejected():
     with pytest.raises(ValueError):
         convergence_table(lambda e, n: None, [0.5], [16, 24])
-
-
-def test_recompute_orders_helper():
-    orders = recompute_orders({16: 1.6e-4, 32: 1e-5, 64: 1e-16})
-    assert orders[16] == pytest.approx(4.0, abs=1e-12)
-    assert np.isnan(orders[32])  # partner below the noise floor
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from scem_rd.config import (
 )
 from scem_rd.expressions import compile_expression
 from scem_rd.numformat import percent_lines
-from scem_rd.scem import HybridApproximation, OuterSolution
+from scem_rd.scem import AssumptionViolation, HybridApproximation, OuterSolution
 
 
 def read_csv(path):
@@ -554,10 +554,31 @@ def test_failing_sweep_names_its_first_cell_once(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert "solver failure: eps=0.5 (N=16): structural assumptions fail" in err
     assert err.count("eps=") == 1
-    # every cell of the sweep (n_eps eps x N = 16, 32, 64, 128) is attempted;
-    # the first in sweep order is reported
-    assert solve.call_count == 4 * n_eps
+    # the first cell in sweep order fails, and no later cell is attempted
+    assert solve.call_count == 1
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, kinds", [("solve", ["solve"]), ("plotdata", ["plot", "error"])],
+                         ids=["solve", "plotdata"])
+def test_failing_eps_keeps_the_files_before_it(tmp_path, capsys, monkeypatch, command, kinds):
+    real_solve = cli.hybrid_solve
+    solved = []
+
+    def solve(sys, cfg):
+        solved.append(sys.diffusion[0])
+        if sys.diffusion[0] == 0.25:
+            raise AssumptionViolation("forced")
+        return real_solve(sys, cfg)
+
+    monkeypatch.setattr(cli, "hybrid_solve", solve)
+    out = tmp_path / "out"
+    assert main([command, "--problem", "example1", "--eps", "0.5,0.25,0.125",
+                 "--grid", "17", "--out", str(out)]) == 3
+    assert "solver failure: eps=0.25: forced" in capsys.readouterr().err
+    assert solved == [0.5, 0.25]  # the third eps is never solved
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"example1_{kind}_eps0.5.csv" for kind in kinds)
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,8 @@ def test_evaluate_rejects_outside_points():
         evaluate(sol, [1.5])
     with pytest.raises(ValueError):
         evaluate(sol, [-0.2])
+    with pytest.raises(ValueError):
+        evaluate(sol, [np.nan])
 
 
 def test_interpolant_is_c1_at_shared_nodes():
