@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys as _sys
 from pathlib import Path
 
@@ -30,8 +31,8 @@ from .config import (
     parse_eps_list,
     parse_n_list,
 )
-from .numformat import format_table
-from .scem import AssumptionViolation, SingularReducedMatrix, hybrid_solve
+from .numformat import CHUNK_ROWS, format_column, format_table
+from .scem import AssumptionViolation, HybridApproximation, SingularReducedMatrix, hybrid_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,17 +145,18 @@ def _start_points(n_list: tuple[int, ...]) -> int:
 
 def _cell_solver(manifest: RunManifest):
     """Return ``cell(eps, xs, n=None)``, the sweep cell of every command:
-    the composite values at ``xs`` of the solve at ``eps`` from n+1 uniform
-    nodes, or from :func:`_start_points` without n. The eps-independent
-    outer values are evaluated once per grid (a run's grids differ in size)
-    by the first cell there. Every solver error becomes a SolverFailure
-    naming the cell's eps, and its N when n is given; it stops the run, so
-    no later cell is solved."""
+    the solve at ``eps`` from n+1 uniform nodes, or from
+    :func:`_start_points` without n, and the outer values at ``xs``. Those
+    do not depend on eps, so they are evaluated once per grid (a run's
+    grids differ in size) by the first cell there. Every solver error
+    becomes a SolverFailure naming the cell's eps, and its N when n is
+    given; it stops the run, so no later cell is solved."""
     problem, adaptive = manifest.problem, manifest.adaptive
     run_points = _start_points(manifest.n_list)
     outer_on_grid: dict[int, np.ndarray] = {}
 
-    def cell(eps: float, xs: np.ndarray, n: int | None = None) -> np.ndarray:
+    def cell(eps: float, xs: np.ndarray,
+             n: int | None = None) -> tuple[HybridApproximation, np.ndarray]:
         points = run_points if n is None else n + 1
         try:
             hybrid = hybrid_solve(problem.build_system(eps),
@@ -162,7 +164,7 @@ def _cell_solver(manifest: RunManifest):
             outer_values = outer_on_grid.get(xs.size)
             if outer_values is None:
                 outer_values = outer_on_grid[xs.size] = hybrid.outer.eval_many(xs)
-            return hybrid.eval_many(xs, outer_values)
+            return hybrid, outer_values
         except _SOLVER_ERRORS as exc:
             where = f"eps={eps:g}" if n is None else f"eps={eps:g} (N={n})"
             raise SolverFailure(f"{where}: {exc}") from exc
@@ -181,45 +183,45 @@ def _write_csv(path: Path, header: list[str], lines) -> None:
         fh.write(",".join(header) + "\n" + "".join(lines))
 
 
-def _write_table(path: Path, header: list[str], xstr, values: np.ndarray,
-                 cell: str) -> None:
-    """One line per grid point: its preformatted ``xstr`` cell (a list of
-    str or a numpy ``S`` array), then its ``values`` row with each cell in
-    the %-format ``cell`` (``%.<p>f`` or ``%.<p>e``). The file is
-    byte-identical to ``%`` formatting: ``numformat.format_table`` rounds
-    each value exactly and formats only the cells it certifies; a row with
-    any other cell goes through ``%``. Rows are written in chunks."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for chunk in format_table(np.asarray(xstr, dtype="S"), values, cell):
-            fh.write(chunk)
+def _open_table(files: contextlib.ExitStack, path: Path, letter: str, n: int):
+    """Open ``path`` on ``files`` and write the header x,<letter>_1..<letter>_n."""
+    fh = files.enter_context(open(path, "wb"))
+    fh.write((",".join(["x"] + [f"{letter}_{i + 1}" for i in range(n)]) + "\n").encode())
+    return fh
 
 
 def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
     """Per eps, write rows x,y_1..y_n (``%.15f``) at the evaluation grid to
     ``<problem>_<kind>_eps<eps>.csv``; with ``oracle_data`` (A, f) also the
     rows x,e_1..e_n of |hybrid - oracle| (``%.15e``) to
-    ``<problem>_error_eps<eps>.csv``. The x cells are formatted once per
-    run; :func:`_write_table` writes each file, exactly rounded and
-    byte-identical to ``%``. Each eps is solved, evaluated and written in
-    turn, so a failing eps leaves the files of the eps before it."""
+    ``<problem>_error_eps<eps>.csv``. Every cell is exactly rounded, so the
+    files are byte-identical to ``%`` formatting (``numformat``).
+
+    The x cells and the outer values are computed once per run on the whole
+    grid. Each eps is solved before its files are opened, so a failing eps
+    leaves the files of the eps before it; then the grid goes through
+    ``CHUNK_ROWS`` rows at a time (composite, error, formatted rows), so no
+    per-eps array is as large as the grid."""
     problem = manifest.problem
     xs = manifest.grid()
-    xstr = np.array(["%.15f" % x for x in xs.tolist()], dtype="S")
+    xcol = format_column(xs, "%.15f")
     cell = _cell_solver(manifest)
     for eps in manifest.eps_list:
-        values = cell(eps, xs)
+        hybrid, outer_values = cell(eps, xs)
+        oracle = None if oracle_data is None else exact_constant_system(*oracle_data, eps)
         tag = _eps_tag(eps)
-        _write_table(
-            manifest.output_dir / f"{problem.name}_{kind}_eps{tag}.csv",
-            ["x"] + [f"y_{i + 1}" for i in range(problem.n)], xstr, values, "%.15f",
-        )
-        if oracle_data is not None:
-            err = np.abs(values - exact_constant_system(*oracle_data, eps)(xs))
-            _write_table(
-                manifest.output_dir / f"{problem.name}_error_eps{tag}.csv",
-                ["x"] + [f"e_{i + 1}" for i in range(problem.n)], xstr, err, "%.15e",
-            )
+        with contextlib.ExitStack() as files:
+            plot = _open_table(files, manifest.output_dir / f"{problem.name}_{kind}_eps{tag}.csv",
+                               "y", problem.n)
+            error = None if oracle is None else _open_table(
+                files, manifest.output_dir / f"{problem.name}_error_eps{tag}.csv", "e", problem.n)
+            for start in range(0, xs.size, CHUNK_ROWS):
+                rows = slice(start, start + CHUNK_ROWS)
+                values = hybrid.eval_many(xs[rows], outer_values[rows])
+                plot.writelines(format_table(xcol[rows], values, "%.15f"))
+                if error is not None:
+                    err = np.abs(values - oracle(xs[rows]))
+                    error.writelines(format_table(xcol[rows], err, "%.15e"))
     return EXIT_OK
 
 
@@ -237,7 +239,8 @@ def cmd_convergence(manifest: RunManifest) -> int:
 
     def solver(eps: float, n: int) -> GridFunction:
         grid = np.linspace(0.0, 1.0, n + 1)
-        return GridFunction(grid=grid, values=cell(eps, grid, n))
+        hybrid, outer_values = cell(eps, grid, n)
+        return GridFunction(grid=grid, values=hybrid.eval_many(grid, outer_values))
 
     report = convergence_table(solver, manifest.eps_list, manifest.n_list)
     header = ["eps"] + [f"N={n}" for n in manifest.n_list]

@@ -239,14 +239,19 @@ def _interp_eval(sol: CollocationSolution, ts: np.ndarray, deriv: bool = False) 
     )
 
 
-def evaluate(sol: CollocationSolution, points: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Interpolant values at the given points, shape (len(points), dim).
+def evaluate(sol: CollocationSolution, points: Sequence[float] | np.ndarray,
+             components: int | None = None) -> np.ndarray:
+    """Interpolant values at the given points, shape (len(points), dim), or
+    of the first ``components`` components only, shape (len(points),
+    components); each component's cubic is interpolated on its own.
 
     Between nodes this is the collocation cubic itself, so accuracy is
     fourth order everywhere, not just at the mesh nodes. Points must lie
     in the solution interval.
     """
-    return _interp_eval(sol, np.asarray(points, dtype=float))
+    cols = slice(components)
+    return _interp_arrays(sol.mesh.nodes, sol.node_values[:, cols], sol.node_slopes[:, cols],
+                          np.asarray(points, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ the power of ten is a double; otherwise a double-double power bounds its
 error. A row holding a value the fast path cannot certify (non-finite,
 subnormal, ``|v| 10^p >= 2^63`` in ``%f``, or a remainder within the error
 bound of one half) goes through :func:`percent_lines`, the ``%`` reference.
+:func:`format_column` formats one column the same way into a numpy ``S``
+array, such as the x cells that every row of a table shares.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-#: rows formatted per chunk; bounds the temporary matrices to a few hundred kB
+#: rows formatted per chunk, and the row block in which solve and plotdata
+#: evaluate and write a grid; bounds the temporary arrays to a few hundred kB
 CHUNK_ROWS = 4096
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -183,6 +186,38 @@ def percent_lines(line: str, xcol: np.ndarray, values: np.ndarray,
     return [(line % (xcol[i].decode(), *values[i].tolist())).encode() for i in rows]
 
 
+def _parse_cell(cell: str) -> tuple[int, str]:
+    """The places and kind of a ``%.<p>f`` or ``%.<p>e`` format, 1 <= p <= 17."""
+    match = _CELL.fullmatch(cell)
+    if match is None or not 1 <= int(match[1]) <= 17:
+        raise ValueError(f"unsupported cell format {cell!r}")
+    return int(match[1]), match[2]
+
+
+def format_column(values: np.ndarray, cell: str) -> np.ndarray:
+    """``cell % v`` for each of the 1-d ``values``, as a numpy ``S`` array,
+    byte-identical to ``%``; ``cell`` as in :func:`format_table`. A value
+    the fast path cannot certify goes through ``%``."""
+    places, kind = _parse_cell(cell)
+    values = np.asarray(values, dtype=float)
+    blocks = [np.empty(0, "S1")]
+    for start in range(0, values.size, CHUNK_ROWS):
+        v = values[start:start + CHUNK_ROWS]
+        cells, bad = _cells(v, places, kind)
+        cells = cells[:, 1:]  # no comma
+        pad = cells == 0
+        # move each cell's pad bytes behind its text, keeping the text's order
+        cells = np.take_along_axis(cells, np.argsort(pad, axis=1, kind="stable"), axis=1)
+        width = int(cells.shape[1] - pad.sum(axis=1).min())
+        block = np.ascontiguousarray(cells[:, :width]).view(f"S{width}").ravel()
+        if bad.any():
+            lines = [(cell % x).encode() for x in v[bad].tolist()]
+            block = block.astype(f"S{max(width, *map(len, lines))}")
+            block[bad] = lines
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
 def format_table(xcol: np.ndarray, values: np.ndarray, cell: str) -> Iterator[bytes]:
     """Yield the rows ``x,v_1,..,v_c`` in chunks of bytes, byte-identical to
     ``("%s" + ("," + cell) * c + "\\n") % row``.
@@ -191,10 +226,7 @@ def format_table(xcol: np.ndarray, values: np.ndarray, cell: str) -> Iterator[by
     the (rows, c) floats and ``cell`` a ``%.<p>f`` or ``%.<p>e`` format with
     ``1 <= p <= 17``.
     """
-    match = _CELL.fullmatch(cell)
-    if match is None or not 1 <= int(match[1]) <= 17:
-        raise ValueError(f"unsupported cell format {cell!r}")
-    places, kind = int(match[1]), match[2]
+    places, kind = _parse_cell(cell)
     values = np.asarray(values, dtype=float)
     rows, cols = values.shape
     line = "%s" + ("," + cell) * cols + "\n"

@@ -286,7 +286,7 @@ class HybridApproximation:
             if layer is not None:
                 s = np.abs(xs - end) / root
                 near = s <= layer.mesh.b
-                out[near] += evaluate(layer, s[near])[:, :n]
+                out[near] += evaluate(layer, s[near], n)  # Psi, not Psi'
         return out
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import contextlib
 import csv
 import io
 import json
@@ -357,8 +358,16 @@ def test_table_writer_matches_csv_writer(tmp_path, data, n, cell):
     writer.writerows([[f"{x:.15f}"] + [format(v, f".15{cell}") for v in row]
                       for x, row in zip(xs, values)])
     path = tmp_path / "table.csv"
-    cli._write_table(path, header, ["%.15f" % x for x in xs], values, f"%.15{cell}")
+    _write_table(path, ["%.15f" % x for x in xs], values, f"%.15{cell}")
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def _write_table(path, xstr, values, cell):
+    """Write a table as solve and plotdata do: the header x,y_1..y_n, then
+    the rows of ``numformat.format_table``."""
+    with contextlib.ExitStack() as files:
+        fh = cli._open_table(files, path, "y", values.shape[1])
+        fh.writelines(numformat.format_table(np.asarray(xstr, dtype="S"), values, cell))
 
 
 def _percent_table(header, xstr, values, cell):
@@ -416,7 +425,7 @@ def test_formatter_matches_percent_on_dense_arrays(tmp_path, seed, rows, n, cell
     header = ["x"] + [f"y_{i + 1}" for i in range(n)]
     path = tmp_path / "table.csv"
     with mock.patch.object(numformat, "CHUNK_ROWS", chunk):
-        cli._write_table(path, header, xstr, values, cell)
+        _write_table(path, xstr, values, cell)
     got = path.read_bytes().split(b"\n")
     want = _percent_table(header, xstr, values, cell).split(b"\n")
     assert len(got) == len(want)
@@ -457,6 +466,68 @@ def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monke
         assert (tmp_path / f"example1_error_eps{tag}.csv").read_bytes() == \
             _percent_table(["x", "e_1", "e_2"], xstr, err, "%.15e")
     assert fallback_rows == []
+
+
+def test_plotdata_goes_through_the_grid_one_row_block_at_a_time(tmp_path, monkeypatch):
+    block = numformat.CHUNK_ROWS
+    assert cli.CHUNK_ROWS == block  # one row block for the writer and the formatter
+    evaluated = []  # eval_many results of the run, in call order
+    eval_many = HybridApproximation.eval_many
+
+    def recording_eval_many(self, xs, outer_values=None):
+        out = eval_many(self, xs, outer_values)
+        evaluated.append(out)
+        return out
+
+    formatted = []  # (x cells, value rows) of every format_table call
+    format_table = numformat.format_table
+
+    def counting_format_table(xcol, values, cell):
+        formatted.append((len(xcol), len(values)))
+        return format_table(xcol, values, cell)
+
+    monkeypatch.setattr(HybridApproximation, "eval_many", recording_eval_many)
+    monkeypatch.setattr(cli, "format_table", counting_format_table)
+    grid = 2 * block + 3
+    eps_tokens = ["2^-1", "2^-15"]  # a full-image and a truncated solve
+    assert main(["plotdata", "--problem", "example1", "--eps", ",".join(eps_tokens),
+                 "--grid", str(grid), "--out", str(tmp_path)]) == 0
+    # per eps: three blocks, each evaluated once and formatted for both files
+    assert [len(values) for values in evaluated] == [block, block, 3] * len(eps_tokens)
+    assert formatted == [(m, m) for m in (block, block, block, block, 3, 3)] * len(eps_tokens)
+    xs = np.linspace(0.0, 1.0, grid)
+    xstr = ["%.15f" % x for x in xs]
+    A, f = cli._constant_system_data(BUILTIN_PROBLEMS["example1"])
+    for k, token in enumerate(eps_tokens):
+        values = np.concatenate(evaluated[3 * k:3 * k + 3])
+        eps = parse_eps_list(token)[0]
+        tag = format(eps, ".10g")
+        err = np.abs(values - exact_constant_system(A, f, eps)(xs))
+        assert (tmp_path / f"example1_plot_eps{tag}.csv").read_bytes() == \
+            _percent_table(["x", "y_1", "y_2"], xstr, values, "%.15f")
+        assert (tmp_path / f"example1_error_eps{tag}.csv").read_bytes() == \
+            _percent_table(["x", "e_1", "e_2"], xstr, err, "%.15e")
+
+
+#: x cells on both sides of 0 and 1, ties of %.15f, and values that only
+#: ``%`` formats (non-finite, subnormal, beyond the int64 range of %.15f)
+_X_EDGES = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.5,
+            5e-16, 1.5e-15, np.nextafter(5e-16, 1.0), 2.0 ** -50, 3 * 2.0 ** -51,
+            1e-15, 0.999999999999999, 0.9999999999999995, -1.0, 12345.678, *_EDGES]
+
+
+@pytest.mark.parametrize("xs", [
+    np.linspace(0.0, 1.0, 2001),
+    np.linspace(0.0, 1.0, 20001),
+    np.array(PAPER_GRID),
+    np.array(_X_EDGES),
+    np.concatenate([np.linspace(0.0, 1.0, 5000), _X_EDGES]),  # wider cells in one block
+], ids=["2001", "20001", "paper", "edges", "blocks"])
+@pytest.mark.parametrize("cell", ["%.15f", "%.15e"])
+def test_x_column_matches_percent(xs, cell):
+    got = numformat.format_column(xs, cell)
+    assert got.dtype.kind == "S"
+    assert got.tolist() == [(cell % x).encode() for x in xs.tolist()]
 
 
 @pytest.mark.parametrize("command", ["plotdata", "solve", "convergence"])

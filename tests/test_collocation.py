@@ -96,6 +96,14 @@ def test_evaluate_at_nodes_reproduces_node_values():
     np.testing.assert_array_equal(got, sol.node_values)
 
 
+def test_evaluate_first_components_equals_the_column_slice():
+    sol = solve(scalar_layer_bvp(0.01), SolverConfig(initial_mesh_points=51))
+    xs = np.concatenate([np.linspace(0.0, 1.0, 1001), sol.mesh.nodes])
+    got = evaluate(sol, xs, 1)
+    assert got.shape == (xs.size, 1)
+    assert np.array_equal(got, evaluate(sol, xs)[:, :1])
+
+
 def test_evaluate_rejects_outside_points():
     sol = solve(linear_ramp_bvp(), SolverConfig(initial_mesh_points=5))
     with pytest.raises(ValueError):

@@ -687,3 +687,23 @@ def test_example2_deep_eps_layer_solves_take_at_most_three_passes():
         hybrid = hybrid_solve(example2(eps), SolverConfig())
         assert hybrid.left_layer.newton_iterations <= 6
         assert hybrid.right_layer.newton_iterations <= 6
+
+
+@pytest.mark.parametrize("eps", [2.0**-6, 1e-8], ids=["full_image", "truncated"])
+def test_composite_is_the_same_per_block(eps):
+    # the CLI evaluates the composite one row block at a time, so every block
+    # must give the rows of the whole-grid evaluation bit for bit, also where
+    # it splits inside a layer or at a truncated layer's cut s = T
+    hybrid = hybrid_solve(_deep_eps_problem("variable_a", "asymmetric").build_system(eps),
+                          SolverConfig())
+    assert (hybrid.right_layer is None) == (eps == 2.0**-6)
+    reach = hybrid.left_layer.mesh.b * np.sqrt(eps)  # x of s = L from x = 0
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 20001), [reach, 1.0 - reach]]))
+    outer_values = hybrid.outer.eval_many(xs)
+    whole = hybrid.eval_many(xs, outer_values)
+    cut, far = np.searchsorted(xs, [min(reach, 0.5), max(1.0 - reach, 0.5)])
+    blocks = [(0, cut // 2), (cut // 2, cut), (cut, cut + 1), (cut - 5, cut + 5),
+              (cut + 1, far), (far - 3, far + 3), (far, xs.size), (17, 2065),
+              (0, xs.size)]
+    for a, b in blocks:
+        assert np.array_equal(hybrid.eval_many(xs[a:b], outer_values[a:b]), whole[a:b]), (a, b)
