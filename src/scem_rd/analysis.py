@@ -110,21 +110,21 @@ def convergence_table(
     N+1 points. D^N needs the 2N solution and p^N needs D^{2N}, so the
     sweep internally also solves at 2*max(N) and 4*max(N); the reported
     columns remain exactly ``n_list``. Cells run in sweep order (eps-major),
-    and the first that raises stops the sweep with its exception.
+    and the first that raises stops the sweep with its exception. Only one
+    eps row of solutions is held: an eps's D values are taken, and its
+    grid functions dropped, before the next eps's first cell.
     """
     eps_list = tuple(float(e) for e in eps_list)
     n_list = tuple(int(n) for n in n_list)
     check_doubling(n_list)
 
     solve_ns = n_list + (2 * n_list[-1], 4 * n_list[-1])
-    results = {(eps, n): solver(eps, n) for eps in eps_list for n in solve_ns}
-
+    diff_ns = solve_ns[:-1]
     report = ErrorReport(eps_list=eps_list, n_list=n_list)
-    diff_ns = n_list + (2 * n_list[-1],)
     for eps in eps_list:
-        report.per_eps[eps] = {
-            n: double_mesh_diff(results[(eps, n)], results[(eps, 2 * n)]) for n in diff_ns
-        }
+        cells = {n: solver(eps, n) for n in solve_ns}
+        report.per_eps[eps] = {n: double_mesh_diff(cells[n], cells[2 * n]) for n in diff_ns}
+        del cells
     for n in diff_ns:
         report.d_n[n] = np.max(np.stack([row[n] for row in report.per_eps.values()]), axis=0)
     for n in n_list:

@@ -148,9 +148,10 @@ def _cell_solver(manifest: RunManifest):
     the solve at ``eps`` from n+1 uniform nodes, or from
     :func:`_start_points` without n, and the outer values at ``xs``. Those
     do not depend on eps, so they are evaluated once per grid (a run's
-    grids differ in size) by the first cell there. Every solver error
-    becomes a SolverFailure naming the cell's eps, and its N when n is
-    given; it stops the run, so no later cell is solved."""
+    grids differ in size) by the first cell there, ``CHUNK_ROWS`` rows at
+    a time, and kept only once every block has succeeded. Every solver
+    error becomes a SolverFailure naming the cell's eps, and its N when n
+    is given; it stops the run, so no later cell is solved."""
     problem, adaptive = manifest.problem, manifest.adaptive
     run_points = _start_points(manifest.n_list)
     outer_on_grid: dict[int, np.ndarray] = {}
@@ -163,7 +164,11 @@ def _cell_solver(manifest: RunManifest):
                                   SolverConfig(initial_mesh_points=points, adaptive=adaptive))
             outer_values = outer_on_grid.get(xs.size)
             if outer_values is None:
-                outer_values = outer_on_grid[xs.size] = hybrid.outer.eval_many(xs)
+                outer_values = np.empty((xs.size, problem.n))
+                for start in range(0, xs.size, CHUNK_ROWS):
+                    rows = slice(start, start + CHUNK_ROWS)
+                    outer_values[rows] = hybrid.outer.eval_many(xs[rows])
+                outer_on_grid[xs.size] = outer_values
             return hybrid, outer_values
         except _SOLVER_ERRORS as exc:
             where = f"eps={eps:g}" if n is None else f"eps={eps:g} (N={n})"

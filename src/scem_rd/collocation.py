@@ -38,8 +38,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 _log = logging.getLogger("scem_rd")
 
@@ -342,6 +340,15 @@ def _jacobian_blocks(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data)
     return L, R, Ba, Bb
 
 
+def splu(J):
+    """SuperLU factorization of the sparse matrix J. scipy.sparse is
+    imported on the first call, so a run whose boundary conditions are all
+    separated never loads it."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(J)
+
+
 def _factor_sparse(L, R, Ba, Bb):
     """SuperLU on the block-bidiagonal matrix with the bc rows on top.
 
@@ -349,6 +356,8 @@ def _factor_sparse(L, R, Ba, Bb):
     reaches from the first to the last block column, so no narrow band
     holds it.
     """
+    from scipy.sparse import csc_matrix
+
     n_int, dim, _ = L.shape
     ii, jj = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()

@@ -1,6 +1,7 @@
 """Tests for norms, double-mesh differences, orders, and the oracle."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -201,6 +202,28 @@ def test_interrupt_stops_the_sweep_at_once():
     with pytest.raises(KeyboardInterrupt):
         convergence_table(solver, [0.5, 0.25], [16, 32])
     assert calls == [(0.5, 16)]
+
+
+def test_sweep_holds_one_eps_row_of_solutions():
+    eps_list = [0.5, 0.25, 0.125]
+    calls = []
+    alive = {}  # eps -> weak references to the grid functions of its cells
+
+    def solver(eps, n):
+        if n == 16:
+            # an eps's first cell: no grid function of an earlier eps is left
+            assert [e for e, refs in alive.items() if any(ref() for ref in refs)] == []
+        else:
+            # within a row, every cell solved so far is still held
+            assert all(ref() for ref in alive[eps])
+        calls.append((eps, n))
+        g = uniform_gf(n + 1, lambda xs: np.sin(xs / eps)[:, None])
+        alive.setdefault(eps, []).append(weakref.ref(g))
+        return g
+
+    report = convergence_table(solver, eps_list, [16, 32])
+    assert calls == [(eps, n) for eps in eps_list for n in (16, 32, 64, 128)]
+    assert all(sorted(report.per_eps[eps]) == [16, 32, 64] for eps in eps_list)
 
 
 def test_nondoubling_chain_rejected():

@@ -5,7 +5,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +25,7 @@ from scem_rd.config import (
     BUILTIN_PROBLEMS,
     PAPER_GRID,
     ConfigError,
+    RunManifest,
     config_from_dict,
     dump_config,
     load_problem,
@@ -472,12 +477,21 @@ def test_plotdata_goes_through_the_grid_one_row_block_at_a_time(tmp_path, monkey
     block = numformat.CHUNK_ROWS
     assert cli.CHUNK_ROWS == block  # one row block for the writer and the formatter
     evaluated = []  # eval_many results of the run, in call order
+    outer_used = []  # the outer values each eval_many call was given
     eval_many = HybridApproximation.eval_many
 
     def recording_eval_many(self, xs, outer_values=None):
         out = eval_many(self, xs, outer_values)
         evaluated.append(out)
+        outer_used.append(outer_values)
         return out
+
+    outer_sizes = []  # point counts of every OuterSolution.eval_many call
+    outer_eval_many = OuterSolution.eval_many
+
+    def counting_outer_eval_many(self, xs):
+        outer_sizes.append(np.asarray(xs).size)
+        return outer_eval_many(self, xs)
 
     formatted = []  # (x cells, value rows) of every format_table call
     format_table = numformat.format_table
@@ -487,6 +501,7 @@ def test_plotdata_goes_through_the_grid_one_row_block_at_a_time(tmp_path, monkey
         return format_table(xcol, values, cell)
 
     monkeypatch.setattr(HybridApproximation, "eval_many", recording_eval_many)
+    monkeypatch.setattr(OuterSolution, "eval_many", counting_outer_eval_many)
     monkeypatch.setattr(cli, "format_table", counting_format_table)
     grid = 2 * block + 3
     eps_tokens = ["2^-1", "2^-15"]  # a full-image and a truncated solve
@@ -495,7 +510,13 @@ def test_plotdata_goes_through_the_grid_one_row_block_at_a_time(tmp_path, monkey
     # per eps: three blocks, each evaluated once and formatted for both files
     assert [len(values) for values in evaluated] == [block, block, 3] * len(eps_tokens)
     assert formatted == [(m, m) for m in (block, block, block, block, 3, 3)] * len(eps_tokens)
+    # the outer values are filled in blocks too, once per run, and equal one
+    # evaluation on the whole grid bit for bit
+    assert sorted(size for size in outer_sizes if size != 2) == [3, block, block]
     xs = np.linspace(0.0, 1.0, grid)
+    whole = outer_eval_many(OuterSolution(BUILTIN_PROBLEMS["example1"].build_system(0.5)), xs)
+    for k in range(len(eps_tokens)):
+        assert np.concatenate(outer_used[3 * k:3 * k + 3]).tobytes() == whole.tobytes()
     xstr = ["%.15f" % x for x in xs]
     A, f = cli._constant_system_data(BUILTIN_PROBLEMS["example1"])
     for k, token in enumerate(eps_tokens):
@@ -507,6 +528,69 @@ def test_plotdata_goes_through_the_grid_one_row_block_at_a_time(tmp_path, monkey
             _percent_table(["x", "y_1", "y_2"], xstr, values, "%.15f")
         assert (tmp_path / f"example1_error_eps{tag}.csv").read_bytes() == \
             _percent_table(["x", "e_1", "e_2"], xstr, err, "%.15e")
+
+
+def test_blockwise_outer_values_equal_one_whole_grid_evaluation(tmp_path, monkeypatch):
+    # variable A and f, so every block's coefficient sampling and solves differ
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), name="varcoef",
+                  coeff=[["2+x", "-1"], ["-1", "3-x*x"]], forcing=["1+x", "1/(1+x)"])
+    path = tmp_path / "varcoef.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    block = numformat.CHUNK_ROWS
+    outer_sizes = []  # point counts of every OuterSolution.eval_many call
+    outer_used = []  # the outer values each composite block was given
+    evaluated = []  # the composite values of each block
+    outer_eval_many = OuterSolution.eval_many
+    eval_many = HybridApproximation.eval_many
+
+    def counting_outer_eval_many(self, xs):
+        outer_sizes.append(np.asarray(xs).size)
+        return outer_eval_many(self, xs)
+
+    def recording_eval_many(self, xs, outer_values=None):
+        outer_used.append(outer_values)
+        evaluated.append(eval_many(self, xs, outer_values))
+        return evaluated[-1]
+
+    monkeypatch.setattr(OuterSolution, "eval_many", counting_outer_eval_many)
+    monkeypatch.setattr(HybridApproximation, "eval_many", recording_eval_many)
+    grid = 2 * block + 3
+    assert main(["plotdata", "--problem", str(path), "--eps", "2^-4", "--grid", str(grid),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert max(outer_sizes) <= block
+    xs = np.linspace(0.0, 1.0, grid)
+    whole = outer_eval_many(OuterSolution(load_problem(str(path)).build_system(0.5)), xs)
+    assert np.concatenate(outer_used).tobytes() == whole.tobytes()
+    xstr = ["%.15f" % x for x in xs]
+    assert (tmp_path / "out" / "varcoef_plot_eps0.0625.csv").read_bytes() == \
+        _percent_table(["x", "y_1", "y_2"], xstr, np.concatenate(evaluated), "%.15f")
+
+
+def test_cli_commands_leave_superlu_unloaded(tmp_path):
+    # SuperLU is imported on the first coupled boundary condition, so the CLI
+    # (whose problems all have separated conditions) never loads scipy.sparse
+    script = """
+import sys
+import numpy as np
+from scem_rd import collocation
+from scem_rd.cli import main
+
+out = sys.argv[1]
+for argv in (["convergence", "--n", "16,32", "--no-adapt"], ["convergence", "--n", "16,32"],
+             ["solve", "--n", "64"], ["plotdata", "--grid", "101"]):
+    assert main([argv[0], "--problem", "example1", "--eps", "2^-1,2^-15", *argv[1:],
+                 "--out", out]) == 0
+assert "scipy.sparse" not in sys.modules
+bvp = collocation.FirstOrderBvp(
+    dim=2, rhs=lambda t, U: np.stack([U[:, 1], 0.0 * U[:, 1]], axis=1),
+    bc=lambda ua, ub: np.array([ua[0], ub[0] + ua[0] - 1.0]), interval=(0.0, 1.0))
+collocation.solve(bvp, collocation.SolverConfig(initial_mesh_points=5))
+assert "scipy.sparse.linalg" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 #: x cells on both sides of 0 and 1, ties of %.15f, and values that only
@@ -610,6 +694,21 @@ def test_singular_outer_grid_point_is_a_solver_failure(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert "solver failure: eps=0.5: " in err
     assert "numerically singular near x=0.0625" in err
+    # on 65537 points x = 1/16 is point 4096, the first of the second row block
+    grid = 16 * numformat.CHUNK_ROWS + 1
+    out = tmp_path / "out2"
+    assert main([command, "--problem", str(path), "--eps", "0.5,0.25", "--grid", str(grid),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: eps=0.5: " in err
+    assert "numerically singular near x=0.0625" in err
+    assert list(out.iterdir()) == []
+    # the failed grid keeps no half-filled outer values: the next cell fails too
+    cell = cli._cell_solver(RunManifest(problem=load_problem(str(path)), eps_list=(0.5, 0.25),
+                                        n_list=(), output_dir=out, eval_grid=grid))
+    for eps in (0.5, 0.25):
+        with pytest.raises(cli.SolverFailure, match=f"eps={eps}: .*singular near x=0.0625"):
+            cell(eps, np.linspace(0.0, 1.0, grid))
 
 
 @pytest.mark.parametrize("n_eps", [1, 2])
