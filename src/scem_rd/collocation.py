@@ -11,13 +11,15 @@ order 4. Eliminating the interior stage leaves, per subinterval of width h,
 
 so the unknowns are the mesh-node values only. The resulting nonlinear
 system (all interval closures plus the boundary residual) is solved by a
-damped Newton iteration that reuses its factors after full steps. With
-separated boundary conditions the Jacobian is banded: the u(a) rows go
-above the block-bidiagonal interval closures and the u(b) rows below them
-(the de Boor-Weiss SOLVEBLOK layout), and LAPACK band LU factors it. A
-condition coupling u(a) with u(b) adds a corner outside the band, and
-that Jacobian is factored by SuperLU. Adaptive solves refine the mesh by
-halving subintervals whose scaled ODE residual exceeds the tolerance.
+damped Newton iteration that reuses its factors after full steps; for a
+problem flagged linear it is a linear system, solved from zero with one
+assembly, one factorization and one back-solve. With separated boundary
+conditions the Jacobian is banded: the u(a) rows go above the
+block-bidiagonal interval closures and the u(b) rows below them (the de
+Boor-Weiss SOLVEBLOK layout), and LAPACK band LU factors it. A condition
+coupling u(a) with u(b) adds a corner outside the band, and that Jacobian
+is factored by SuperLU. Adaptive solves refine the mesh by halving
+subintervals whose scaled ODE residual exceeds the tolerance.
 That residual is a 5-point Gauss quadrature of the collocation cubic's
 defect; the Hermite basis and its derivative are tabulated once at the
 Gauss points, so the cubic at every quadrature point of every subinterval
@@ -72,6 +74,9 @@ class FirstOrderBvp:
         rhs_jac: optional analytic Jacobian d rhs / d u, called like rhs
             and returning (m, dim, dim). Finite differences of rhs are
             used when absent.
+        linear: states that rhs and bc are affine in u. :func:`solve`
+            then takes one linear step from u = 0 per pass, with the
+            Jacobians there and no Newton iteration to correct them.
     """
 
     dim: int
@@ -79,6 +84,7 @@ class FirstOrderBvp:
     bc: Callable[[np.ndarray, np.ndarray], np.ndarray]
     interval: tuple[float, float]
     rhs_jac: Callable | None = None
+    linear: bool = False
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -117,10 +123,11 @@ class Mesh:
 class SolverConfig:
     """Tolerances and limits for :func:`solve`.
 
-    Newton starts from the constant ones vector. ``initial_mesh_points``
-    is the node count of the uniform first pass, at most
-    ``max_mesh_points``; hybrid solves spend it on each layer problem (see
-    :func:`scem_rd.scem.hybrid_solve` for which).
+    Newton starts from the constant ones vector; ``newton_tol`` and
+    ``max_newton`` do not apply to a linear problem, solved from zero in
+    one step per pass. ``initial_mesh_points`` is the node count of the
+    uniform first pass, at most ``max_mesh_points``; hybrid solves spend it
+    on each layer problem (see :func:`scem_rd.scem.hybrid_solve` for which).
     ``adaptive`` False runs a single pass on the initial mesh (no
     MeshOverflow possible); useful for mesh-convergence studies. Such a
     fixed-mesh solve does not estimate the residual, which only drives
@@ -157,7 +164,7 @@ class CollocationSolution:
     fixed-mesh solve, which does not estimate it; there
     ``np.max(estimate_residual(bvp, sol))`` gives the same value.
     ``newton_iterations`` counts Newton steps summed over all refinement
-    passes.
+    passes; a linear problem takes one a pass.
     """
 
     mesh: Mesh
@@ -483,6 +490,18 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
     raise NewtonDivergence(f"Newton did not converge in {cfg.max_newton} iterations")
 
 
+def _linear_pass(bvp: FirstOrderBvp, nodes: np.ndarray) -> np.ndarray:
+    """The collocation solution of a linear problem: the Newton step from
+    Y = 0. Raises NewtonDivergence when it is not finite, as the line
+    search does on a non-finite residual."""
+    Y = np.zeros((nodes.size, bvp.dim))
+    F, data = _collocation_system(bvp, nodes, Y)
+    Y = _factor_jacobian(bvp, nodes, Y, data)(-F).reshape(Y.shape)
+    if not np.all(np.isfinite(Y)):
+        raise NewtonDivergence("linear collocation solve is not finite")
+    return Y
+
+
 def _step_size(d: np.ndarray, Y: np.ndarray) -> float:
     return float(np.max(np.abs(d) / (1.0 + np.abs(Y))))
 
@@ -546,22 +565,28 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSol
 
     The first pass runs on ``cfg.initial_mesh_points`` uniform points.
     Newton solves the collocation equations on the current mesh to the
-    step tolerance. With ``cfg.adaptive`` False that single pass is the
-    result, and its residual is not estimated (``max_residual`` None).
-    Otherwise subintervals whose scaled residual exceeds
-    ``cfg.residual_tol`` are halved and the solve repeats from the
-    interpolated previous solution. Each pass is logged
-    at debug level on the "scem_rd" logger. Raises NewtonDivergence when
-    the iteration fails to contract and MeshOverflow when the tolerance is
+    step tolerance; for a ``linear`` problem one step from zero solves
+    them. With ``cfg.adaptive`` False that single pass is the result, and
+    its residual is not estimated (``max_residual`` None). Otherwise
+    subintervals whose scaled residual exceeds ``cfg.residual_tol`` are
+    halved and Newton repeats from the interpolated previous solution.
+    Each pass and its path are logged at debug level on the "scem_rd"
+    logger. Raises NewtonDivergence when the iteration fails to contract or
+    the linear step is not finite, and MeshOverflow when the tolerance is
     unreachable within ``cfg.max_mesh_points`` (adaptive mode only).
     """
     cfg = cfg or SolverConfig()
     nodes = np.linspace(*bvp.interval, cfg.initial_mesh_points)
-    Y = np.ones((nodes.size, bvp.dim))
+    # Newton's start; a linear pass starts from zero and needs none
+    Y = None if bvp.linear else np.ones((nodes.size, bvp.dim))
 
     total_newton = 0
     for n_pass in itertools.count(1):
-        Y, iters = _newton(bvp, nodes, Y, cfg)
+        if bvp.linear:
+            Y, iters, path = _linear_pass(bvp, nodes), 1, "linear solve (1 factorization)"
+        else:
+            Y, iters = _newton(bvp, nodes, Y, cfg)
+            path = f"{iters} Newton iterations"
         total_newton += iters
         slopes = _rhs_all(bvp, nodes, Y)
         if cfg.adaptive:
@@ -571,10 +596,7 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSol
         else:
             max_res = None
             outcome = "residual not estimated (fixed mesh)"
-        _log.debug(
-            "pass %d: %d nodes, %d Newton iterations, %s",
-            n_pass, nodes.size, iters, outcome,
-        )
+        _log.debug("pass %d: %d nodes, %s, %s", n_pass, nodes.size, path, outcome)
         if max_res is None or max_res <= cfg.residual_tol:
             return CollocationSolution(
                 mesh=Mesh(nodes),
@@ -592,5 +614,5 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSol
                 f"refinement but {new_nodes.size} points would exceed the "
                 f"budget of {cfg.max_mesh_points}"
             )
-        Y = _interp_arrays(nodes, Y, slopes, new_nodes)
+        Y = None if bvp.linear else _interp_arrays(nodes, Y, slopes, new_nodes)
         nodes = new_nodes

@@ -190,8 +190,8 @@ def build_layer_problem(
     near_val, far_val = data
     step = -root if end else root
 
-    # Newton evaluates rhs and rhs_jac on the same nodes and midpoints many
-    # times per mesh, so A is tabulated once per abscissa array.
+    # Each pass evaluates rhs and rhs_jac on the same nodes and midpoints
+    # several times, so A is tabulated once per abscissa array.
     tables: dict[bytes, np.ndarray] = {}
 
     def tabulated(ts: np.ndarray) -> np.ndarray:
@@ -225,7 +225,7 @@ def build_layer_problem(
     return LayerProblem(
         end=end,
         bvp=FirstOrderBvp(
-            dim=2 * n, rhs=rhs, bc=bc, interval=interval, rhs_jac=rhs_jac,
+            dim=2 * n, rhs=rhs, bc=bc, interval=interval, rhs_jac=rhs_jac, linear=True,
         ),
         bc_values=data,
     )

@@ -410,21 +410,24 @@ def test_coupled_bc_takes_superlu_and_agrees_with_separated(monkeypatch):
     np.testing.assert_allclose(coupled.interpolant(0.37), [0.37, 1.0], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "bc",
-    [
-        lambda ua, ub: np.array([ua[0], 0.0 * ub[0]]),  # a row on neither endpoint
-        lambda ua, ub: np.array([ua[1], ub[1]]),  # u[0] undetermined: zero pivot
-    ],
-    ids=["bc-row-on-neither-endpoint", "zero-band-pivot"],
-)
-def test_singular_jacobian_raises_newton_divergence(bc):
-    bvp = dataclasses.replace(linear_ramp_bvp(), bc=bc)
+SINGULAR_BCS = {
+    "bc-row-on-neither-endpoint": lambda ua, ub: np.array([ua[0], 0.0 * ub[0]]),
+    "zero-band-pivot": lambda ua, ub: np.array([ua[1], ub[1]]),  # u[0] undetermined
+}
+
+
+@pytest.mark.parametrize("bc, linear", [
+    pytest.param(bc, linear, id=name + ("-linear" if linear else ""))
+    for linear in (False, True) for name, bc in SINGULAR_BCS.items()
+])
+def test_singular_jacobian_raises_newton_divergence(bc, linear):
+    bvp = dataclasses.replace(linear_ramp_bvp(), bc=bc, linear=linear)
     with pytest.raises(NewtonDivergence, match="collocation Jacobian is singular"):
         solve(bvp, SolverConfig(initial_mesh_points=5))
 
 
-def test_linear_layer_problem_factors_once_per_pass(monkeypatch):
+def test_linear_layer_problem_factors_once_per_pass(monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="scem_rd")
     factor_sizes, passes = [], []
     dgbtrf = collocation.dgbtrf
     residual = collocation._residual_per_interval
@@ -444,7 +447,40 @@ def test_linear_layer_problem_factors_once_per_pass(monkeypatch):
     sol = solve(layer.bvp)
     assert len(passes) > 1  # refinement happened
     assert factor_sizes == [n * layer.bvp.dim for n in passes]
-    assert sol.newton_iterations == 2 * len(passes)
+    assert sol.newton_iterations == len(passes)  # one linear step a pass
+    logged = [r.getMessage() for r in caplog.records if r.name == "scem_rd"]
+    paths = [line.split(", ")[1] for line in logged]
+    assert paths == ["linear solve (1 factorization)"] * len(passes)
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(initial_mesh_points=257, adaptive=False),
+                                 SolverConfig(initial_mesh_points=21)],
+                         ids=["fixed-mesh", "adaptive"])
+def test_linear_path_agrees_with_newton_on_the_layer_problem(cfg):
+    sys = example2(1e-4)
+    bvp = build_layer_problem(sys, solve_reduced(sys), 0.0).bvp
+    assert bvp.linear
+    linear = solve(bvp, cfg)
+    newton = solve(dataclasses.replace(bvp, linear=False), cfg)
+    assert np.array_equal(linear.mesh.nodes, newton.mesh.nodes)
+    np.testing.assert_allclose(linear.node_values, newton.node_values, rtol=0, atol=1e-12)
+    assert newton.newton_iterations > linear.newton_iterations
+
+
+def test_non_finite_linear_step_raises_newton_divergence():
+    # u'' = 0, exact from zero in one step, except that rhs is NaN at one
+    # midpoint of the uniform mesh, where the Newton line search would fail
+    def rhs(t, u):
+        out = np.column_stack([u[:, 1], np.zeros_like(t)])
+        out[np.isclose(t, 0.45), 1] = np.nan
+        return out
+
+    bvp = dataclasses.replace(linear_ramp_bvp(), rhs=rhs, linear=True)
+    cfg = SolverConfig(initial_mesh_points=11, adaptive=False)
+    with pytest.raises(NewtonDivergence, match="not finite"):
+        solve(bvp, cfg)
+    with pytest.raises(NewtonDivergence):
+        solve(dataclasses.replace(bvp, linear=False), cfg)
 
 
 def example1_layer_bvp(eps):

@@ -576,10 +576,10 @@ def test_deep_eps_layers_are_solved_on_truncated_domains(monkeypatch):
     sys = example1(1e-8)
     hybrid = hybrid_solve(sys, SolverConfig())
     assert intervals == [(0.0, T_EXAMPLE1), (0.0, T_EXAMPLE1)]
-    # one pass on the uniform start: the linear problem takes 2 Newton iterations
+    # one pass on the uniform start: the linear problem takes one linear step
     for layer in (hybrid.left_layer, hybrid.right_layer):
         assert np.array_equal(layer.mesh.nodes, np.linspace(0.0, T_EXAMPLE1, 1000))
-        assert layer.newton_iterations == 2
+        assert layer.newton_iterations == 1
         assert np.max(np.abs(layer.node_values[-1, :2])) <= 1e-15
     # each layer carries the mismatch at its own end and vanishes at the cut;
     # with constant A and symmetric data the two problems are the same one
@@ -650,7 +650,7 @@ def test_deep_eps_solves_are_bounded_and_exact_at_the_boundary(eps, name, bc, mo
     hybrid = hybrid_solve(config.build_system(eps), SolverConfig())
     assert len(intervals) == 2  # truncated
     for layer in (hybrid.left_layer, hybrid.right_layer):
-        assert layer.newton_iterations <= 4  # linear: 2 a pass, so <= 2 passes
+        assert layer.newton_iterations <= 2  # linear: 1 a pass, so <= 2 passes
         assert layer.mesh.nodes.size <= 1100
     ends = hybrid.eval_many(np.array([0.0, 1.0]))
     assert np.max(np.abs(ends - [config.bc_left, config.bc_right])) <= 1e-9
@@ -663,9 +663,9 @@ def test_deep_eps_solves_are_bounded_and_exact_at_the_boundary(eps, name, bc, mo
 def test_deep_eps_invariants_and_bounded_passes(eps):
     sys = example1(eps)
     hybrid = hybrid_solve(sys, SolverConfig())
-    # linear layer problems: 2 Newton iterations a pass, so <= 3 passes
-    assert hybrid.left_layer.newton_iterations <= 6
-    assert hybrid.right_layer.newton_iterations <= 6
+    # linear layer problems: 1 linear step a pass, so <= 3 passes
+    assert hybrid.left_layer.newton_iterations <= 3
+    assert hybrid.right_layer.newton_iterations <= 3
 
     assert np.max(np.abs(hybrid.eval(0.0))) <= 1e-9
     assert np.max(np.abs(hybrid.eval(1.0))) <= 1e-9
@@ -685,8 +685,8 @@ def test_deep_eps_invariants_and_bounded_passes(eps):
 def test_example2_deep_eps_layer_solves_take_at_most_three_passes():
     for eps in (1e-12, 1e-300):
         hybrid = hybrid_solve(example2(eps), SolverConfig())
-        assert hybrid.left_layer.newton_iterations <= 6
-        assert hybrid.right_layer.newton_iterations <= 6
+        assert hybrid.left_layer.newton_iterations <= 3
+        assert hybrid.right_layer.newton_iterations <= 3
 
 
 @pytest.mark.parametrize("eps", [2.0**-6, 1e-8], ids=["full_image", "truncated"])
