@@ -483,6 +483,33 @@ def test_non_finite_linear_step_raises_newton_divergence():
         solve(dataclasses.replace(bvp, linear=False), cfg)
 
 
+@pytest.mark.parametrize("linear", [False, True], ids=["newton", "linear"])
+def test_non_finite_residual_estimate_raises_newton_divergence(monkeypatch, linear):
+    # u'' = 0 with rhs NaN only where the residual quadrature looks (Gauss
+    # points in (0.4, 0.5), not nodes or midpoints): each pass converges, and
+    # a NaN estimate marks no interval for halving, so the same mesh would
+    # be solved again and again
+    def rhs(t, u):
+        out = np.column_stack([u[:, 1], np.zeros_like(t)])
+        gauss = (t > 0.4) & (t < 0.5) & ~np.isclose(t, 0.45)
+        out[gauss, 1] = np.nan
+        return out
+
+    calls = []
+    residual = collocation._residual_per_interval
+
+    def bounded_residual(*args):
+        calls.append(1)
+        assert len(calls) <= 3, "the same mesh is solved again and again"
+        return residual(*args)
+
+    monkeypatch.setattr(collocation, "_residual_per_interval", bounded_residual)
+    bvp = dataclasses.replace(linear_ramp_bvp(), rhs=rhs, linear=linear)
+    with pytest.raises(NewtonDivergence, match="residual estimate is not finite"):
+        solve(bvp, SolverConfig(initial_mesh_points=11))
+    assert len(calls) == 1
+
+
 def example1_layer_bvp(eps):
     sys = example1(eps)
     return build_layer_problem(sys, solve_reduced(sys), 0.0).bvp
@@ -582,6 +609,57 @@ def test_residual_kernel_matches_broadcast_hermite(data, dim, n_nodes):
     want = broadcast_hermite_residual(bvp, nodes, values, slopes)
     assert got.shape == (n_nodes - 1,)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def plain_residual(bvp, nodes, values, slopes):
+    """The residual quadrature in its plain form (np.stack, np.max over the
+    component axis, w * g * g): the bitwise reference for the in-place
+    kernel, which keeps its operation order."""
+    h = np.diff(nodes)
+    n_int, dim = h.size, bvp.dim
+    coef = np.stack([
+        values[:-1], values[1:], h[:, None] * slopes[:-1], h[:, None] * slopes[1:],
+    ]).reshape(4, n_int * dim)
+    S = (collocation._GAUSS_VALUE @ coef).reshape(5, n_int, dim)
+    Sp = (collocation._GAUSS_SLOPE @ coef).reshape(5, n_int, dim) / h[:, None]
+    tq = nodes[:-1] + collocation._GAUSS_TAU[:, None] * h
+    fq = bvp.rhs(tq.ravel(), S.reshape(-1, dim)).reshape(S.shape)
+    g = np.max(np.abs(Sp - fq) / (1.0 + np.abs(fq)), axis=2)
+    return np.sqrt(np.sum((_GAUSS_W / 2.0)[:, None] * g * g, axis=0))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_residual_kernel_is_bitwise_the_plain_formula(dim):
+    rng = np.random.default_rng(dim)
+    mix = rng.normal(size=(dim, dim))
+    bvp = FirstOrderBvp(dim=dim, rhs=lambda t, U: np.sin(U @ mix) * np.exp(t)[:, None],
+                        bc=lambda ua, ub: ua, interval=(0.0, 5.0))
+    for n in (2, 3, 40, 999):
+        nodes = np.sort(np.concatenate([[0.0, 5.0], rng.uniform(0.0, 5.0, n - 2)]))
+        values, slopes = rng.normal(size=(2, n, dim)) * 10.0 ** rng.uniform(-4, 4, (2, 1, dim))
+        got = collocation._residual_per_interval(bvp, nodes, values, slopes)
+        assert np.array_equal(got, plain_residual(bvp, nodes, values, slopes))
+
+
+def test_residual_kernel_is_bitwise_the_plain_formula_on_a_layer_problem():
+    sys = example2(1e-8)
+    bvp = build_layer_problem(sys, solve_reduced(sys), 0.0).bvp
+    assert bvp.dim == 6
+    sol = solve(bvp, SolverConfig(initial_mesh_points=41, adaptive=False))
+    args = (bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
+    assert np.array_equal(collocation._residual_per_interval(*args), plain_residual(*args))
+
+
+def test_residual_kernel_keeps_a_nan_component():
+    bvp = FirstOrderBvp(dim=3, rhs=lambda t, U: U[:, ::-1] + t[:, None],
+                        bc=lambda ua, ub: ua, interval=(0.0, 1.0))
+    nodes = np.linspace(0.0, 1.0, 11)
+    values, slopes = np.random.default_rng(0).normal(size=(2, 11, 3))
+    slopes[4, 2] = np.nan  # enters the cubics of intervals 3 and 4 only
+    got = collocation._residual_per_interval(bvp, nodes, values, slopes)
+    want = plain_residual(bvp, nodes, values, slopes)
+    assert np.array_equal(np.isnan(got), np.isin(np.arange(10), [3, 4]))
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def einsum_blocks(bvp, nodes, Y, data):
