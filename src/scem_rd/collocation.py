@@ -268,41 +268,38 @@ def _rhs_all(bvp: FirstOrderBvp, ts: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.asarray(bvp.rhs(ts, U), dtype=float).reshape(U.shape)
 
 
+def _fd_jacobian(fun, U: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """One-sided differences d fun_i / d U_j over the last axis of U, F = fun(U),
+    with step sqrt(machine eps) * (1 + |U_j|): one call of fun per column j."""
+    out = np.empty(F.shape + U.shape[-1:])
+    step = np.sqrt(np.finfo(float).eps)
+    for j in range(U.shape[-1]):
+        dU = U.copy()
+        dj = step * (1.0 + np.abs(U[..., j]))
+        dU[..., j] += dj
+        out[..., j] = (fun(dU) - F) / dj[..., None]
+    return out
+
+
 def _jac_all(bvp: FirstOrderBvp, ts: np.ndarray, U: np.ndarray, F: np.ndarray) -> np.ndarray:
     """d rhs / d u at many points; returns (m, dim, dim).
 
     Uses the analytic Jacobian when provided, otherwise one-sided finite
     differences reusing the already-computed rhs values F.
     """
-    m, dim = U.shape
     if bvp.rhs_jac is not None:
+        m, dim = U.shape
         return np.asarray(bvp.rhs_jac(ts, U), dtype=float).reshape(m, dim, dim)
-    out = np.empty((m, dim, dim))
-    step = np.sqrt(np.finfo(float).eps)
-    for j in range(dim):
-        dU = U.copy()
-        dj = step * (1.0 + np.abs(U[:, j]))
-        dU[:, j] += dj
-        out[:, :, j] = (_rhs_all(bvp, ts, dU) - F) / dj[:, None]
-    return out
+    return _fd_jacobian(lambda V: _rhs_all(bvp, ts, V), U, F)
 
 
 def _bc_jacobians(bvp: FirstOrderBvp, ua: np.ndarray, ub: np.ndarray, r0: np.ndarray):
-    """Finite-difference Jacobians of bc with respect to both endpoints."""
+    """Finite-difference Jacobians of bc with respect to both endpoints,
+    differenced together over the stacked [ua, ub]."""
     dim = bvp.dim
-    Ba = np.empty((dim, dim))
-    Bb = np.empty((dim, dim))
-    step = np.sqrt(np.finfo(float).eps)
-    for j in range(dim):
-        dj = step * (1.0 + abs(ua[j]))
-        ua_p = ua.copy()
-        ua_p[j] += dj
-        Ba[:, j] = (np.asarray(bvp.bc(ua_p, ub), dtype=float) - r0) / dj
-        dj = step * (1.0 + abs(ub[j]))
-        ub_p = ub.copy()
-        ub_p[j] += dj
-        Bb[:, j] = (np.asarray(bvp.bc(ua, ub_p), dtype=float) - r0) / dj
-    return Ba, Bb
+    B = _fd_jacobian(lambda w: np.asarray(bvp.bc(w[:dim], w[dim:]), dtype=float),
+                     np.concatenate([ua, ub]), r0)
+    return B[:, :dim], B[:, dim:]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +340,7 @@ def _jacobian_blocks(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data)
     L = -eye[None] - h6 * J_nodes[:-1] - h3 * J_mid - h212 * (J_mid @ J_nodes[:-1])
     R = eye[None] - h6 * J_nodes[1:] - h3 * J_mid + h212 * (J_mid @ J_nodes[1:])
 
-    Ba, Bb = _bc_jacobians(bvp, Y[0].copy(), Y[-1].copy(), bc_res)
+    Ba, Bb = _bc_jacobians(bvp, Y[0], Y[-1], bc_res)
     return L, R, Ba, Bb
 
 

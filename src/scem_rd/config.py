@@ -217,18 +217,19 @@ class RunManifest:
 
 
 def parse_eps_token(token: str) -> float:
-    """Parse an eps value: a float literal or a power form like 2^-8."""
+    """Parse an eps value: a float literal or a power form like 2^-8.
+
+    A leading sign applies after the power, as in Python: -2^-2 is -0.25.
+    """
     token = token.strip()
     for sep in ("^", "**"):
         if sep in token:
             base, exp = token.split(sep, 1)
             try:
-                value = float(base) ** float(exp)
+                value = float(base)
+                return math.copysign(abs(value) ** float(exp), value)
             except (ValueError, ArithmeticError) as exc:  # 2^10000, 0^-1
                 raise ConfigError(f"bad eps token {token!r}") from exc
-            if isinstance(value, complex):  # negative base, fractional power
-                raise ConfigError(f"bad eps token {token!r}: not a real number")
-            return value
     try:
         return float(token)
     except ValueError as exc:

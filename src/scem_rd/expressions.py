@@ -1,99 +1,68 @@
 """Tiny arithmetic expression language for problem-config coefficients.
 
-Grammar (whitespace-insensitive):
+Grammar (whitespace is allowed anywhere between tokens and at either end):
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
     unary  := ('-' | '+')* atom
     atom   := NUMBER | 'x' | '(' expr ')'
 
-Just enough to express constants and polynomials in x; compiled to a
-numpy-vectorized callable. At most ``MAX_TOKENS`` tokens are accepted, which
-bounds how deep parsing and evaluation recurse.
+This is a subset of Python's expression grammar with the same precedence
+and associativity, so ``ast.parse`` builds the tree and a whitelist of node
+types restricts it to the grammar above. Just enough to express constants
+and polynomials in x; compiled to a numpy-vectorized callable. At most
+``MAX_TOKENS`` tokens are accepted, which bounds how deep parsing and
+evaluation recurse.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from typing import Callable
 
 import numpy as np
 
-#: longest expression accepted: at most 100 nested parentheses, about 400
-#: parser frames, well inside the default recursion limit of 1000
+#: longest expression accepted: at most 100 nested parentheses or 199 nested
+#: signs, well inside the default recursion limit of 1000
 MAX_TOKENS = 200
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)|(x)|([()+\-*/]))")
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 class ExpressionError(ValueError):
     """Malformed coefficient expression."""
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str) -> list[str | float]:
+    """Split text into tokens; numbers come back as their float values."""
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         match = _TOKEN.match(text, pos)
         if match is None:
             raise ExpressionError(f"unexpected character {text[pos:]!r} in {text!r}")
-        tokens.append(match.group(match.lastindex))
+        tok = match.group(match.lastindex)
+        tokens.append(float(tok) if match.lastindex == 1 else tok)
         pos = match.end()
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[str], source: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.source!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
-
-    def unary(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        node = self.atom()
-        return node if sign == 1 else ("neg", node)
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise ExpressionError(f"missing ')' in {self.source!r}")
-            return node
-        if tok == "x":
-            return ("x",)
-        if tok in ("+", "-", "*", "/", ")"):
-            raise ExpressionError(f"misplaced {tok!r} in {self.source!r}")
-        return ("num", float(tok))
+def _whitelisted(node: ast.expr, leaves: dict[str, tuple], source: str):
+    """The evaluation tree of an ast, which may hold only the grammar's nodes."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return (_BINOPS[type(node.op)], _whitelisted(node.left, leaves, source),
+                _whitelisted(node.right, leaves, source))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = _whitelisted(node.operand, leaves, source)
+        return ("neg", operand) if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Name) and node.id in leaves:
+        return leaves[node.id]
+    raise ExpressionError(f"malformed expression {source!r}")
 
 
 def _eval_node(node, x):
@@ -104,26 +73,25 @@ def _eval_node(node, x):
         return x
     if op == "neg":
         return -_eval_node(node[1], x)
-    a = _eval_node(node[1], x)
-    b = _eval_node(node[2], x)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return a / b
+    return op(_eval_node(node[1], x), _eval_node(node[2], x))
 
 
 def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     """Parse an expression in x and return a vectorized evaluator."""
-    tokens = _tokenize(str(text))
+    text = str(text)
+    tokens = _tokenize(text)
     if len(tokens) > MAX_TOKENS:
         raise ExpressionError(f"expression longer than {MAX_TOKENS} tokens: {text[:40]!r}...")
-    parser = _Parser(tokens, str(text))
-    tree = parser.expr()
-    if parser.peek() is not None:
-        raise ExpressionError(f"trailing tokens after expression in {text!r}")
+    # each number enters ast.parse as a placeholder name bound to its value,
+    # so Python reads no literal of its own and folds no constant
+    names = [f"_{i}" if isinstance(tok, float) else tok for i, tok in enumerate(tokens)]
+    leaves = {name: ("num", tok) for name, tok in zip(names, tokens) if isinstance(tok, float)}
+    leaves["x"] = ("x",)
+    try:
+        body = ast.parse(" ".join(names), mode="eval").body
+    except SyntaxError as exc:
+        raise ExpressionError(f"malformed expression {text!r}") from exc
+    tree = _whitelisted(body, leaves, text)
 
     def evaluator(x):
         return _eval_node(tree, np.asarray(x, dtype=float))

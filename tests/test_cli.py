@@ -133,6 +133,20 @@ def test_convergence_bad_expression_is_a_config_error(tmp_path, capsys, forcing)
 
 
 
+def test_whitespace_around_coefficients_changes_no_output(tmp_path):
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
+    config["coeff"] = [["4 ", "-2\t"], ["-1", "3"]]
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    for sub, problem in (("plain", "example1"), ("spaced", str(path))):
+        assert main(["solve", "--problem", problem, "--eps", "2^-4,2^-12",
+                     "--out", str(tmp_path / sub)]) == 0
+    for tag in ("0.0625", "0.000244140625"):
+        name = f"example1_solve_eps{tag}.csv"
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "spaced" / name).read_bytes())
+
+
 def write_not_finite_config(tmp_path):
     config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
     config["forcing"] = ["1/x", "2"]
@@ -271,10 +285,13 @@ def test_convergence_needs_two_n_values(tmp_path):
         ["solve", "--eps", "2^10000"],
         ["solve", "--eps=-2^0.5"],
         ["solve", "--eps", "0^-1"],
+        ["solve", "--eps=-2^-2"],
+        ["solve", "--eps=-2**-2"],
     ],
     ids=["solve-n0", "convergence-n0", "convergence-negative-n", "solve-eps-nan",
          "solve-eps-inf", "convergence-eps-nan", "plotdata-eps-inf",
-         "solve-eps-overflow", "solve-eps-complex", "solve-eps-zero-division"],
+         "solve-eps-overflow", "solve-eps-complex", "solve-eps-zero-division",
+         "solve-eps-signed-power", "solve-eps-signed-python-power"],
 )
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, argv):
     argv = argv[:1] + ["--problem", "example1", "--out", str(tmp_path)] + argv[1:]

@@ -702,3 +702,79 @@ def test_jacobian_blocks_bitwise_for_layer_problem(make):
     nodes = np.linspace(*layer.bvp.interval, 301)
     for got, want in zip(*jacobian_blocks_and_reference(layer.bvp, nodes)):
         assert np.array_equal(got, want)
+
+
+def loop_jacobian(bvp, ts, U, F):
+    """d rhs / d u by one forward difference per column, written as a loop."""
+    m, dim = U.shape
+    out = np.empty((m, dim, dim))
+    step = np.sqrt(np.finfo(float).eps)
+    for j in range(dim):
+        dU = U.copy()
+        dj = step * (1.0 + np.abs(U[:, j]))
+        dU[:, j] += dj
+        out[:, :, j] = (collocation._rhs_all(bvp, ts, dU) - F) / dj[:, None]
+    return out
+
+
+def loop_bc_jacobians(bvp, ua, ub, r0):
+    """d bc / d ua and d bc / d ub, one endpoint column at a time."""
+    dim = bvp.dim
+    Ba = np.empty((dim, dim))
+    Bb = np.empty((dim, dim))
+    step = np.sqrt(np.finfo(float).eps)
+    for j in range(dim):
+        dj = step * (1.0 + abs(ua[j]))
+        ua_p = ua.copy()
+        ua_p[j] += dj
+        Ba[:, j] = (np.asarray(bvp.bc(ua_p, ub), dtype=float) - r0) / dj
+        dj = step * (1.0 + abs(ub[j]))
+        ub_p = ub.copy()
+        ub_p[j] += dj
+        Bb[:, j] = (np.asarray(bvp.bc(ua, ub_p), dtype=float) - r0) / dj
+    return Ba, Bb
+
+
+def loop_blocks(bvp, nodes, Y, data):
+    h, t_mid, f_nodes, y_mid, f_mid, bc_res = data
+    Jk = loop_jacobian(bvp, nodes, Y, f_nodes)
+    Jm = loop_jacobian(bvp, t_mid, y_mid, f_mid)
+    eye = np.eye(bvp.dim)[None]
+    h6, h3, h212 = (x[:, None, None] for x in (h / 6.0, h / 3.0, h * h / 12.0))
+    L = -eye - h6 * Jk[:-1] - h3 * Jm - h212 * (Jm @ Jk[:-1])
+    R = eye - h6 * Jk[1:] - h3 * Jm + h212 * (Jm @ Jk[1:])
+    return (L, R, *loop_bc_jacobians(bvp, Y[0].copy(), Y[-1].copy(), bc_res))
+
+
+def nonlinear_bvp(dim):
+    rng = np.random.default_rng(dim)
+    M, C = rng.normal(size=(2, dim, dim))
+    return FirstOrderBvp(
+        dim=dim, rhs=lambda t, U: np.sin(U @ M + t[:, None]) * (1.0 + U * U),
+        bc=lambda ua, ub: np.tanh(C @ ua) + ub**3 - 0.5, interval=(0.0, 2.0),
+    )
+
+
+def example2_layer_without_jacobian():
+    sys = example2(2.0**-8)
+    layer = build_layer_problem(sys, solve_reduced(sys), 1.0)
+    return dataclasses.replace(layer.bvp, rhs_jac=None)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: nonlinear_bvp(1), lambda: nonlinear_bvp(3), lambda: nonlinear_bvp(4),
+             example2_layer_without_jacobian],
+    ids=["nonlinear-1", "nonlinear-3", "nonlinear-4", "example2-layer"],
+)
+def test_finite_difference_blocks_are_bitwise_the_column_loops(make):
+    bvp = make()
+    calls = []
+    counted = dataclasses.replace(bvp, bc=lambda ua, ub: calls.append(1) or bvp.bc(ua, ub))
+    nodes = np.linspace(*bvp.interval, 257)
+    Y = 0.7 * np.cos(np.outer(nodes, np.arange(1, bvp.dim + 1)))
+    _, data = collocation._collocation_system(bvp, nodes, Y)
+    got = collocation._jacobian_blocks(counted, nodes, Y, data)
+    assert len(calls) == 2 * bvp.dim
+    for g, want in zip(got, loop_blocks(bvp, nodes, Y, data)):
+        assert g.shape == want.shape
+        assert np.array_equal(g, want)

@@ -44,9 +44,9 @@ def reference(tree, xs):
 
 def render(tree, draw):
     """Text for a tree with the fewest parentheses the grammar needs, plus
-    random extra parentheses and whitespace."""
+    random extra parentheses and whitespace, at either end too."""
     def space():
-        return draw(st.sampled_from(["", " ", "  ", "\t"]))
+        return draw(st.sampled_from(["", " ", "  ", "\t", "\n"]))
 
     kind = tree[0]
     if kind == "num":
@@ -69,7 +69,7 @@ def render(tree, draw):
         text = left + space() + kind + space() + right
     if draw(st.booleans()) and draw(st.booleans()):
         text, level = f"({space()}{text}{space()})", 3
-    return text, level
+    return space() + text + space(), level
 
 
 @settings(max_examples=300, deadline=None)
@@ -83,7 +83,11 @@ def test_compiled_expression_matches_numpy_bitwise(tree, data):
     assert got.tobytes() == want.tobytes(), text
 
 
-@pytest.mark.parametrize("text", ["", "2x", "x**2", "(x", "x)", "1..2", "y", "*x"])
+@pytest.mark.parametrize("text", [
+    "", " ", "2x", "x**2", "(x", "x)", "1..2", "y", "*x",
+    # accepted by Python's grammar but not by the language
+    "(x)(x)", "x (2)", "()", "x*()", "_0", "1j", "0x10", "1_0", "x.real", "x[0]", "inf",
+])
 def test_malformed_expressions_are_rejected(text):
     with pytest.raises(ExpressionError):
         compile_expression(text)
