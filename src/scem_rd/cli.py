@@ -223,10 +223,10 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
             for start in range(0, xs.size, CHUNK_ROWS):
                 rows = slice(start, start + CHUNK_ROWS)
                 values = hybrid.eval_many(xs[rows], outer_values[rows])
-                plot.writelines(format_table(xcol[rows], values, "%.15f"))
+                plot.write(format_table(xcol[rows], values, "%.15f"))
                 if error is not None:
                     err = np.abs(values - oracle(xs[rows]))
-                    error.writelines(format_table(xcol[rows], err, "%.15e"))
+                    error.write(format_table(xcol[rows], err, "%.15e"))
     return EXIT_OK
 
 

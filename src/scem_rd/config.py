@@ -144,6 +144,13 @@ def _as_expr_str(value) -> str:
     raise ConfigError(f"expected an expression string or number, got {value!r}")
 
 
+def _as_number(value) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(data: dict) -> ProblemConfig:
     try:
         return ProblemConfig(
@@ -152,14 +159,14 @@ def config_from_dict(data: dict) -> ProblemConfig:
             coeff=tuple(tuple(_as_expr_str(e) for e in row) for row in data["coeff"]),
             forcing=tuple(_as_expr_str(e) for e in data["forcing"]),
             diffusion=tuple(
-                d if isinstance(d, str) else float(d) for d in data["diffusion"]
+                d if isinstance(d, str) else _as_number(d) for d in data["diffusion"]
             ),
-            bc_left=tuple(float(v) for v in data["bc_left"]),
-            bc_right=tuple(float(v) for v in data["bc_right"]),
+            bc_left=tuple(_as_number(v) for v in data["bc_left"]),
+            bc_right=tuple(_as_number(v) for v in data["bc_right"]),
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge JSON int
         raise ConfigError(str(exc)) from exc
 
 
@@ -226,8 +233,10 @@ def parse_eps_token(token: str) -> float:
         if sep in token:
             base, exp = token.split(sep, 1)
             try:
-                value = float(base)
-                return math.copysign(abs(value) ** float(exp), value)
+                value, power = float(base), float(exp)
+                if not (math.isfinite(value) and math.isfinite(power)):  # 1 ** nan == 1
+                    raise ValueError(token)
+                return math.copysign(abs(value) ** power, value)
             except (ValueError, ArithmeticError) as exc:  # 2^10000, 0^-1
                 raise ConfigError(f"bad eps token {token!r}") from exc
     try:

@@ -3,14 +3,14 @@
 :func:`format_table` renders rows ``x,v_1,..,v_c`` byte-identical to
 ``("%s" + ("," + cell) * c + "\\n") % row``, but in numpy: each value is
 rounded half to even on the exact product of ``|v|`` and a power of ten,
-its digits, sign and exponent go into a uint8 matrix with NUL pad bytes,
-and the pads are dropped. The product is exact by Dekker's two-product when
-the power of ten is a double; otherwise a double-double power bounds its
-error. A row holding a value the fast path cannot certify (non-finite,
-subnormal, ``|v| 10^p >= 2^63`` in ``%f``, or a remainder within the error
-bound of one half) goes through :func:`percent_lines`, the ``%`` reference.
-:func:`format_column` formats one column the same way into a numpy ``S``
-array, such as the x cells that every row of a table shares.
+and its digits, sign and exponent go into one row of a uint8 cell matrix
+with NUL pad bytes, which are dropped on output. The product is exact by
+Dekker's two-product when the power of ten is a double; otherwise a
+double-double power bounds its error. A value the fast path cannot certify
+(non-finite, subnormal, ``|v| 10^p >= 2^63`` in ``%f``, or a remainder
+within the error bound of one half) is formatted by ``%`` in its own cell
+(:func:`percent_cells`). :func:`format_column` formats one column into the
+same matrix form, such as the x cells that every row of a table shares.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -136,10 +135,16 @@ def _digits(n: np.ndarray, count: int) -> np.ndarray:
     return _quads()[quads].view(np.uint8)[:, 4 * groups - count:]
 
 
-def _cells(v: np.ndarray, places: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Format a 1-d array into comma-led, NUL-padded ASCII cells, one row
-    per value. Returns ``(cells, bad)``; the cells of ``bad`` values are
-    garbage."""
+def percent_cells(v: np.ndarray, places: int, kind: str) -> list[bytes]:
+    """The reference path: ``%.<places><kind>`` of each value of ``v``."""
+    return [(f"%.{places}{kind}" % x).encode() for x in v.tolist()]
+
+
+def _cells(v: np.ndarray, places: int, kind: str) -> np.ndarray:
+    """Format a 1-d array into a matrix of comma-led, NUL-padded ASCII
+    cells, one row per value: dropping a row's NULs gives
+    ``"," + cell % v``. A value the fast path cannot certify is formatted by
+    :func:`percent_cells`, and the matrix widens to fit its text."""
     a = np.abs(v)
     limit = _TWO63 if kind == "f" else np.inf  # %f needs |v| 10^p < 2^63
     bad = ~(a < limit) | ((a > 0) & (a < _TINY))
@@ -177,13 +182,14 @@ def _cells(v: np.ndarray, places: int, kind: str) -> tuple[np.ndarray, np.ndarra
     cells[:, 0] = _COMMA
     cells[:, 1] = np.where(np.signbit(v), _MINUS, 0)
     cells[:, point] = _DOT
-    return cells, bad | uncertain
-
-
-def percent_lines(line: str, xcol: np.ndarray, values: np.ndarray,
-                  rows: Sequence[int]) -> list[bytes]:
-    """The reference path: ``line % row`` for each index in ``rows``."""
-    return [(line % (xcol[i].decode(), *values[i].tolist())).encode() for i in rows]
+    bad |= uncertain
+    if bad.any():
+        texts = percent_cells(v[bad], places, kind)
+        width = max(cells.shape[1] - 1, *map(len, texts))
+        cells = np.pad(cells, ((0, 0), (0, width + 1 - cells.shape[1])))
+        padded = b"".join(text.ljust(width, b"\0") for text in texts)
+        cells[bad, 1:] = np.frombuffer(padded, np.uint8).reshape(-1, width)
+    return cells
 
 
 def _parse_cell(cell: str) -> tuple[int, str]:
@@ -195,59 +201,33 @@ def _parse_cell(cell: str) -> tuple[int, str]:
 
 
 def format_column(values: np.ndarray, cell: str) -> np.ndarray:
-    """``cell % v`` for each of the 1-d ``values``, as a numpy ``S`` array,
-    byte-identical to ``%``; ``cell`` as in :func:`format_table`. A value
-    the fast path cannot certify goes through ``%``."""
+    """``cell % v`` for each of the 1-d ``values``, as a (len(values), width)
+    uint8 matrix whose rows give the text once their NULs are dropped;
+    ``cell`` as in :func:`format_table`."""
     places, kind = _parse_cell(cell)
     values = np.asarray(values, dtype=float)
-    blocks = [np.empty(0, "S1")]
+    out = np.zeros((values.size, 0), np.uint8)
     for start in range(0, values.size, CHUNK_ROWS):
-        v = values[start:start + CHUNK_ROWS]
-        cells, bad = _cells(v, places, kind)
-        cells = cells[:, 1:]  # no comma
-        pad = cells == 0
-        # move each cell's pad bytes behind its text, keeping the text's order
-        cells = np.take_along_axis(cells, np.argsort(pad, axis=1, kind="stable"), axis=1)
-        width = int(cells.shape[1] - pad.sum(axis=1).min())
-        block = np.ascontiguousarray(cells[:, :width]).view(f"S{width}").ravel()
-        if bad.any():
-            lines = [(cell % x).encode() for x in v[bad].tolist()]
-            block = block.astype(f"S{max(width, *map(len, lines))}")
-            block[bad] = lines
-        blocks.append(block)
-    return np.concatenate(blocks)
+        cells = _cells(values[start:start + CHUNK_ROWS], places, kind)[:, 1:]  # no comma
+        cells = cells[:, cells.any(axis=0)]  # drop the columns that are pads in every row
+        if cells.shape[1] > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, cells.shape[1] - out.shape[1])))
+        out[start:start + len(cells), :cells.shape[1]] = cells
+    return out
 
 
-def format_table(xcol: np.ndarray, values: np.ndarray, cell: str) -> Iterator[bytes]:
-    """Yield the rows ``x,v_1,..,v_c`` in chunks of bytes, byte-identical to
+def format_table(xcol: np.ndarray, values: np.ndarray, cell: str) -> bytes:
+    """The rows ``x,v_1,..,v_c`` as bytes, byte-identical to
     ``("%s" + ("," + cell) * c + "\\n") % row``.
 
-    ``xcol`` holds the preformatted x cells (a numpy ``S`` array), ``values``
+    ``xcol`` holds the x cells as rows of :func:`format_column`, ``values``
     the (rows, c) floats and ``cell`` a ``%.<p>f`` or ``%.<p>e`` format with
     ``1 <= p <= 17``.
     """
     places, kind = _parse_cell(cell)
     values = np.asarray(values, dtype=float)
     rows, cols = values.shape
-    line = "%s" + ("," + cell) * cols + "\n"
-    for start in range(0, rows, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, rows)
-        m = stop - start
-        cells, bad = _cells(values[start:stop].ravel(), places, kind)
-        x = xcol[start:stop].view(np.uint8).reshape(m, -1)
-        mat = np.empty((m, x.shape[1] + cells.size // m + 1), np.uint8)
-        mat[:, :x.shape[1]] = x
-        mat[:, x.shape[1]:-1] = cells.reshape(m, -1)
-        mat[:, -1] = _NEWLINE
-        fallback = np.flatnonzero(bad.reshape(m, cols).any(axis=1))
-        if fallback.size == 0:
-            yield mat[mat != 0].tobytes()
-            continue
-        lines = percent_lines(line, xcol, values, fallback + start)
-        done = 0
-        for i, text in zip(fallback, lines):
-            part = mat[done:i]
-            yield part[part != 0].tobytes() + text
-            done = i + 1
-        part = mat[done:]
-        yield part[part != 0].tobytes()
+    cells = _cells(values.ravel(), places, kind)
+    cells = cells.reshape(rows, cols * cells.shape[1])
+    mat = np.hstack([xcol, cells, np.full((rows, 1), _NEWLINE, np.uint8)])
+    return mat[mat != 0].tobytes()

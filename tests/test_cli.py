@@ -32,7 +32,7 @@ from scem_rd.config import (
     parse_eps_list,
 )
 from scem_rd.expressions import compile_expression
-from scem_rd.numformat import percent_lines
+from scem_rd.numformat import percent_cells
 from scem_rd.scem import AssumptionViolation, HybridApproximation, OuterSolution
 
 
@@ -287,11 +287,18 @@ def test_convergence_needs_two_n_values(tmp_path):
         ["solve", "--eps", "0^-1"],
         ["solve", "--eps=-2^-2"],
         ["solve", "--eps=-2**-2"],
+        ["solve", "--eps", "1^nan"],
+        ["solve", "--eps", "1**nan"],
+        ["solve", "--eps", "nan^0"],
+        ["solve", "--eps", "inf^0"],
+        ["solve", "--eps", "1^inf"],
     ],
     ids=["solve-n0", "convergence-n0", "convergence-negative-n", "solve-eps-nan",
          "solve-eps-inf", "convergence-eps-nan", "plotdata-eps-inf",
          "solve-eps-overflow", "solve-eps-complex", "solve-eps-zero-division",
-         "solve-eps-signed-power", "solve-eps-signed-python-power"],
+         "solve-eps-signed-power", "solve-eps-signed-python-power", "solve-eps-one-nan-power",
+         "solve-eps-one-nan-python-power", "solve-eps-nan-base", "solve-eps-inf-base",
+         "solve-eps-inf-power"],
 )
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, argv):
     argv = argv[:1] + ["--problem", "example1", "--out", str(tmp_path)] + argv[1:]
@@ -380,16 +387,16 @@ def test_table_writer_matches_csv_writer(tmp_path, data, n, cell):
     writer.writerows([[f"{x:.15f}"] + [format(v, f".15{cell}") for v in row]
                       for x, row in zip(xs, values)])
     path = tmp_path / "table.csv"
-    _write_table(path, ["%.15f" % x for x in xs], values, f"%.15{cell}")
+    _write_table(path, np.array(xs), values, f"%.15{cell}")
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
-def _write_table(path, xstr, values, cell):
+def _write_table(path, xs, values, cell):
     """Write a table as solve and plotdata do: the header x,y_1..y_n, then
-    the rows of ``numformat.format_table``."""
+    the rows of ``numformat.format_table`` on x cells from ``format_column``."""
     with contextlib.ExitStack() as files:
         fh = cli._open_table(files, path, "y", values.shape[1])
-        fh.writelines(numformat.format_table(np.asarray(xstr, dtype="S"), values, cell))
+        fh.write(numformat.format_table(numformat.format_column(xs, "%.15f"), values, cell))
 
 
 def _percent_table(header, xstr, values, cell):
@@ -443,11 +450,12 @@ def test_formatter_matches_percent_on_dense_arrays(tmp_path, seed, rows, n, cell
         values = _formatter_values(rng, rows * n)
     values[rng.integers(0, values.size, len(extra))] = extra
     values = values.reshape(rows, n)
-    xstr = ["%.15f" % x for x in np.linspace(0.0, 1.0, rows)]
+    xs = np.linspace(0.0, 1.0, rows)
+    xstr = ["%.15f" % x for x in xs]
     header = ["x"] + [f"y_{i + 1}" for i in range(n)]
     path = tmp_path / "table.csv"
     with mock.patch.object(numformat, "CHUNK_ROWS", chunk):
-        _write_table(path, xstr, values, cell)
+        _write_table(path, xs, values, cell)
     got = path.read_bytes().split(b"\n")
     want = _percent_table(header, xstr, values, cell).split(b"\n")
     assert len(got) == len(want)
@@ -464,14 +472,14 @@ def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monke
         evaluated.append(out)
         return out
 
-    fallback_rows = []
+    fallback_values = []
 
-    def counting_percent_lines(line, xcol, values, rows):
-        fallback_rows.extend(rows)
-        return percent_lines(line, xcol, values, rows)
+    def counting_percent_cells(v, places, kind):
+        fallback_values.extend(v.tolist())
+        return percent_cells(v, places, kind)
 
     monkeypatch.setattr(HybridApproximation, "eval_many", recording_eval_many)
-    monkeypatch.setattr(numformat, "percent_lines", counting_percent_lines)
+    monkeypatch.setattr(numformat, "percent_cells", counting_percent_cells)
     eps_tokens = ["2^-1", "2^-8", "2^-15"]
     assert main(["plotdata", "--problem", "example1", "--eps", ",".join(eps_tokens),
                  "--grid", "2001", "--out", str(tmp_path)]) == 0
@@ -487,7 +495,7 @@ def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monke
             _percent_table(["x", "y_1", "y_2"], xstr, values, "%.15f")
         assert (tmp_path / f"example1_error_eps{tag}.csv").read_bytes() == \
             _percent_table(["x", "e_1", "e_2"], xstr, err, "%.15e")
-    assert fallback_rows == []
+    assert fallback_values == []
 
 
 def test_plotdata_goes_through_the_grid_one_row_block_at_a_time(tmp_path, monkeypatch):
@@ -623,12 +631,18 @@ _X_EDGES = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.5,
     np.array(PAPER_GRID),
     np.array(_X_EDGES),
     np.concatenate([np.linspace(0.0, 1.0, 5000), _X_EDGES]),  # wider cells in one block
-], ids=["2001", "20001", "paper", "edges", "blocks"])
+    np.array([]),
+], ids=["2001", "20001", "paper", "edges", "blocks", "empty"])
 @pytest.mark.parametrize("cell", ["%.15f", "%.15e"])
 def test_x_column_matches_percent(xs, cell):
     got = numformat.format_column(xs, cell)
-    assert got.dtype.kind == "S"
-    assert got.tolist() == [(cell % x).encode() for x in xs.tolist()]
+    assert got.dtype == np.uint8 and got.shape[0] == xs.size
+    assert [row[row != 0].tobytes() for row in got] == [(cell % x).encode() for x in xs.tolist()]
+    if xs.size == 2001 and cell == "%.15f":
+        assert got.shape[1] == 17  # no column that is a pad in every row
+    # the matrix is the x column of a table; no rows give no bytes
+    table = numformat.format_table(got, np.stack([xs, -xs], axis=1), cell)
+    assert table == "".join(f"{cell},{cell},{cell}\n" % (x, x, -x) for x in xs.tolist()).encode()
 
 
 @pytest.mark.parametrize("command", ["plotdata", "solve", "convergence"])
@@ -870,6 +884,10 @@ def test_config_validation_errors():
         ("bc_left", [0.0, math.nan]),
         ("bc_right", [math.inf, 0.0]),
         ("bc_right", [0.0, -math.inf]),
+        ("bc_left", [True, False]),  # JSON booleans and strings are not numbers
+        ("diffusion", [True, True]),
+        ("bc_right", ["1", "0"]),
+        ("bc_left", [10 ** 400, 0]),  # a JSON integer beyond the double range
         ("n", 2.7),
         ("n", 2.0),
         ("n", "2"),
@@ -886,7 +904,9 @@ def test_config_validation_errors():
             config_from_dict(bad)
     good = dict(base)
     good["diffusion"] = [0.5, 0.5]
+    good["bc_left"] = [1, 0]  # JSON integers are numbers
     assert config_from_dict(good).diffusion == (0.5, 0.5)
+    assert config_from_dict(good).bc_left == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("command", ["solve", "plotdata", "convergence"])
