@@ -208,8 +208,11 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
     ``CHUNK_ROWS`` rows at a time (composite, error, formatted rows), so no
     per-eps array is as large as the grid."""
     problem = manifest.problem
-    xs = manifest.grid()
-    xcol = format_column(xs, "%.15f")
+    try:
+        xs = manifest.grid()
+        xcol = format_column(xs, "%.15f")
+    except MemoryError as exc:
+        raise ConfigError(f"--grid {manifest.eval_grid}: too many points ({exc})") from exc
     cell = _cell_solver(manifest)
     for eps in manifest.eps_list:
         hybrid, outer_values = cell(eps, xs)

@@ -16,7 +16,8 @@ problem flagged linear it is a linear system, solved from zero with one
 assembly, one factorization and one back-solve. With separated boundary
 conditions the Jacobian is banded: the u(a) rows go above the
 block-bidiagonal interval closures and the u(b) rows below them (the de
-Boor-Weiss SOLVEBLOK layout), and LAPACK band LU factors it. A condition
+Boor-Weiss SOLVEBLOK layout), and LAPACK band LU, read from scipy's
+compiled module without importing scipy.linalg, factors it. A condition
 coupling u(a) with u(b) adds a corner outside the band, and that Jacobian
 is factored by SuperLU. Adaptive solves refine the mesh by halving
 subintervals whose scaled ODE residual exceeds the tolerance.
@@ -31,6 +32,8 @@ interpolant.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import logging
 import numbers
@@ -38,10 +41,30 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 _log = logging.getLogger("scem_rd")
+
+
+def _band_lu():
+    """dgbtrf and dgbtrs from scipy's compiled LAPACK module, loaded by file
+    so that scipy.linalg is not imported; from scipy.linalg if that fails."""
+    base = f"{scipy.__path__[0]}/linalg/_flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", base + suffix)
+        try:  # the module is not registered in sys.modules
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dgbtrf, module.dgbtrs
+        except ImportError:  # no such file, or it does not load
+            pass
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+    return dgbtrf, dgbtrs
+
+
+dgbtrf, dgbtrs = _band_lu()
 
 
 class CollocationError(Exception):

@@ -606,6 +606,7 @@ for argv in (["convergence", "--n", "16,32", "--no-adapt"], ["convergence", "--n
     assert main([argv[0], "--problem", "example1", "--eps", "2^-1,2^-15", *argv[1:],
                  "--out", out]) == 0
 assert "scipy.sparse" not in sys.modules
+assert "scipy.linalg" not in sys.modules
 bvp = collocation.FirstOrderBvp(
     dim=2, rhs=lambda t, U: np.stack([U[:, 1], 0.0 * U[:, 1]], axis=1),
     bc=lambda ua, ub: np.array([ua[0], ub[0] + ua[0] - 1.0]), interval=(0.0, 1.0))
@@ -802,6 +803,21 @@ def test_run_options_are_checked_before_out_is_created(tmp_path, capsys, monkeyp
                  "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "plotdata"])
+@pytest.mark.parametrize("target, name", [(RunManifest, "grid"), (cli, "format_column")],
+                         ids=["grid", "x-column"])
+def test_grid_that_does_not_fit_in_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                            command, target, name):
+    # the patch raises what numpy raises for a grid of 1e11 points; the grid
+    # itself is small, so nothing large is ever allocated
+    monkeypatch.setattr(target, name, mock.Mock(side_effect=MemoryError("Unable to allocate")))
+    monkeypatch.setattr(cli, "hybrid_solve", mock.Mock(side_effect=AssertionError("solved")))
+    assert main([command, "--problem", "example1", "--eps", "0.5", "--grid", "101",
+                 "--out", str(tmp_path)]) == 2
+    assert "config error: --grid 101: too many points (Unable to allocate)" in \
+        capsys.readouterr().err
 
 
 def test_convergence_compiles_each_expression_once(tmp_path, monkeypatch):

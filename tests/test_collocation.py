@@ -1,7 +1,13 @@
 """Tests for the Lobatto IIIa collocation engine."""
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_bvp
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
 import scem_rd.collocation as collocation
 from scem_rd.collocation import (
@@ -408,6 +414,70 @@ def test_coupled_bc_takes_superlu_and_agrees_with_separated(monkeypatch):
     assert factored
     np.testing.assert_allclose(coupled.node_values, separated.node_values, rtol=0, atol=1e-12)
     np.testing.assert_allclose(coupled.interpolant(0.37), [0.37, 1.0], rtol=0, atol=1e-12)
+
+
+def test_band_lu_loaded_by_file_is_bitwise_scipy_linalg_lapack():
+    # a fresh process: collocation loads the routines without scipy.linalg,
+    # which is imported only afterwards, to compare with
+    script = """
+import sys
+import numpy as np
+from scem_rd import collocation
+from scem_rd.problems import example1, example2
+from scem_rd.scem import build_layer_problem, solve_reduced
+
+assert "scipy.linalg" not in sys.modules
+loaded = collocation.dgbtrf, collocation.dgbtrs
+systems = []  # [ab, kl, ku, rhs] of each factorization and its back-solve
+
+def recording_dgbtrf(ab, kl, ku, **kwargs):
+    systems.append([ab.copy(order="F"), kl, ku])
+    return loaded[0](ab, kl, ku, **kwargs)
+
+def recording_dgbtrs(lu, kl, ku, rhs, piv):
+    systems[-1].append(rhs.copy())
+    return loaded[1](lu, kl, ku, rhs, piv)
+
+collocation.dgbtrf, collocation.dgbtrs = recording_dgbtrf, recording_dgbtrs
+for make in (example1, example2):
+    system = make(2.0**-8)
+    bvp = build_layer_problem(system, solve_reduced(system), 0.0).bvp
+    collocation.solve(bvp, collocation.SolverConfig(initial_mesh_points=1025, adaptive=False))
+assert "scipy.linalg" not in sys.modules
+from scipy.linalg import lapack
+
+assert [(kl, ku) for _, kl, ku, _ in systems] == [(5, 5), (8, 8)]
+for ab, kl, ku, rhs in systems:
+    results = []
+    for getrf, getrs in (loaded, (lapack.dgbtrf, lapack.dgbtrs)):
+        lu, piv, info = getrf(ab.copy(order="F"), kl, ku)
+        x, solve_info = getrs(lu, kl, ku, rhs, piv)
+        results.append((lu, piv, info, x, solve_info))
+    assert results[0][2] == 0
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(collocation.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("failure", ["no-suffix", "missing-file", "import-error"])
+def test_band_lu_loader_falls_back_to_the_public_import(monkeypatch, failure):
+    # stand-ins on scipy.linalg.lapack show which path the loader took
+    public = mock.Mock(name="dgbtrf"), mock.Mock(name="dgbtrs")
+    monkeypatch.setattr(lapack, "dgbtrf", public[0])
+    monkeypatch.setattr(lapack, "dgbtrs", public[1])
+    assert collocation._band_lu() == (collocation.dgbtrf, collocation.dgbtrs)
+    if failure == "import-error":
+        monkeypatch.setattr(importlib.util, "module_from_spec",
+                            mock.Mock(side_effect=ImportError("cannot load")))
+    else:
+        suffixes = [] if failure == "no-suffix" else ["_missing.so"]
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", suffixes)
+    dgbtrf, dgbtrs = collocation._band_lu()
+    assert dgbtrf is public[0] and dgbtrs is public[1]
 
 
 SINGULAR_BCS = {
