@@ -131,11 +131,17 @@ def _build_manifest(args, default_grid) -> RunManifest:
     # error that leaves no directory behind (the first sweep cell would find
     # it only after --out exists).
     problem.build_system(eps_list[0])
+    return manifest
+
+
+def _make_output_dir(manifest: RunManifest) -> None:
+    """Create --out; each command calls it once its other config errors are
+    ruled out, so none of them leaves an empty directory behind."""
     try:
         manifest.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
-    return manifest
+        raise ConfigError(f"cannot create output directory "
+                          f"{str(manifest.output_dir)!r}: {exc}") from exc
 
 
 def _start_points(n_list: tuple[int, ...]) -> int:
@@ -213,6 +219,7 @@ def _write_solutions(manifest: RunManifest, kind: str, oracle_data=None) -> int:
         xcol = format_column(xs, "%.15f")
     except MemoryError as exc:
         raise ConfigError(f"--grid {manifest.eval_grid}: too many points ({exc})") from exc
+    _make_output_dir(manifest)
     cell = _cell_solver(manifest)
     for eps in manifest.eps_list:
         hybrid, outer_values = cell(eps, xs)
@@ -243,6 +250,7 @@ def cmd_convergence(manifest: RunManifest) -> int:
     followed by the max-over-eps D^N row and the order p^N row. Each
     (eps, N) cell samples its composite on the uniform N+1-point grid."""
     problem = manifest.problem
+    _make_output_dir(manifest)
     cell = _cell_solver(manifest)
 
     def solver(eps: float, n: int) -> GridFunction:

@@ -100,6 +100,11 @@ class FirstOrderBvp:
         linear: states that rhs and bc are affine in u. :func:`solve`
             then takes one linear step from u = 0 per pass, with the
             Jacobians there and no Newton iteration to correct them.
+        bc_jac: optional analytic Jacobians of bc, the counterpart of
+            rhs_jac: bc_jac(u(a), u(b)) returns the pair (d bc / d u(a),
+            d bc / d u(b)), each (dim, dim). Their zero pattern chooses the
+            band or the sparse LU as bc's does. When absent, each Jacobian
+            pass calls bc 2 dim times for forward differences.
     """
 
     dim: int
@@ -108,6 +113,7 @@ class FirstOrderBvp:
     interval: tuple[float, float]
     rhs_jac: Callable | None = None
     linear: bool = False
+    bc_jac: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -317,9 +323,11 @@ def _jac_all(bvp: FirstOrderBvp, ts: np.ndarray, U: np.ndarray, F: np.ndarray) -
 
 
 def _bc_jacobians(bvp: FirstOrderBvp, ua: np.ndarray, ub: np.ndarray, r0: np.ndarray):
-    """Finite-difference Jacobians of bc with respect to both endpoints,
-    differenced together over the stacked [ua, ub]."""
+    """Jacobians of bc with respect to both endpoints: the analytic bc_jac
+    when provided, otherwise finite differences over the stacked [ua, ub]."""
     dim = bvp.dim
+    if bvp.bc_jac is not None:
+        return tuple(np.asarray(B, dtype=float).reshape(dim, dim) for B in bvp.bc_jac(ua, ub))
     B = _fd_jacobian(lambda w: np.asarray(bvp.bc(w[:dim], w[dim:]), dtype=float),
                      np.concatenate([ua, ub]), r0)
     return B[:, :dim], B[:, dim:]

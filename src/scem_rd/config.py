@@ -93,8 +93,8 @@ class ProblemConfig:
     def _template(self) -> ReactionDiffusionSystem:
         """The system at unit diffusion, compiled and probed once per config."""
         try:
-            coeff = [[compile_expression(e) for e in row] for row in self.coeff]
-            forcing = [compile_expression(e) for e in self.forcing]
+            coeff = [[_field(e) for e in row] for row in self.coeff]
+            forcing = [_field(e) for e in self.forcing]
         except ExpressionError as exc:
             raise ConfigError(str(exc)) from exc
         sys = make_system(coeff, forcing, [1.0] * self.n, self.bc_left, self.bc_right)
@@ -112,6 +112,13 @@ class ProblemConfig:
         compiled and checked on the first call only."""
         diffusion = tuple(float(eps if d == EPS_MARKER else d) for d in self.diffusion)
         return replace(self._template, diffusion=diffusion)
+
+
+def _field(text: str):
+    """A compiled expression, or its value if it has no x: make_system
+    marks a number constant, and samples it without the interpreter."""
+    fn = compile_expression(text)
+    return fn if fn.constant is None else fn.constant
 
 
 BUILTIN_PROBLEMS: dict[str, ProblemConfig] = {

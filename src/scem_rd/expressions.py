@@ -18,6 +18,7 @@ evaluation recurse.
 from __future__ import annotations
 
 import ast
+import math
 import operator
 import re
 from typing import Callable
@@ -76,8 +77,22 @@ def _eval_node(node, x):
     return op(_eval_node(node[1], x), _eval_node(node[2], x))
 
 
+def _constant_value(tree) -> float | None:
+    """The value c of an x-free tree when its evaluator equals c + 0.0 * x:
+    c at every finite x, and NaN at NaN or infinite x. That holds unless c
+    is not finite (kept on the evaluator, warnings included) or is -0.0,
+    which c + 0.0 * x turns into +0.0; both give None."""
+    with np.errstate(all="ignore"):
+        c = float(_eval_node(tree, np.float64(0.0)))
+    if not math.isfinite(c) or (c == 0.0 and math.copysign(1.0, c) < 0.0):
+        return None
+    return c
+
+
 def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Parse an expression in x and return a vectorized evaluator."""
+    """Parse an expression in x and return a vectorized evaluator. Its
+    ``constant`` attribute is the value of an expression without x (see
+    :func:`_constant_value`), and None otherwise."""
     text = str(text)
     tokens = _tokenize(text)
     if len(tokens) > MAX_TOKENS:
@@ -96,4 +111,5 @@ def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     def evaluator(x):
         return _eval_node(tree, np.asarray(x, dtype=float))
 
+    evaluator.constant = None if "x" in tokens else _constant_value(tree)
     return evaluator

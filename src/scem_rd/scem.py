@@ -56,10 +56,12 @@ _TABLE_MEMO_SIZE = 4
 #: truncated layer length in decay lengths 1 / sqrt(delta): past it a layer
 #: is below exp(-42) ~ 6e-19 of its boundary value
 _TRUNCATION = 42.0
-#: assumption reports kept by coefficient field, oldest dropped first; an
-#: eps sweep builds every system of one problem on one coefficient field
+#: assumption reports and outer end values kept by coefficient and forcing
+#: fields, oldest dropped first; an eps sweep builds every system of one
+#: problem on the same fields
 _REPORT_MEMO_SIZE = 8
-_reports: dict[tuple, AssumptionReport] = {}
+#: (coeff, forcing) -> [report, y_out at x = 0 and 1 (None until computed)]
+_reports: dict[tuple, list] = {}
 
 
 class SingularReducedMatrix(Exception):
@@ -159,14 +161,18 @@ def build_layer_problem(
     outer: OuterSolution,
     end: float,
     length: float | None = None,
+    outer_ends: np.ndarray | None = None,
 ) -> LayerProblem:
     """Construct the complementary layer problem at x = ``end`` (0 or 1).
 
     The interval is the full image [0, 1/sqrt(eps)] of the physical domain,
     with the outer solution's mismatches at ``end`` and at the other end as
     data. A ``length`` T truncates it to [0, T]: the mismatch at ``end``,
-    and Psi = 0 at the cut. Raises ValueError unless ``end`` is 0 or 1,
-    every component has the same diffusion value and 0 < T <= 1/sqrt(eps).
+    and Psi = 0 at the cut. ``outer_ends``, if given, is
+    ``outer.eval_many(np.array([0.0, 1.0]))``; it does not depend on eps.
+    The problem carries the constant Jacobian of its Dirichlet conditions
+    as ``bc_jac``. Raises ValueError unless ``end`` is 0 or 1, every
+    component has the same diffusion value and 0 < T <= 1/sqrt(eps).
     """
     if end not in (0.0, 1.0):
         raise ValueError(f"layer end {end!r} is not 0 or 1")
@@ -182,8 +188,10 @@ def build_layer_problem(
         raise ValueError(f"truncated length {length!r} is not in (0, 1/sqrt(eps) = {span!r}]")
 
     # data at s = 0 (this end) and s = L (the other end, or zero at a cut)
-    prescribed = np.array([sys.left_bc, sys.right_bc])[[int(end), 1 - int(end)]]
-    data = prescribed - outer.eval_many(np.array([end, 1.0 - end]))
+    if outer_ends is None:
+        outer_ends = outer.eval_many(np.array([0.0, 1.0]))
+    order = [int(end), 1 - int(end)]
+    data = np.array([sys.left_bc, sys.right_bc])[order] - outer_ends[order]
     if length is not None:
         data[1] = 0.0
     data.flags.writeable = False
@@ -221,11 +229,20 @@ def build_layer_problem(
     def bc(ua, ub):
         return np.concatenate([ua[:n] - near_val, ub[:n] - far_val])
 
+    # d bc / d ua and d bc / d ub: Psi(0) in the first n rows, Psi(L) in the last n
+    bc_blocks = np.zeros((2, 2 * n, 2 * n))
+    bc_blocks[0, :n, :n] = bc_blocks[1, n:, :n] = np.eye(n)
+    bc_blocks.flags.writeable = False
+
+    def bc_jac(ua, ub):
+        return bc_blocks
+
     interval = (0.0, span if length is None else length)
     return LayerProblem(
         end=end,
         bvp=FirstOrderBvp(
             dim=2 * n, rhs=rhs, bc=bc, interval=interval, rhs_jac=rhs_jac, linear=True,
+            bc_jac=bc_jac,
         ),
         bc_values=data,
     )
@@ -306,18 +323,15 @@ def hybrid_solve(
     Each layer solve starts from the uniform ``cfg.initial_mesh_points``
     mesh.
 
-    The check depends only on ``sys.coeff``, which every system of one
-    problem shares across an eps sweep (``ProblemConfig.build_system``), so
-    its report is kept for the last few coefficient fields and the check
-    runs once per field; a failing field raises on every call, and
-    unhashable coefficients are checked on every call.
+    The check depends only on ``sys.coeff``, and the outer solution's
+    values at x = 0 and 1 only on ``sys.coeff`` and ``sys.forcing``. Every
+    system of one problem shares both across an eps sweep
+    (``ProblemConfig.build_system``), so both are kept for the last few
+    fields and computed once per field. A failing check or end value
+    raises on every call, and unhashable fields are checked and evaluated
+    on every call.
     """
-    report = _assumption_report(sys)
-    if not report.passed:
-        raise AssumptionViolation(
-            f"structural assumptions fail (dominant={report.diagonally_dominant}, "
-            f"offdiag_nonpositive={report.offdiag_nonpositive}, delta={report.delta:.6g})"
-        )
+    report, outer_ends = _report_and_ends(sys)
     outer = solve_reduced(sys)
     cfg = cfg or SolverConfig()
     cut = _TRUNCATION / np.sqrt(report.delta)
@@ -326,7 +340,7 @@ def hybrid_solve(
     ends = (0.0,) if length is None else (0.0, 1.0)
     # build both problems before either solve: interleaving them shifts when
     # the cyclic garbage collector runs, and measured ~8% slower at deep eps
-    problems = [build_layer_problem(sys, outer, end, length) for end in ends]
+    problems = [build_layer_problem(sys, outer, end, length, outer_ends) for end in ends]
     layers = [solve(problem.bvp, cfg) for problem in problems]
     return HybridApproximation(
         outer=outer,
@@ -335,16 +349,29 @@ def hybrid_solve(
     )
 
 
-def _assumption_report(sys: ReactionDiffusionSystem) -> AssumptionReport:
-    """validate_assumptions(sys), memoised on the coefficient field."""
-    key = sys.coeff
+def _report_and_ends(sys: ReactionDiffusionSystem) -> tuple[AssumptionReport, np.ndarray]:
+    """The assumption report of a system that passes the check, and y_out
+    at x = 0 and 1, memoised on the coefficient and forcing fields; raises
+    AssumptionViolation when the check fails. The end values are kept only
+    once computed, so a failing evaluation raises again."""
+    key = (sys.coeff, sys.forcing)
     try:
-        report = _reports.get(key)
-    except TypeError:  # an unhashable coefficient callable
-        return validate_assumptions(sys)
-    if report is None:
-        report = validate_assumptions(sys)
-        if len(_reports) >= _REPORT_MEMO_SIZE:
-            del _reports[next(iter(_reports))]
-        _reports[key] = report
-    return report
+        entry = _reports.get(key)
+    except TypeError:  # an unhashable coefficient or forcing callable
+        entry = key = None
+    if entry is None:
+        entry = [validate_assumptions(sys), None]
+        if key is not None:
+            if len(_reports) >= _REPORT_MEMO_SIZE:
+                del _reports[next(iter(_reports))]
+            _reports[key] = entry
+    report = entry[0]
+    if not report.passed:
+        raise AssumptionViolation(
+            f"structural assumptions fail (dominant={report.diagonally_dominant}, "
+            f"offdiag_nonpositive={report.offdiag_nonpositive}, delta={report.delta:.6g})"
+        )
+    if entry[1] is None:
+        entry[1] = solve_reduced(sys).eval_many(np.array([0.0, 1.0]))
+        entry[1].flags.writeable = False
+    return report, entry[1]

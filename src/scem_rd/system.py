@@ -29,10 +29,14 @@ class ScalarField:
 
     Wraps a deterministic callable; constants are accepted and lifted.
     ``sample`` evaluates on a whole grid, using the callable's own
-    vectorization when it supports numpy arrays.
+    vectorization when it supports numpy arrays. ``constant``, when not
+    None, states that ``fn(x)`` is ``c + 0.0 * x`` for that value c: c at
+    finite x and NaN at NaN or infinite x. Systems then sample the field
+    without calling ``fn``.
     """
 
     fn: Callable[[float], float]
+    constant: float | None = None
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -46,13 +50,24 @@ class ScalarField:
 
 
 def as_scalar_field(value: ScalarFieldLike) -> ScalarField:
-    """Lift a constant or callable to a ScalarField."""
+    """Lift a constant or callable to a ScalarField; a number is marked constant."""
     if isinstance(value, ScalarField):
         return value
     if callable(value):
         return ScalarField(value)
     c = float(value)
-    return ScalarField(lambda x, _c=c: _c + 0.0 * np.asarray(x))
+    return ScalarField(lambda x, _c=c: _c + 0.0 * np.asarray(x), constant=c)
+
+
+def _sample_fields(fields: Sequence[ScalarField], xs: np.ndarray) -> np.ndarray:
+    """Every field at every x, shape (len(xs), len(fields)): the constant
+    fields in one broadcast c + 0.0 * x, each other field by its callable."""
+    consts = np.array([0.0 if f.constant is None else f.constant for f in fields])
+    out = consts + 0.0 * xs[:, None]
+    for k, f in enumerate(fields):
+        if f.constant is None:
+            out[:, k] = f.sample(xs)
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,21 +113,13 @@ class ReactionDiffusionSystem:
 
     def coeff_matrix(self, xs: np.ndarray) -> np.ndarray:
         """Sample A(x) on a grid; returns shape (len(xs), n, n)."""
-        xs = np.asarray(xs, dtype=float)
-        n = self.n
-        out = np.empty((xs.size, n, n))
-        for i in range(n):
-            for j in range(n):
-                out[:, i, j] = self.coeff[i][j].sample(xs.ravel())
-        return out
+        xs = np.asarray(xs, dtype=float).ravel()
+        fields = [a for row in self.coeff for a in row]
+        return _sample_fields(fields, xs).reshape(xs.size, self.n, self.n)
 
     def forcing_vector(self, xs: np.ndarray) -> np.ndarray:
         """Sample f(x) on a grid; returns shape (len(xs), n)."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty((xs.size, self.n))
-        for i in range(self.n):
-            out[:, i] = self.forcing[i].sample(xs.ravel())
-        return out
+        return _sample_fields(self.forcing, np.asarray(xs, dtype=float).ravel())
 
 
 def make_system(

@@ -59,6 +59,20 @@ def test_solve_example1_small_eps(tmp_path):
     assert set(table) == {float(x) for x in PAPER_GRID}
 
 
+@pytest.mark.parametrize("adapt", [[], ["--no-adapt"]], ids=["adaptive", "fixed"])
+def test_solve_meets_a_large_boundary_datum(tmp_path, adapt):
+    # |1e9 - y_out(0)| >= 2^27 used to leave a zero row in the finite-difference
+    # bc Jacobian, and the solve failed with exit 3
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), name="steep", bc_left=[1e9, 0])
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["solve", "--problem", str(path), "--eps", "1e-4", *adapt,
+                 "--out", str(tmp_path)]) == 0
+    _, table = rows_by_x(tmp_path / "steep_solve_eps0.0001.csv")
+    assert table[0.0] == pytest.approx([1e9, 0.0], rel=1e-15, abs=1e-8)
+    assert table[0.5] == pytest.approx([0.7, 0.9], abs=1e-9)
+
+
 def test_solve_example2_table4_row(tmp_path):
     code = main(["solve", "--problem", "example2", "--eps", "1e-4",
                  "--out", str(tmp_path)])
@@ -814,10 +828,12 @@ def test_grid_that_does_not_fit_in_memory_is_a_config_error(tmp_path, capsys, mo
     # itself is small, so nothing large is ever allocated
     monkeypatch.setattr(target, name, mock.Mock(side_effect=MemoryError("Unable to allocate")))
     monkeypatch.setattr(cli, "hybrid_solve", mock.Mock(side_effect=AssertionError("solved")))
+    out = tmp_path / "out"
     assert main([command, "--problem", "example1", "--eps", "0.5", "--grid", "101",
-                 "--out", str(tmp_path)]) == 2
+                 "--out", str(out)]) == 2
     assert "config error: --grid 101: too many points (Unable to allocate)" in \
         capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convergence_compiles_each_expression_once(tmp_path, monkeypatch):

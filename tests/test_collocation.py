@@ -828,7 +828,7 @@ def nonlinear_bvp(dim):
 def example2_layer_without_jacobian():
     sys = example2(2.0**-8)
     layer = build_layer_problem(sys, solve_reduced(sys), 1.0)
-    return dataclasses.replace(layer.bvp, rhs_jac=None)
+    return dataclasses.replace(layer.bvp, rhs_jac=None, bc_jac=None)
 
 
 @pytest.mark.parametrize(

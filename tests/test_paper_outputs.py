@@ -1,0 +1,99 @@
+"""The paper's 80 output files, byte for byte, against committed sha256 digests.
+
+The files are what the paper's workloads emit for example1 and example2 at
+eps = 2^-1..2^-15: the double-mesh tables (``convergence --no-adapt``), the
+figure data (``plotdata --grid 20001``) and the solution tables
+(``solve``). Their last digits depend on the numpy and LAPACK build, so
+``paper_output_digests.json`` records the build its digests were made on,
+and on any other build the test skips and names both builds.
+
+The list is never rewritten by the test. A change that moves the outputs
+on purpose rewrites it with
+
+    PYTHONPATH=src python tests/test_paper_outputs.py --write
+
+and records the largest differences it measured.
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from scem_rd.cli import main
+
+DIGESTS = Path(__file__).with_name("paper_output_digests.json")
+PAPER_EPS = ",".join(f"2^-{k}" for k in range(1, 16))
+RUNS = [
+    ["convergence", "--n", "64,128,256,512,1024", "--no-adapt"],
+    ["plotdata", "--grid", "20001"],
+    ["solve"],
+]
+
+
+def _lapack(package) -> str:
+    """The LAPACK a package was built with, as its build config names it."""
+    try:
+        lapack = package.__config__.CONFIG["Build Dependencies"]["lapack"]
+        return f"{lapack['name']} {lapack['version']}"
+    except (AttributeError, KeyError):  # older builds keep no such record
+        return "unknown"
+
+
+def _simd() -> str:
+    """The CPU targets numpy dispatches to on this machine."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        return "unknown"
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+
+
+def build() -> dict[str, str]:
+    """What the output bytes depend on besides the source."""
+    return {
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "numpy_lapack": _lapack(np),
+        "numpy_simd": _simd(),
+        "scipy": scipy.__version__,
+        "scipy_lapack": _lapack(scipy),
+    }
+
+
+def digests(out: Path) -> dict[str, str]:
+    """Write the paper files to ``out`` and return the sha256 of each."""
+    for problem in ("example1", "example2"):
+        for command, *options in RUNS:
+            argv = [command, "--problem", problem, "--eps", PAPER_EPS, *options, "--out", str(out)]
+            assert main(argv) == 0, argv
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_paper_outputs_are_byte_identical(tmp_path):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    if recorded["build"] != build():
+        pytest.skip(f"digests were made on {recorded['build']}, this is {build()}; "
+                    "perfbench's value gates still check the tables")
+    got = digests(tmp_path)
+    assert len(got) == 80
+    changed = sorted(name for name in got.keys() | recorded["files"].keys()
+                     if got.get(name) != recorded["files"].get(name))
+    assert not changed, f"{len(changed)} paper files differ: {', '.join(changed)}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    with tempfile.TemporaryDirectory() as out:
+        files = digests(Path(out))
+    DIGESTS.write_text(json.dumps({"build": build(), "files": files}, indent=1) + "\n",
+                       encoding="utf-8")
+    print(f"wrote {len(files)} digests to {DIGESTS}")

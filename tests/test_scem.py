@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_bvp
 
 import scem_rd.scem as scem
+from scem_rd import collocation
 from scem_rd.analysis import GridFunction, exact_constant_system, max_norm
 from scem_rd.collocation import SolverConfig, evaluate, solve
 from scem_rd.config import BUILTIN_PROBLEMS, config_from_dict
@@ -22,6 +23,7 @@ from scem_rd.scem import (
     solve_reduced,
 )
 from scem_rd.system import (
+    as_scalar_field,
     check_max_principle,
     forcing_max_norm,
     make_system,
@@ -395,6 +397,71 @@ def test_unhashable_coefficients_are_checked_on_every_call(monkeypatch):
     for _ in range(2):
         assert np.array_equal(hybrid_solve(sys, CFG).eval_many(xs), want)
     assert len(checked) == 3
+
+
+def test_outer_end_values_are_kept_per_field(monkeypatch):
+    evaluated = []
+    eval_many = scem.OuterSolution.eval_many
+
+    def recording(self, xs):
+        evaluated.append(xs.tolist())
+        return eval_many(self, xs)
+
+    monkeypatch.setattr(scem.OuterSolution, "eval_many", recording)
+    sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], [0.01, 0.01])
+    cfg = SolverConfig(initial_mesh_points=65, adaptive=False)
+    for eps in (0.01, 0.001, 0.0001):
+        hybrid_solve(dataclasses.replace(sys, diffusion=(eps, eps)), cfg)
+    assert evaluated == [[0.0, 1.0]]
+    # another forcing on the same coefficients has other end values
+    other = dataclasses.replace(sys, forcing=(as_scalar_field(3.0), as_scalar_field(4.0)))
+    hybrid = hybrid_solve(other, cfg)
+    assert evaluated == [[0.0, 1.0]] * 2
+    ends = hybrid.eval_many(np.array([0.0, 1.0]))
+    assert np.max(np.abs(ends)) <= 1e-12  # the prescribed zeros, not 1.7 - 0.7, 1.9 - 0.9
+
+
+def test_singular_end_value_raises_on_every_call(monkeypatch):
+    checked = _counting_validate(monkeypatch)
+    near = 1.0 - 1e-15  # strictly dominant, but cond_2 ~ 2e15 at every x
+    sys = make_system([[1.0, -near], [-near, 1.0]], [1.0, 1.0], [0.01, 0.01])
+    for _ in range(2):
+        with pytest.raises(SingularReducedMatrix):
+            hybrid_solve(sys, CFG)
+    assert len(checked) == 1
+
+
+# ---------------------------------------------------------------------------
+# boundary-condition Jacobian
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("end, length", [(0.0, None), (1.0, None), (0.0, 10.0), (1.0, 10.0)],
+                         ids=["left-full", "right-full", "left-cut", "right-cut"])
+@pytest.mark.parametrize("bc", ["zero", "asymmetric"])
+@pytest.mark.parametrize("name", ["example1", "example2", "variable_a"])
+def test_layer_bc_jacobian_is_bitwise_the_finite_differences(name, bc, end, length):
+    # at u = 0, where a linear pass takes the Jacobians, each forward
+    # difference of a datum d is exactly 0 or 1 while |d| < 2^27
+    sys = _deep_eps_problem(name, bc).build_system(1e-4)
+    bvp = build_layer_problem(sys, solve_reduced(sys), end, length).bvp
+    zero = np.zeros(bvp.dim)
+    differenced = collocation._bc_jacobians(dataclasses.replace(bvp, bc_jac=None), zero, zero,
+                                            bvp.bc(zero, zero))
+    analytic = collocation._bc_jacobians(bvp, zero, zero, bvp.bc(zero, zero))
+    for got, want in zip(analytic, differenced):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("datum", [1.34e8, 1e9, 1e12, -3e15])
+def test_large_boundary_data_are_met(datum, adaptive):
+    # a forward difference with step 2^-26 at u = 0 is lost in (2^-26 - d) + d
+    # once |d| >= 2^27, which left a zero bc row; the analytic bc Jacobian has none
+    sys = make_system([[4, -2], [-1, 3]], [1, 2], [1e-4] * 2, left_bc=[datum, 0])
+    hybrid = hybrid_solve(sys, SolverConfig(adaptive=adaptive))
+    assert np.max(np.abs(hybrid.eval(0.0) - [datum, 0.0])) <= 1e-15 * abs(datum)
+    assert np.max(np.abs(hybrid.eval(1.0))) <= 1e-9
+    assert np.max(np.abs(hybrid.eval(0.5) - [0.7, 0.9])) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scem_rd.analysis import GridFunction
+from scem_rd.config import config_from_dict
+from scem_rd.expressions import compile_expression
 from scem_rd.problems import example1, example2
 from scem_rd.system import (
+    ScalarField,
     check_max_principle,
     forcing_max_norm,
     make_system,
@@ -24,6 +27,61 @@ def test_scalar_only_callable_is_sampled_point_by_point():
     scalar = make_system([[lambda x: 2.0 + math.cos(x), -1.0], [-1.0, 3.0]], [1.0, 1.0], [0.1, 0.1])
     vector = make_system([[lambda x: 2.0 + np.cos(x), -1.0], [-1.0, 3.0]], [1.0, 1.0], [0.1, 0.1])
     assert np.array_equal(scalar.coeff_matrix(xs), vector.coeff_matrix(xs))
+
+
+# ---------------------------------------------------------------------------
+# constant fields
+# ---------------------------------------------------------------------------
+
+#: finite x of both signs and zeros of both signs, then NaN and infinities
+SAMPLE_XS = np.array([0.0, -0.0, 1e-300, 0.25, 1.0, -3.0, 1e10, np.nan, np.inf, -np.inf])
+
+
+def _same(got, want):
+    """Equal bit for bit, except that a NaN may carry either sign or payload."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+@pytest.mark.parametrize("text, constant", [
+    ("3", 3.0), ("-1", -1.0), ("1/3", 1.0 / 3.0), ("2*3 - 6", 0.0), ("--1", 1.0),
+    ("(0)", 0.0), ("-0", None), ("0 * -1", None), ("1/0", None), ("1e999", None),
+    ("x", None), ("0 * x", None), ("x - x + 2", None),
+])
+def test_expressions_without_x_are_marked_constant(text, constant):
+    assert compile_expression(text).constant == constant
+
+
+@pytest.mark.parametrize("coeff, forcing", [
+    ([["3", "-1"], ["1/3", "2*3 - 6"]], ["--1", "-0"]),
+    ([["2 + x", "-1"], ["-0", "3 - x*x"]], ["1/(1 + x)", "x - x"]),
+    ([["x", "-1e-300"], ["0 * -1", "4"]], ["0", "x*x*x"]),
+], ids=["constant", "mixed", "mixed-signed-zeros"])
+def test_config_fields_sample_bitwise_as_the_interpreter(coeff, forcing):
+    config = config_from_dict({"name": "fields", "n": 2, "coeff": coeff, "forcing": forcing,
+                               "diffusion": ["eps", "eps"], "bc_left": [0, 0],
+                               "bc_right": [0, 0]})
+    sys = config.build_system(0.5)
+    with np.errstate(invalid="ignore"):  # 0 * inf in c + 0 * x
+        want_a = np.array([[compile_expression(e)(SAMPLE_XS) for e in row] for row in coeff])
+        want_f = np.array([compile_expression(e)(SAMPLE_XS) for e in forcing])
+        assert _same(sys.coeff_matrix(SAMPLE_XS), np.moveaxis(want_a, -1, 0))
+        assert _same(sys.forcing_vector(SAMPLE_XS), want_f.T)
+
+
+def test_numbers_given_to_make_system_sample_bitwise_as_their_callables():
+    sys = make_system([[4, -0.0], [lambda x: np.sin(x) - 2.0, 1e-300]], [-0.0, lambda x: x * x],
+                      [0.1, 0.1])
+    assert [[a.constant for a in row] for row in sys.coeff] == [[4.0, -0.0], [None, 1e-300]]
+    # the same system with every field sampled through its callable
+    plain = make_system([[ScalarField(a.fn) for a in row] for row in sys.coeff],
+                        [ScalarField(f.fn) for f in sys.forcing], sys.diffusion)
+    with np.errstate(invalid="ignore"):
+        assert _same(sys.coeff_matrix(SAMPLE_XS), plain.coeff_matrix(SAMPLE_XS))
+        assert _same(sys.forcing_vector(SAMPLE_XS), plain.forcing_vector(SAMPLE_XS))
+    # the c + 0.0 * x of a number turns -0.0 into +0.0 at finite x, as before
+    assert not np.signbit(sys.coeff_matrix(np.array([0.5]))[0, 0, 1])
 
 
 def test_example1_assumptions():
