@@ -16,24 +16,24 @@ problem flagged linear it is a linear system, solved from zero with one
 assembly, one factorization and one back-solve. With separated boundary
 conditions the Jacobian is banded: the u(a) rows go above the
 block-bidiagonal interval closures and the u(b) rows below them (the de
-Boor-Weiss SOLVEBLOK layout), and LAPACK band LU, read from scipy's
-compiled module without importing scipy.linalg, factors it. A condition
-coupling u(a) with u(b) adds a corner outside the band, and that Jacobian
-is factored by SuperLU. Adaptive solves refine the mesh by halving
-subintervals whose scaled ODE residual exceeds the tolerance.
-That residual is a 5-point Gauss quadrature of the collocation cubic's
-defect; the Hermite basis and its derivative are tabulated once at the
-Gauss points, so the cubic at every quadrature point of every subinterval
-is one matrix product. A fixed-mesh solve refines nothing, so it does not
-estimate the residual; :func:`estimate_residual` computes it on demand.
-The returned solution carries the collocation cubic as a continuous
-interpolant.
+Boor-Weiss SOLVEBLOK layout), and LAPACK band LU factors it: dgbtrf and
+dgbtrs of the LAPACK that numpy's linalg extension links, called through
+ctypes, so scipy is not imported. A condition coupling u(a) with u(b)
+adds a corner outside the band, and that Jacobian is factored by
+SuperLU. Adaptive solves refine the mesh by halving subintervals whose
+scaled ODE residual exceeds the tolerance. That residual is a 5-point
+Gauss quadrature of the collocation cubic's defect (the Gauss table is a
+literal, so numpy.polynomial is not imported); the Hermite basis and its
+derivative are tabulated once at the Gauss points, so the cubic at every
+quadrature point of every subinterval is one matrix product. A fixed-mesh
+solve refines nothing, so it does not estimate the residual;
+:func:`estimate_residual` computes it on demand. The returned solution
+carries the collocation cubic as a continuous interpolant.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import itertools
 import logging
 import numbers
@@ -41,25 +41,71 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy
-from numpy.polynomial.legendre import leggauss
+from numpy.linalg import _umath_linalg
 
 _log = logging.getLogger("scem_rd")
 
 
+def _check_band(ab, kl: int, ku: int) -> None:
+    """Raise ValueError unless ab is a writeable, Fortran-contiguous 2-D
+    float64 band with room for kl sub-, ku superdiagonals and kl fill rows."""
+    if not (isinstance(ab, np.ndarray) and ab.ndim == 2 and ab.dtype == np.float64
+            and ab.flags.f_contiguous and ab.flags.writeable):
+        raise ValueError("band must be a writeable, Fortran-contiguous 2-D float64 array")
+    if not (0 <= kl and 0 <= ku and 2 * kl + ku + 1 <= ab.shape[0]):
+        raise ValueError(f"a band of {ab.shape[0]} rows cannot hold kl = {kl}, ku = {ku}")
+
+
 def _band_lu():
-    """dgbtrf and dgbtrs from scipy's compiled LAPACK module, loaded by file
-    so that scipy.linalg is not imported; from scipy.linalg if that fails."""
-    base = f"{scipy.__path__[0]}/linalg/_flapack"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", base + suffix)
-        try:  # the module is not registered in sys.modules
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module.dgbtrf, module.dgbtrs
-        except ImportError:  # no such file, or it does not load
-            pass
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    """dgbtrf and dgbtrs from the LAPACK that numpy's linalg extension links
+    (scipy-openblas, 64-bit integers); from scipy.linalg where numpy carries
+    no such symbols (numpy built on MKL, Accelerate or a system LAPACK).
+
+    The two wrappers take and return what scipy's do, for one right-hand
+    side, except that the pivots are LAPACK's 1-based ones; each back-solve
+    takes the pivots of its own factorization. Integer arguments are passed as addresses into
+    one int64 scratch array per call, which keeps the ctypes call cheap.
+    """
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        getrf, getrs = lib.scipy_dgbtrf_64_, lib.scipy_dgbtrs_64_
+    except (OSError, AttributeError):  # no such library or symbol
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+        return dgbtrf, dgbtrs
+    getrf.argtypes = [ctypes.c_void_p] * 8
+    getrs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]  # + len(TRANS)
+    getrf.restype = getrs.restype = None
+    no_trans = ctypes.create_string_buffer(b"N")
+
+    def dgbtrf(ab, kl, ku, overwrite_ab=False):
+        """LU of the band ab -> (lu, piv, info); ab is the LU when overwritten."""
+        _check_band(ab, kl, ku)
+        lu = ab if overwrite_ab else ab.copy(order="F")
+        ldab, n = lu.shape
+        ints = np.empty(5 + n, dtype=np.int64)
+        ints[:5] = n, kl, ku, ldab, 0
+        p = ints.ctypes.data  # M = N, KL, KU, LDAB, INFO, then the pivots
+        getrf(p, p, p + 8, p + 16, lu.ctypes.data, p + 24, p + 40, p + 32)
+        return lu, ints[5:], int(ints[4])
+
+    def dgbtrs(lu, kl, ku, rhs, piv):
+        """Solve with dgbtrf's (lu, piv) -> (x, info); rhs is not changed.
+        LAPACK swaps rows by the values in piv, so it must be dgbtrf's."""
+        _check_band(lu, kl, ku)
+        ldab, n = lu.shape
+        if not (isinstance(rhs, np.ndarray) and rhs.dtype == np.float64
+                and rhs.shape == (n,)):
+            raise ValueError(f"right-hand side must be {n} float64 values")
+        if not (isinstance(piv, np.ndarray) and piv.dtype == np.int64 and piv.shape == (n,)
+                and piv.flags.c_contiguous):
+            raise ValueError(f"pivots must be dgbtrf's {n} int64 pivots")
+        x = rhs.copy()
+        ints = np.array([n, kl, ku, 1, ldab, max(n, 1), 0], dtype=np.int64)
+        p = ints.ctypes.data  # N, KL, KU, NRHS, LDAB, LDB, INFO
+        getrs(ctypes.addressof(no_trans), p, p + 8, p + 16, p + 24, lu.ctypes.data, p + 32,
+              piv.ctypes.data, x.ctypes.data, p + 40, p + 48, 1)
+        return x, int(ints[6])
 
     return dgbtrf, dgbtrs
 
@@ -546,7 +592,12 @@ def _decreases(F_try: np.ndarray, F: np.ndarray, alpha: float, rate: float = 1e-
 # residual estimation and adaptive refinement
 # ---------------------------------------------------------------------------
 
-_GAUSS_X, _GAUSS_W = leggauss(5)
+#: 5-point Gauss-Legendre abscissae and weights on [-1, 1], bitwise
+#: numpy.polynomial.legendre.leggauss(5)
+_GAUSS_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                     0.5384693101056831, 0.906179845938664])
+_GAUSS_W = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                     0.4786286704993663, 0.23692688505618928])
 _GAUSS_TAU = 0.5 * (_GAUSS_X + 1.0)  # Gauss points mapped to [0, 1]
 # (5, 4): weights of (y0, y1, h s0, h s1) at the Gauss points, giving the
 # cubic and its derivative times h (the Hermite basis, read off _hermite)

@@ -13,7 +13,8 @@ and stability-bound checks built on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -49,6 +50,18 @@ class ScalarField:
         return np.array([float(self.fn(x)) for x in xs.ravel()]).reshape(xs.shape)
 
 
+@dataclass(frozen=True)
+class _Constant:
+    """x -> c + 0.0 * x. Two are equal when their c have the same bits, so
+    equal numbers lift to equal fields and -0.0 stays apart from 0.0."""
+
+    c: float = field(compare=False)
+    bits: bytes
+
+    def __call__(self, x):
+        return self.c + 0.0 * np.asarray(x)
+
+
 def as_scalar_field(value: ScalarFieldLike) -> ScalarField:
     """Lift a constant or callable to a ScalarField; a number is marked constant."""
     if isinstance(value, ScalarField):
@@ -56,7 +69,7 @@ def as_scalar_field(value: ScalarFieldLike) -> ScalarField:
     if callable(value):
         return ScalarField(value)
     c = float(value)
-    return ScalarField(lambda x, _c=c: _c + 0.0 * np.asarray(x), constant=c)
+    return ScalarField(_Constant(c, struct.pack("<d", c)), constant=c)
 
 
 def _sample_fields(fields: Sequence[ScalarField], xs: np.ndarray) -> np.ndarray:

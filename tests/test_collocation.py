@@ -1,8 +1,7 @@
 """Tests for the Lobatto IIIa collocation engine."""
 
+import ctypes
 import dataclasses
-import importlib.machinery
-import importlib.util
 import logging
 import os
 import subprocess
@@ -417,8 +416,9 @@ def test_coupled_bc_takes_superlu_and_agrees_with_separated(monkeypatch):
 
 
 def test_band_lu_loaded_by_file_is_bitwise_scipy_linalg_lapack():
-    # a fresh process: collocation loads the routines without scipy.linalg,
-    # which is imported only afterwards, to compare with
+    # a fresh process: collocation takes the routines from numpy's LAPACK
+    # without importing scipy, which is imported only afterwards, to compare
+    # with; scipy's pivots are 0-based, LAPACK's 1-based
     script = """
 import sys
 import numpy as np
@@ -426,7 +426,7 @@ from scem_rd import collocation
 from scem_rd.problems import example1, example2
 from scem_rd.scem import build_layer_problem, solve_reduced
 
-assert "scipy.linalg" not in sys.modules
+assert "scipy" not in sys.modules
 loaded = collocation.dgbtrf, collocation.dgbtrs
 systems = []  # [ab, kl, ku, rhs] of each factorization and its back-solve
 
@@ -443,7 +443,7 @@ for make in (example1, example2):
     system = make(2.0**-8)
     bvp = build_layer_problem(system, solve_reduced(system), 0.0).bvp
     collocation.solve(bvp, collocation.SolverConfig(initial_mesh_points=1025, adaptive=False))
-assert "scipy.linalg" not in sys.modules
+assert "scipy" not in sys.modules
 from scipy.linalg import lapack
 
 assert [(kl, ku) for _, kl, ku, _ in systems] == [(5, 5), (8, 8)]
@@ -453,9 +453,11 @@ for ab, kl, ku, rhs in systems:
         lu, piv, info = getrf(ab.copy(order="F"), kl, ku)
         x, solve_info = getrs(lu, kl, ku, rhs, piv)
         results.append((lu, piv, info, x, solve_info))
-    assert results[0][2] == 0
-    for got, want in zip(*results):
-        assert np.array_equal(got, want)
+    (lu, piv, info, x, solve_info), want = results
+    assert info == solve_info == 0
+    assert np.array_equal(piv, want[1] + 1)
+    for got, expected in zip((lu, info, x, solve_info), want[:1] + want[2:]):
+        assert np.array_equal(got, expected)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(collocation.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
@@ -463,21 +465,78 @@ for ab, kl, ku, rhs in systems:
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("failure", ["no-suffix", "missing-file", "import-error"])
+@pytest.mark.parametrize("failure", ["missing-symbol", "cdll-oserror"])
 def test_band_lu_loader_falls_back_to_the_public_import(monkeypatch, failure):
     # stand-ins on scipy.linalg.lapack show which path the loader took
     public = mock.Mock(name="dgbtrf"), mock.Mock(name="dgbtrs")
     monkeypatch.setattr(lapack, "dgbtrf", public[0])
     monkeypatch.setattr(lapack, "dgbtrs", public[1])
-    assert collocation._band_lu() == (collocation.dgbtrf, collocation.dgbtrs)
-    if failure == "import-error":
-        monkeypatch.setattr(importlib.util, "module_from_spec",
-                            mock.Mock(side_effect=ImportError("cannot load")))
+    if failure == "missing-symbol":  # numpy on a LAPACK without scipy_dgbtrf_64_
+        library = mock.Mock(spec=["scipy_dgbtrs_64_"])
+        monkeypatch.setattr(ctypes, "CDLL", mock.Mock(return_value=library))
     else:
-        suffixes = [] if failure == "no-suffix" else ["_missing.so"]
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", suffixes)
+        monkeypatch.setattr(ctypes, "CDLL", mock.Mock(side_effect=OSError("cannot load")))
     dgbtrf, dgbtrs = collocation._band_lu()
     assert dgbtrf is public[0] and dgbtrs is public[1]
+
+
+def test_gauss_table_is_bitwise_leggauss():
+    x, w = np.polynomial.legendre.leggauss(5)
+    assert x.tobytes() == collocation._GAUSS_X.tobytes()
+    assert w.tobytes() == collocation._GAUSS_W.tobytes()
+
+
+def test_band_lu_solves_a_small_band_and_keeps_its_inputs():
+    # a diagonally dominant band with kl = 2, ku = 1 on 7 columns; entry
+    # (r, c) sits at ab[kl + ku + r - c, c], below kl rows of fill
+    kl, ku, n = 2, 1, 7
+    rng = np.random.default_rng(7)
+    dense = np.triu(np.tril(rng.uniform(-1.0, 1.0, (n, n)), ku), -kl) + 4.0 * np.eye(n)
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for r, c in zip(*np.nonzero(dense)):
+        ab[kl + ku + r - c, c] = dense[r, c]
+    rhs = rng.uniform(-1.0, 1.0, n)
+    band, right = ab.copy(order="F"), rhs.copy()
+    lu, piv, info = collocation.dgbtrf(ab, kl, ku)
+    x, solve_info = collocation.dgbtrs(lu, kl, ku, rhs, piv)
+    assert info == solve_info == 0
+    assert np.array_equal(ab, band) and np.array_equal(rhs, right)
+    np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-14)
+
+
+def ctypes_band_lu(monkeypatch):
+    """The ctypes wrappers bound to stand-in LAPACK routines that record
+    every call."""
+    library = mock.Mock(spec=["scipy_dgbtrf_64_", "scipy_dgbtrs_64_"])
+    monkeypatch.setattr(ctypes, "CDLL", mock.Mock(return_value=library))
+    return (*collocation._band_lu(), library)
+
+
+@pytest.mark.parametrize("band", [
+    pytest.param(np.zeros((16, 8)), id="c-ordered"),
+    pytest.param(np.zeros((16, 8), dtype=np.float32, order="F"), id="float32"),
+    pytest.param(np.zeros((15, 8), order="F"), id="too-few-rows"),
+])
+def test_band_wrappers_reject_a_bad_band_before_calling_lapack(monkeypatch, band):
+    dgbtrf, dgbtrs, library = ctypes_band_lu(monkeypatch)
+    with pytest.raises(ValueError):
+        dgbtrf(band, 5, 5, overwrite_ab=1)
+    with pytest.raises(ValueError):
+        dgbtrs(band, 5, 5, np.zeros(8), np.ones(8, dtype=np.int64))
+    assert library.scipy_dgbtrf_64_.call_count == library.scipy_dgbtrs_64_.call_count == 0
+
+
+@pytest.mark.parametrize("rhs, piv", [
+    pytest.param(np.zeros(8, dtype=np.float32), np.ones(8, dtype=np.int64), id="float32-rhs"),
+    pytest.param(np.zeros(7), np.ones(8, dtype=np.int64), id="short-rhs"),
+    pytest.param(np.zeros((8, 1)), np.ones(8, dtype=np.int64), id="2d-rhs"),
+    pytest.param(np.zeros(8), np.ones(8, dtype=np.int32), id="int32-pivots"),
+])
+def test_band_solve_rejects_a_bad_right_hand_side_or_pivots(monkeypatch, rhs, piv):
+    _, dgbtrs, library = ctypes_band_lu(monkeypatch)
+    with pytest.raises(ValueError):
+        dgbtrs(np.zeros((16, 8), order="F"), 5, 5, rhs, piv)
+    assert library.scipy_dgbtrs_64_.call_count == 0
 
 
 SINGULAR_BCS = {

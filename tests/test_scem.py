@@ -337,9 +337,10 @@ def test_nonzero_asymmetric_boundary_values_match_solve_bvp(eps, name):
 
 
 def _counting_validate(monkeypatch) -> list:
-    """Route hybrid_solve's assumption checks through a recorder; returns
-    the list of checked systems."""
+    """Route hybrid_solve's assumption checks through a recorder, starting
+    from an empty report memo; returns the list of checked systems."""
     checked = []
+    monkeypatch.setattr(scem, "_reports", {})
 
     def counting(sys):
         checked.append(sys)
@@ -372,6 +373,26 @@ def test_assumption_reports_are_kept_per_coefficient_field(monkeypatch):
     assert [sys.coeff for sys in checked] == [sys.coeff for sys in fields.values()]
 
 
+def test_separately_built_systems_with_equal_numbers_share_one_report(monkeypatch):
+    checked = _counting_validate(monkeypatch)
+    for eps in (1e-4, 1e-8, 1e-12):
+        hybrid_solve(make_system([[4, -2], [-1, 3]], [1, 2], [eps, eps]))
+    assert len(checked) == 1
+    assert len(scem._reports) == 1
+
+
+def test_constant_fields_are_keyed_on_the_bits_of_the_number():
+    assert as_scalar_field(2) == as_scalar_field(2.0)
+    assert hash(as_scalar_field(2)) == hash(as_scalar_field(2.0))
+    assert as_scalar_field(2.0) != as_scalar_field(np.nextafter(2.0, 3.0))
+    zero, negative_zero = as_scalar_field(0.0), as_scalar_field(-0.0)
+    assert zero != negative_zero
+    xs = np.array([-1.0, -0.0])  # c + 0.0 * x keeps the sign of c here
+    assert not np.any(np.signbit(zero.sample(xs)))
+    assert np.all(np.signbit(negative_zero.sample(xs)))
+    assert np.signbit(negative_zero.constant)
+
+
 class _UnhashableConstant:
     """A coefficient callable with value equality, and so no hash."""
 
@@ -400,6 +421,7 @@ def test_unhashable_coefficients_are_checked_on_every_call(monkeypatch):
 
 
 def test_outer_end_values_are_kept_per_field(monkeypatch):
+    monkeypatch.setattr(scem, "_reports", {})  # equal numbers share an entry
     evaluated = []
     eval_many = scem.OuterSolution.eval_many
 
