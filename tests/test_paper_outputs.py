@@ -1,9 +1,15 @@
-"""The paper's 80 output files, byte for byte, against committed sha256 digests.
+"""The paper's 80 output files and 6 variable-coefficient files, byte for
+byte, against committed sha256 digests.
 
-The files are what the paper's workloads emit for example1 and example2 at
-eps = 2^-1..2^-15: the double-mesh tables (``convergence --no-adapt``), the
-figure data (``plotdata --grid 20001``) and the solution tables
-(``solve``). Their last digits depend on the numpy and LAPACK build, so
+The paper files are what the paper's workloads emit for example1 and
+example2 at eps = 2^-1..2^-15: the double-mesh tables (``convergence
+--no-adapt``), the figure data (``plotdata --grid 20001``) and the solution
+tables (``solve``). The variable-coefficient files are the adaptive
+``solve`` and ``plotdata --grid 2001`` tables of the JSON config
+``VARCOEF``, A = [[2+x, -1], [-1, 3-x*x]] and f = (1+x, 1/(1+x)), at eps =
+1e-4, 1e-8 and 1e-12; they cover coefficients sampled through their
+callables, which the constant-coefficient paper systems never are. The
+last digits of every file depend on the numpy and LAPACK build, so
 ``paper_output_digests.json`` records the build its digests were made on,
 and on any other build the test skips and names both builds.
 
@@ -34,6 +40,17 @@ RUNS = [
     ["plotdata", "--grid", "20001"],
     ["solve"],
 ]
+VARCOEF = {
+    "name": "varcoef",
+    "n": 2,
+    "coeff": [["2+x", "-1"], ["-1", "3-x*x"]],
+    "forcing": ["1+x", "1/(1+x)"],
+    "diffusion": ["eps", "eps"],
+    "bc_left": [1.0, -0.5],
+    "bc_right": [0.25, 2.0],
+}
+VARCOEF_EPS = "1e-4,1e-8,1e-12"
+VARCOEF_RUNS = [["solve"], ["plotdata", "--grid", "2001"]]
 
 
 def _lapack(package) -> str:
@@ -66,12 +83,20 @@ def build() -> dict[str, str]:
     }
 
 
-def digests(out: Path) -> dict[str, str]:
-    """Write the paper files to ``out`` and return the sha256 of each."""
+def digests(work: Path) -> dict[str, str]:
+    """Write the paper and variable-coefficient files to ``work/out`` and
+    return the sha256 of each."""
+    out = work / "out"
+    config = work / "varcoef.json"
+    config.write_text(json.dumps(VARCOEF), encoding="utf-8")
     for problem in ("example1", "example2"):
         for command, *options in RUNS:
             argv = [command, "--problem", problem, "--eps", PAPER_EPS, *options, "--out", str(out)]
             assert main(argv) == 0, argv
+    for command, *options in VARCOEF_RUNS:
+        argv = [command, "--problem", str(config), "--eps", VARCOEF_EPS, *options,
+                "--out", str(out)]
+        assert main(argv) == 0, argv
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
@@ -81,10 +106,10 @@ def test_paper_outputs_are_byte_identical(tmp_path):
         pytest.skip(f"digests were made on {recorded['build']}, this is {build()}; "
                     "perfbench's value gates still check the tables")
     got = digests(tmp_path)
-    assert len(got) == 80
+    assert len(got) == 86
     changed = sorted(name for name in got.keys() | recorded["files"].keys()
                      if got.get(name) != recorded["files"].get(name))
-    assert not changed, f"{len(changed)} paper files differ: {', '.join(changed)}"
+    assert not changed, f"{len(changed)} output files differ: {', '.join(changed)}"
 
 
 if __name__ == "__main__":
