@@ -37,8 +37,6 @@ from .scem import (
 from .system import (
     AssumptionReport,
     ReactionDiffusionSystem,
-    ScalarField,
-    as_scalar_field,
     check_max_principle,
     forcing_max_norm,
     make_system,
@@ -63,10 +61,8 @@ __all__ = [
     "NewtonDivergence",
     "OuterSolution",
     "ReactionDiffusionSystem",
-    "ScalarField",
     "SingularReducedMatrix",
     "SolverConfig",
-    "as_scalar_field",
     "build_layer_problem",
     "check_max_principle",
     "convergence_table",

@@ -25,6 +25,16 @@ import numpy as np
 ORDER_NOISE_FLOOR = 1e-15
 
 
+def scalar_or_1d(eval_many: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """``eval_many`` at a scalar x, as one row, or at 1-D x, as one row per
+    point; raises ValueError for x of two or more dimensions."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"x must be a scalar or 1-D, not of shape {xs.shape}")
+    out = eval_many(np.atleast_1d(xs))
+    return out[0] if xs.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Componentwise values of a vector function on a strictly increasing grid."""
@@ -169,15 +179,13 @@ def exact_constant_system(
     g = np.linalg.solve(P, f)
     s = np.sqrt(lam / eps)
 
-    def solution(x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
+    def solution_many(xa):
         # cosh(s(x-1/2))/cosh(s/2) = (exp(s(x-1)) + exp(-s x)) / (1 + exp(-s));
         # every exponent is <= 0 on [0, 1], so no overflow for any eps
         e = np.exp(s[None, :] * (xa[:, None] - 1.0)) + np.exp(-s[None, :] * xa[:, None])
         ratio = e / (1.0 + np.exp(-s))[None, :]
         z = (g / lam)[None, :] * (1.0 - ratio)
-        out = z @ P.T
-        return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
+        return z @ P.T
 
-    return solution
+    return lambda x: scalar_or_1d(solution_many, x)
 

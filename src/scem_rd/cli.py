@@ -187,16 +187,25 @@ def _eps_tag(eps: float) -> str:
     return format(eps, ".10g")
 
 
+def _open_output(path: Path):
+    """Open ``path`` for binary writing; a path that cannot be opened (a
+    directory squatting on the file name, say) is a config error."""
+    try:
+        return open(path, "wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: list[str], lines) -> None:
     """Write ``header`` and the already formatted ``lines`` (each ending in a
     newline). Cells are numbers or plain words, so none needs CSV quoting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n" + "".join(lines))
+    with _open_output(path) as fh:
+        fh.write((",".join(header) + "\n" + "".join(lines)).encode())
 
 
 def _open_table(files: contextlib.ExitStack, path: Path, letter: str, n: int):
     """Open ``path`` on ``files`` and write the header x,<letter>_1..<letter>_n."""
-    fh = files.enter_context(open(path, "wb"))
+    fh = files.enter_context(_open_output(path))
     fh.write((",".join(["x"] + [f"{letter}_{i + 1}" for i in range(n)]) + "\n").encode())
     return fh
 

@@ -43,6 +43,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .analysis import scalar_or_1d
+
 _log = logging.getLogger("scem_rd")
 
 
@@ -221,7 +223,9 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         for name, least in (("max_newton", 1), ("max_mesh_points", 1), ("initial_mesh_points", 2)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            # bool is an Integral, but True is no count
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
         if self.initial_mesh_points > self.max_mesh_points:
             raise ValueError(f"initial_mesh_points {self.initial_mesh_points} exceeds "
@@ -254,15 +258,13 @@ class CollocationSolution:
 
     def interpolant(self, t) -> np.ndarray:
         """Evaluate the collocation polynomial at scalar or 1-D t."""
-        scalar = np.isscalar(t) or np.ndim(t) == 0
-        out = _interp_eval(self, np.atleast_1d(np.asarray(t, dtype=float)))
-        return out[0] if scalar else out
+        return scalar_or_1d(lambda ts: _interp_arrays(
+            self.mesh.nodes, self.node_values, self.node_slopes, ts), t)
 
     def interpolant_derivative(self, t) -> np.ndarray:
         """Derivative of the collocation polynomial at scalar or 1-D t."""
-        scalar = np.isscalar(t) or np.ndim(t) == 0
-        out = _interp_eval(self, np.atleast_1d(np.asarray(t, dtype=float)), deriv=True)
-        return out[0] if scalar else out
+        return scalar_or_1d(lambda ts: _interp_arrays(
+            self.mesh.nodes, self.node_values, self.node_slopes, ts, deriv=True), t)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +312,6 @@ def _interp_arrays(
     tau = (ts - nodes[k]) / h
     return _hermite(
         values[k], values[k + 1], slopes[k], slopes[k + 1], h, tau, deriv=deriv
-    )
-
-
-def _interp_eval(sol: CollocationSolution, ts: np.ndarray, deriv: bool = False) -> np.ndarray:
-    return _interp_arrays(
-        sol.mesh.nodes, sol.node_values, sol.node_slopes, ts, deriv=deriv
     )
 
 

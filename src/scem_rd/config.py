@@ -115,8 +115,8 @@ class ProblemConfig:
 
 
 def _field(text: str):
-    """A compiled expression, or its value if it has no x: make_system
-    marks a number constant, and samples it without the interpreter."""
+    """A compiled expression, or its value if it has no x: a system
+    samples a number without the interpreter."""
     fn = compile_expression(text)
     return fn if fn.constant is None else fn.constant
 

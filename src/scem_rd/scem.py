@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import scalar_or_1d
 from .collocation import CollocationSolution, FirstOrderBvp, SolverConfig, evaluate, solve
 from .system import AssumptionReport, ReactionDiffusionSystem, validate_assumptions
 
@@ -106,9 +107,7 @@ class OuterSolution:
     sys: ReactionDiffusionSystem
 
     def __call__(self, x) -> np.ndarray:
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        out = self.eval_many(np.atleast_1d(np.asarray(x, dtype=float)))
-        return out[0] if scalar else out
+        return scalar_or_1d(self.eval_many, x)
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Pointwise solves on a grid; returns shape (len(xs), n)."""
@@ -279,9 +278,7 @@ class HybridApproximation:
 
     def eval(self, x) -> np.ndarray:
         """Composite values at scalar or 1-D x in [0, 1]."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        out = self.eval_many(np.atleast_1d(np.asarray(x, dtype=float)))
-        return out[0] if scalar else out
+        return scalar_or_1d(self.eval_many, x)
 
     def eval_many(self, xs: np.ndarray, outer_values: np.ndarray | None = None) -> np.ndarray:
         """Composite values on a grid, shape (len(xs), n). ``outer_values``,

@@ -4,8 +4,9 @@ A system is n >= 2 second-order equations on [0, 1],
 
     -eps_i * y_i'' + sum_j a_ij(x) y_j = f_i(x),    y_i(0), y_i(1) prescribed,
 
-with small positive diffusion parameters eps_i. This module holds the
-problem container plus runtime verifiers for the structural conditions
+with small positive diffusion parameters eps_i. Each entry a_ij and f_i is
+a float, the same value at every x, or a callable of x. This module holds
+the problem container plus runtime verifiers for the structural conditions
 (strict diagonal dominance, non-positive off-diagonal coupling) that make
 the problem stable and monotone, and the a-posteriori maximum-principle
 and stability-bound checks built on them.
@@ -13,73 +14,37 @@ and stability-bound checks built on them.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .analysis import GridFunction
 
-ScalarFieldLike = Union[int, float, "ScalarField", Callable[[float], float]]
+#: a coefficient or forcing entry: a number, or a deterministic callable of x
+Field = Union[float, Callable[[float], float]]
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """A real-valued coefficient or forcing term on [0, 1].
-
-    Wraps a deterministic callable; constants are accepted and lifted.
-    ``sample`` evaluates on a whole grid, using the callable's own
-    vectorization when it supports numpy arrays. ``constant``, when not
-    None, states that ``fn(x)`` is ``c + 0.0 * x`` for that value c: c at
-    finite x and NaN at NaN or infinite x. Systems then sample the field
-    without calling ``fn``.
-    """
-
-    fn: Callable[[float], float]
-    constant: float | None = None
-
-    def sample(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        try:
-            out = np.asarray(self.fn(xs), dtype=float)
-            if out.shape == xs.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(self.fn(x)) for x in xs.ravel()]).reshape(xs.shape)
+def _sample(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """``fn`` at every x: through its own vectorization when it takes and
+    returns a whole array, else one call per point."""
+    try:
+        out = np.asarray(fn(xs), dtype=float)
+        if out.shape == xs.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(x)) for x in xs])
 
 
-@dataclass(frozen=True)
-class _Constant:
-    """x -> c + 0.0 * x. Two are equal when their c have the same bits, so
-    equal numbers lift to equal fields and -0.0 stays apart from 0.0."""
-
-    c: float = field(compare=False)
-    bits: bytes
-
-    def __call__(self, x):
-        return self.c + 0.0 * np.asarray(x)
-
-
-def as_scalar_field(value: ScalarFieldLike) -> ScalarField:
-    """Lift a constant or callable to a ScalarField; a number is marked constant."""
-    if isinstance(value, ScalarField):
-        return value
-    if callable(value):
-        return ScalarField(value)
-    c = float(value)
-    return ScalarField(_Constant(c, struct.pack("<d", c)), constant=c)
-
-
-def _sample_fields(fields: Sequence[ScalarField], xs: np.ndarray) -> np.ndarray:
-    """Every field at every x, shape (len(xs), len(fields)): the constant
-    fields in one broadcast c + 0.0 * x, each other field by its callable."""
-    consts = np.array([0.0 if f.constant is None else f.constant for f in fields])
+def _sample_fields(fields: Sequence[Field], xs: np.ndarray) -> np.ndarray:
+    """Every field at every x, shape (len(xs), len(fields)): the numbers in
+    one broadcast c + 0.0 * x, each callable by itself."""
+    consts = np.array([0.0 if callable(f) else f for f in fields])
     out = consts + 0.0 * xs[:, None]
     for k, f in enumerate(fields):
-        if f.constant is None:
-            out[:, k] = f.sample(xs)
+        if callable(f):
+            out[:, k] = _sample(f, xs)
     return out
 
 
@@ -88,16 +53,17 @@ class ReactionDiffusionSystem:
     """A singularly perturbed reaction-diffusion two-point BVP on [0, 1].
 
     Attributes:
-        coeff: n x n reaction matrix A(x), entries as ScalarFields.
-        forcing: length-n forcing vector f(x).
+        coeff: n x n reaction matrix A(x). Each entry is a float, the
+            same value at every x, or a callable of x.
+        forcing: length-n forcing vector f(x), entries as in ``coeff``.
         diffusion: per-component positive, finite diffusion parameters.
             ``hybrid_solve`` needs them all equal: every component then
             carries a boundary layer of the same width.
         left_bc, right_bc: prescribed boundary values y(0), y(1).
     """
 
-    coeff: tuple[tuple[ScalarField, ...], ...]
-    forcing: tuple[ScalarField, ...]
+    coeff: tuple[tuple[Field, ...], ...]
+    forcing: tuple[Field, ...]
     diffusion: tuple[float, ...]
     left_bc: np.ndarray
     right_bc: np.ndarray
@@ -135,20 +101,27 @@ class ReactionDiffusionSystem:
         return _sample_fields(self.forcing, np.asarray(xs, dtype=float).ravel())
 
 
+def _field(value: Field) -> Field:
+    return value if callable(value) else float(value)
+
+
 def make_system(
-    coeff: Sequence[Sequence[ScalarFieldLike]],
-    forcing: Sequence[ScalarFieldLike],
+    coeff: Sequence[Sequence[Field]],
+    forcing: Sequence[Field],
     diffusion: Sequence[float],
     left_bc: Sequence[float] | None = None,
     right_bc: Sequence[float] | None = None,
 ) -> ReactionDiffusionSystem:
-    """Build a system from constants and/or callables, with zero default BCs."""
+    """Build a system from numbers and/or callables of x, with zero default
+    BCs. A number is stored as a float and a callable as given; floats
+    compare by value, so systems built from equal numbers (2 and 2.0, or
+    0.0 and -0.0) have equal fields and share ``hybrid_solve``'s memo."""
     n = len(forcing)
     lb = np.zeros(n) if left_bc is None else np.asarray(left_bc, dtype=float)
     rb = np.zeros(n) if right_bc is None else np.asarray(right_bc, dtype=float)
     return ReactionDiffusionSystem(
-        coeff=tuple(tuple(as_scalar_field(a) for a in row) for row in coeff),
-        forcing=tuple(as_scalar_field(f) for f in forcing),
+        coeff=tuple(tuple(_field(a) for a in row) for row in coeff),
+        forcing=tuple(_field(f) for f in forcing),
         diffusion=tuple(float(d) for d in diffusion),
         left_bc=lb,
         right_bc=rb,

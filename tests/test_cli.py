@@ -223,6 +223,21 @@ def test_unreadable_problem_or_unusable_out_exits_2(tmp_path, capsys, monkeypatc
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, squatted", [
+    ("solve", "example1_solve_eps0.5.csv"),
+    ("plotdata", "example1_plot_eps0.5.csv"),
+    ("convergence", "example1_convergence_y1.csv"),
+])
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, command, squatted):
+    # a directory on the file's name, not permissions: root may write anywhere
+    (tmp_path / squatted).mkdir()
+    assert main([command, "--problem", "example1", "--eps", "0.5", "--n", "16,32",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scem-rd: config error: cannot write")
+    assert squatted in err
+
+
 def test_solver_failure_exits_3_and_names_eps(tmp_path, capsys):
     config = dict(BUILTIN_PROBLEMS["example1"].to_dict())
     config["name"] = "undominated"

@@ -314,7 +314,7 @@ def test_config_validation():
         FirstOrderBvp(dim=1, rhs=lambda t, u: u, bc=lambda a, b: a, interval=(1.0, 0.0))
 
 
-@pytest.mark.parametrize("value", [float("nan"), 2.5, 0, 1.0])
+@pytest.mark.parametrize("value", [float("nan"), 2.5, 0, 1.0, True])
 @pytest.mark.parametrize("field", ["max_newton", "max_mesh_points", "initial_mesh_points"])
 def test_limits_must_be_integers(field, value):
     # a NaN max_mesh_points would disable the MeshOverflow budget, as

@@ -23,7 +23,6 @@ from scem_rd.scem import (
     solve_reduced,
 )
 from scem_rd.system import (
-    as_scalar_field,
     check_max_principle,
     forcing_max_norm,
     make_system,
@@ -245,6 +244,24 @@ def test_outer_solution_rejects_points_outside_the_domain(x):
         outer.eval_many(np.array([0.5, x]))
 
 
+@pytest.mark.parametrize("entry", ["interpolant", "interpolant_derivative", "outer", "eval",
+                                   "oracle"])
+def test_pointwise_entry_points_take_a_scalar_or_1d_x_only(entry):
+    hybrid = hybrid_solve(example1(0.01), CFG)
+    fn = {"interpolant": hybrid.left_layer.interpolant,
+          "interpolant_derivative": hybrid.left_layer.interpolant_derivative,
+          "outer": hybrid.outer, "eval": hybrid.eval,
+          "oracle": exact_constant_system(np.array([[4.0, -2.0], [-1.0, 3.0]]),
+                                          np.array([1.0, 2.0]), 0.01)}[entry]
+    xs = np.linspace(0.0, 0.75, 4)
+    rows = fn(xs)
+    assert rows.ndim == 2 and rows.shape[0] == 4
+    for x, row in zip(xs, rows):  # the oracle's matmul may round a lone row apart
+        np.testing.assert_allclose(fn(x), row, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="scalar or 1-D"):
+        fn(xs.reshape(2, 2))
+
+
 def test_composite_checks_shared_outer_values():
     hybrid = hybrid_solve(example1(0.01), CFG)
     xs = np.linspace(0.0, 1.0, 11)
@@ -381,16 +398,31 @@ def test_separately_built_systems_with_equal_numbers_share_one_report(monkeypatc
     assert len(scem._reports) == 1
 
 
-def test_constant_fields_are_keyed_on_the_bits_of_the_number():
-    assert as_scalar_field(2) == as_scalar_field(2.0)
-    assert hash(as_scalar_field(2)) == hash(as_scalar_field(2.0))
-    assert as_scalar_field(2.0) != as_scalar_field(np.nextafter(2.0, 3.0))
-    zero, negative_zero = as_scalar_field(0.0), as_scalar_field(-0.0)
-    assert zero != negative_zero
-    xs = np.array([-1.0, -0.0])  # c + 0.0 * x keeps the sign of c here
-    assert not np.any(np.signbit(zero.sample(xs)))
-    assert np.all(np.signbit(negative_zero.sample(xs)))
-    assert np.signbit(negative_zero.constant)
+def test_equal_numbers_share_one_report_and_neighbouring_ones_do_not(monkeypatch):
+    checked = _counting_validate(monkeypatch)
+    for coeff, forcing in (([[4, -2], [-1, 3]], [1, 2]),
+                           ([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0]),
+                           ([[4.0, -2.0], [-1.0, 3.0]], [1.0, np.nextafter(2.0, 3.0)])):
+        hybrid_solve(make_system(coeff, forcing, [0.01, 0.01]), CFG)
+    assert len(checked) == 2
+    assert len(scem._reports) == 2
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-8])
+def test_signed_zero_entries_share_one_report_and_one_composite(monkeypatch, eps):
+    checked = _counting_validate(monkeypatch)
+    xs = np.linspace(0.0, 1.0, 1001)
+
+    def composite(zero):
+        sys = make_system([[4.0, zero], [zero, 3.0]], [zero, 2.0], [eps, eps],
+                          [zero, 0.5], [1.0, zero])
+        return hybrid_solve(sys, CFG).eval_many(xs).tobytes()
+
+    shared = [composite(0.0), composite(-0.0)]  # the second hits the first's entry
+    assert len(checked) == 1
+    assert len(scem._reports) == 1
+    monkeypatch.setattr(scem, "_reports", {})
+    assert shared == [composite(-0.0)] * 2
 
 
 class _UnhashableConstant:
@@ -436,7 +468,7 @@ def test_outer_end_values_are_kept_per_field(monkeypatch):
         hybrid_solve(dataclasses.replace(sys, diffusion=(eps, eps)), cfg)
     assert evaluated == [[0.0, 1.0]]
     # another forcing on the same coefficients has other end values
-    other = dataclasses.replace(sys, forcing=(as_scalar_field(3.0), as_scalar_field(4.0)))
+    other = dataclasses.replace(sys, forcing=(3.0, 4.0))
     hybrid = hybrid_solve(other, cfg)
     assert evaluated == [[0.0, 1.0]] * 2
     ends = hybrid.eval_many(np.array([0.0, 1.0]))

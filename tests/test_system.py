@@ -12,7 +12,6 @@ from scem_rd.config import config_from_dict
 from scem_rd.expressions import compile_expression
 from scem_rd.problems import example1, example2
 from scem_rd.system import (
-    ScalarField,
     check_max_principle,
     forcing_max_norm,
     make_system,
@@ -30,7 +29,7 @@ def test_scalar_only_callable_is_sampled_point_by_point():
 
 
 # ---------------------------------------------------------------------------
-# constant fields
+# number fields
 # ---------------------------------------------------------------------------
 
 #: finite x of both signs and zeros of both signs, then NaN and infinities
@@ -71,17 +70,30 @@ def test_config_fields_sample_bitwise_as_the_interpreter(coeff, forcing):
 
 
 def test_numbers_given_to_make_system_sample_bitwise_as_their_callables():
-    sys = make_system([[4, -0.0], [lambda x: np.sin(x) - 2.0, 1e-300]], [-0.0, lambda x: x * x],
-                      [0.1, 0.1])
-    assert [[a.constant for a in row] for row in sys.coeff] == [[4.0, -0.0], [None, 1e-300]]
-    # the same system with every field sampled through its callable
-    plain = make_system([[ScalarField(a.fn) for a in row] for row in sys.coeff],
-                        [ScalarField(f.fn) for f in sys.forcing], sys.diffusion)
+    coeff = [[4, -0.0], [lambda x: np.sin(x) - 2.0, 1e-300]]
+    forcing = [-0.0, lambda x: x * x]
+    sys = make_system(coeff, forcing, [0.1, 0.1])
+    assert [type(a) for row in sys.coeff for a in row] == [float, float, type(coeff[1][0]), float]
+    assert sys.forcing[1] is forcing[1]
+
+    def as_callable(v):
+        return v if callable(v) else lambda x: float(v) + 0.0 * np.asarray(x)
+
+    plain = make_system([[as_callable(a) for a in row] for row in coeff],
+                        [as_callable(f) for f in forcing], [0.1, 0.1])
     with np.errstate(invalid="ignore"):
         assert _same(sys.coeff_matrix(SAMPLE_XS), plain.coeff_matrix(SAMPLE_XS))
         assert _same(sys.forcing_vector(SAMPLE_XS), plain.forcing_vector(SAMPLE_XS))
-    # the c + 0.0 * x of a number turns -0.0 into +0.0 at finite x, as before
+    # the c + 0.0 * x of a number turns -0.0 into +0.0 at finite x >= 0
     assert not np.signbit(sys.coeff_matrix(np.array([0.5]))[0, 0, 1])
+
+
+def test_negative_zero_entry_samples_to_negative_zero_at_negative_x():
+    xs = np.array([-1.0, -0.0])  # -0.0 + 0.0 * x keeps the sign of -0.0 here
+    sys = make_system([[4.0, -0.0], [-1.0, 3.0]], [-0.0, 0.0], [0.1, 0.1])
+    assert np.all(np.signbit(sys.coeff_matrix(xs)[:, 0, 1]))
+    assert np.all(np.signbit(sys.forcing_vector(xs)[:, 0]))
+    assert not np.any(np.signbit(sys.forcing_vector(xs)[:, 1]))
 
 
 def test_example1_assumptions():
