@@ -271,28 +271,37 @@ class CollocationSolution:
 # cubic Hermite basis (the collocation polynomial in value/slope form)
 # ---------------------------------------------------------------------------
 
-def _hermite(y0, y1, s0, s1, h, tau, deriv=False):
-    """Evaluate the Hermite cubic (or its derivative) at local tau in [0, 1].
-
-    Shapes broadcast: y0/y1/s0/s1 are (..., dim), h and tau are (...,).
-    """
-    h = h[..., None]
-    tau = tau[..., None]
+def _hermite_basis(tau, deriv=False):
+    """The weights of (y0, y1, h s0, h s1) in the Hermite cubic at local tau
+    in [0, 1], or in h times its derivative; each is shaped like tau."""
     t2 = tau * tau
     t3 = t2 * tau
     if not deriv:
-        return (
-            y0 * (1.0 - 3.0 * t2 + 2.0 * t3)
-            + y1 * (3.0 * t2 - 2.0 * t3)
-            + h * s0 * (tau - 2.0 * t2 + t3)
-            + h * s1 * (t3 - t2)
-        )
-    return (
-        y0 * (6.0 * t2 - 6.0 * tau)
-        + y1 * (6.0 * tau - 6.0 * t2)
-        + h * s0 * (1.0 - 4.0 * tau + 3.0 * t2)
-        + h * s1 * (3.0 * t2 - 2.0 * tau)
-    ) / h
+        a, b = 3.0 * t2, 2.0 * t3
+        return 1.0 - a + b, a - b, tau - 2.0 * t2 + t3, t3 - t2
+    a, b = 6.0 * t2, 6.0 * tau
+    return a - b, b - a, 1.0 - 4.0 * tau + 3.0 * t2, 3.0 * t2 - 2.0 * tau
+
+
+def _hermite(y0, y1, s0, s1, h, tau, deriv=False):
+    """Evaluate the Hermite cubic (or its derivative) at local tau in [0, 1]:
+    ``y0 w0 + y1 w1 + (h s0) w2 + (h s1) w3``, divided by h for the
+    derivative, summed left to right with the weights of
+    :func:`_hermite_basis`. h and tau are (m,), and y0/y1/s0/s1 are
+    (dim, m): component-major, so every product runs along the m points.
+    """
+    w0, w1, w2, w3 = _hermite_basis(tau, deriv)
+    out = y0 * w0
+    out += y1 * w1
+    hs = h * s0
+    hs *= w2
+    out += hs
+    np.multiply(h, s1, out=hs)
+    hs *= w3
+    out += hs
+    if deriv:
+        out /= h
+    return out
 
 
 def _interp_arrays(
@@ -304,15 +313,23 @@ def _interp_arrays(
 ) -> np.ndarray:
     a, b = nodes[0], nodes[-1]
     slack = 1e-10 * max(1.0, abs(b - a))
-    if not np.all((ts >= a - slack) & (ts <= b + slack)):  # NaN fails too
+    # NaN fails too
+    if not (ts.min(initial=np.inf) >= a - slack and ts.max(initial=-np.inf) <= b + slack):
         raise ValueError(f"evaluation point outside [{a}, {b}]")
     ts = np.clip(ts, a, b)
-    k = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, nodes.size - 2)
-    h = nodes[k + 1] - nodes[k]
-    tau = (ts - nodes[k]) / h
-    return _hermite(
-        values[k], values[k + 1], slopes[k], slopes[k + 1], h, tau, deriv=deriv
-    )
+    k = np.searchsorted(nodes, ts, side="right")
+    k -= 1
+    np.clip(k, 0, nodes.size - 2, out=k)
+    k1 = k + 1
+    left = nodes.take(k)
+    h = nodes.take(k1)
+    h -= left
+    ts -= left
+    ts /= h  # tau
+    values, slopes = np.ascontiguousarray(values.T), np.ascontiguousarray(slopes.T)
+    out = _hermite(values.take(k, axis=1), values.take(k1, axis=1),
+                   slopes.take(k, axis=1), slopes.take(k1, axis=1), h, ts, deriv=deriv)
+    return out.T.copy()  # (m, dim) in C order
 
 
 def evaluate(sol: CollocationSolution, points: Sequence[float] | np.ndarray,
@@ -596,9 +613,9 @@ _GAUSS_W = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887
                      0.4786286704993663, 0.23692688505618928])
 _GAUSS_TAU = 0.5 * (_GAUSS_X + 1.0)  # Gauss points mapped to [0, 1]
 # (5, 4): weights of (y0, y1, h s0, h s1) at the Gauss points, giving the
-# cubic and its derivative times h (the Hermite basis, read off _hermite)
+# cubic and its derivative times h (the Hermite basis of _hermite_basis)
 _GAUSS_VALUE, _GAUSS_SLOPE = (
-    _hermite(*np.eye(4), np.ones(5), _GAUSS_TAU, deriv=deriv) for deriv in (False, True)
+    np.stack(_hermite_basis(_GAUSS_TAU, deriv), axis=1) for deriv in (False, True)
 )
 
 

@@ -3,14 +3,19 @@
 :func:`format_table` renders rows ``x,v_1,..,v_c`` byte-identical to
 ``("%s" + ("," + cell) * c + "\\n") % row``, but in numpy: each value is
 rounded half to even on the exact product of ``|v|`` and a power of ten,
-and its digits, sign and exponent go into one row of a uint8 cell matrix
-with NUL pad bytes, which are dropped on output. The product is exact by
-Dekker's two-product when the power of ten is a double; otherwise a
-double-double power bounds its error. A value the fast path cannot certify
-(non-finite, subnormal, ``|v| 10^p >= 2^63`` in ``%f``, or a remainder
-within the error bound of one half) is formatted by ``%`` in its own cell
-(:func:`percent_cells`). :func:`format_column` formats one column into the
-same matrix form, such as the x cells that every row of a table shares.
+and its digits, sign and exponent go into one row of a uint8 cell matrix.
+The product is exact by Dekker's two-product when the power of ten is a
+double; otherwise a double-double power bounds its error. Only the rare
+cells whose remainder lies near one half work out its exact tails. A block
+of cells has a sign column, integer digits and a three-digit exponent only
+as far as one of its values needs them, and the rows that need less carry
+NUL pad bytes, which are dropped on output; a block of like values has
+none, and is written as it stands. A value the fast path cannot certify
+(non-finite, subnormal in ``%e``, ``|v| 10^p`` within 2^-50 of 2^63 or
+beyond in ``%f``, or a remainder within the error bound of one half) is
+formatted by ``%`` in its own cell (:func:`percent_cells`).
+:func:`format_column` formats one column into the same matrix form, such
+as the x cells that every row of a table shares.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ _TINY = sys.float_info.min  # smallest normal double
 _E_MIN, _E_MAX = -308, 308  # decimal exponents of the normal doubles
 _K_MIN, _K_MAX = -_E_MAX, 18 - _E_MIN  # scaling powers 10^k any %.<p>e needs
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
+_LOG10_2 = np.log10(2.0)
+#: below one half by more than any error bound of a remainder in _round_scaled
+_NEAR_HALF = 0.5 - 2.0 ** -32
 _CELL = re.compile(r"%\.(\d+)([ef])")
-_ZERO, _COMMA, _NEWLINE, _DOT, _MINUS, _PLUS = b"0,\n.-+"
+_ZERO, _COMMA, _NEWLINE, _DOT, _MINUS = b"0,\n.-"
 
 
 @functools.cache
@@ -61,19 +69,24 @@ def _tables():
         if (num < den * 10 ** e) if e >= 0 else (num * 10 ** -e < den):
             c = np.nextafter(c, np.inf)
         ceil.append(c)
-    return np.array(hi), np.array(lo), np.array(shift), np.array(ceil)
+    # an int32 shift takes numpy's fast ldexp loop, an int64 one does not
+    return np.array(hi), np.array(lo), np.array(shift, np.int32), np.array(ceil)
 
 
 def _two_prod(a, b):
     """Dekker: a * b == p + err exactly (no FMA needed)."""
     p = a * b
-    c = _SPLIT * a
-    ah = c - (c - a)
+    ah = _SPLIT * a
+    ah -= ah - a
     al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
+    bh = _SPLIT * b
+    bh -= bh - b
     bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    err = ah * bh - p
+    err += ah * bl
+    err += al * bh
+    err += al * bl
+    return p, err
 
 
 def _two_sum(a, b):
@@ -84,35 +97,44 @@ def _two_sum(a, b):
 
 
 def _round_scaled(a: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-    """Round ``a * 10^k`` half to even, for ``a`` >= 0 finite, normal or 0.
+    """Round ``a * 10^k`` half to even: for ``a`` normal and ``k`` an array,
+    or for ``a`` >= 0 and a scalar ``k`` with ``a * 10^k <= 2^63 - 2^12``
+    (a subnormal ``a`` then rounds to 0, as it should).
 
     Returns ``(n, bad)``: the int64 results and where they are not
-    certified (the product reaches 2^63, or 10^k is not a double and the
-    remainder lies within the error bound of one half).
+    certified (10^k is not a double and the remainder lies within the error
+    bound of one half).
     """
     hi, lo, shift, _ = _tables()
-    i = np.asarray(k) - _K_MIN
+    i = k - _K_MIN
     hi, lo = hi[i], lo[i]
     x = np.ldexp(a, shift[i])  # exact: the product is near 10^k
     p, err = _two_prod(x, hi)
-    bad = ~(p < _TWO63)
-    p[bad] = 0.0
     r = np.rint(p)
-    # remainder (p - r) + err + x*lo, renormalised into [-1/2, 1/2] twice
-    s, tail = _two_sum(p - r, err)
-    q1 = np.rint(s)
-    s, tail2 = _two_sum(s - q1, x * lo)
-    q2 = np.rint(s)
-    s -= q2
-    n = r.astype(np.int64) + q1.astype(np.int64) + q2.astype(np.int64)
-    # with lo == 0 the remainder s + tail is exact: step past a half when
-    # the tail says so, and on a tie only to reach the even neighbour
-    tail += tail2
-    half = np.abs(s) == 0.5
-    step = half & ((tail * s > 0) | ((tail == 0) & (n % 2 == 1)))
-    n += np.where(step, np.sign(s), 0.0).astype(np.int64)
-    margin = x * 2.0 ** -96 + 2.0 ** -50
-    bad |= (lo != 0) & (np.abs(np.abs(s) - 0.5) <= margin)
+    xlo = x * lo  # 0 where 10^k is a double
+    # the remainder (p - r) + err + x*lo, rounded into [-1/2, 1/2]; its exact
+    # tails matter only near a half, so only those cells work them out
+    s = p - r
+    s += err
+    s += xlo
+    q = np.rint(s)
+    s -= q
+    n = r.astype(np.int64)
+    n += q.astype(np.int64)
+    bad = np.zeros(a.shape, bool)
+    near = np.flatnonzero(np.abs(s) >= _NEAR_HALF)
+    if near.size:
+        s, tail = _two_sum(p[near] - r[near], err[near])  # the same sums, with their errors
+        s, tail2 = _two_sum(s, xlo[near])
+        tail += tail2
+        s -= np.rint(s)
+        # with lo == 0 the remainder s + tail is exact: step past a half when
+        # the tail says so, and on a tie only to reach the even neighbour
+        m = n[near]
+        step = (np.abs(s) == 0.5) & ((tail * s > 0) | ((tail == 0) & ((m & 1) == 1)))
+        n[near] = m + np.where(step, np.sign(s), 0.0).astype(np.int64)
+        margin = x[near] * 2.0 ** -96 + 2.0 ** -50
+        bad[near] = (xlo[near] != 0) & (np.abs(np.abs(s) - 0.5) <= margin)
     return n, bad
 
 
@@ -123,16 +145,39 @@ def _quads() -> np.ndarray:
     return (q + _ZERO).astype(np.uint8).view(np.uint32).ravel()
 
 
+@functools.cache
+def _exponents() -> tuple[np.ndarray, np.ndarray]:
+    """``e``, the sign and the digits of the exponents _E_MIN.._E_MAX, one
+    entry each: four bytes in a uint32, for blocks without a three-digit
+    exponent, and five bytes (the hundreds digit NUL below 100) and three
+    NULs in a uint64."""
+    five = np.zeros((_E_MAX + 1 - _E_MIN, 8), np.uint8)
+    five[:, :5] = np.frombuffer(b"".join(f"e{e:+04d}".encode() for e in range(_E_MIN, _E_MAX + 1)),
+                                np.uint8).reshape(-1, 5)
+    five[np.abs(np.arange(_E_MIN, _E_MAX + 1)) < 100, 2] = 0
+    return five[:, [0, 1, 3, 4]].copy().view(np.uint32).ravel(), five.view(np.uint64).ravel()
+
+
 def _digits(n: np.ndarray, count: int) -> np.ndarray:
-    """The ``count`` lowest decimal digits of ``n`` >= 0 as ASCII, most
+    """The ``count`` decimal digits of ``0 <= n < 10^count`` as ASCII, most
     significant first, looked up four at a time."""
     groups = -(-count // 4)
     quads = np.empty((n.size, groups), np.int64)
-    for g in range(groups - 1, -1, -1):
+    for g in range(groups - 1, 0, -1):
         high = n // 10000
         quads[:, g] = n - high * 10000
         n = high
-    return _quads()[quads].view(np.uint8)[:, 4 * groups - count:]
+    quads[:, 0] = n
+    return _quads().take(quads).view(np.uint8)[:, 4 * groups - count:]
+
+
+def _put(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` for (m, w) uint8 arrays with contiguous rows,
+    copied as one w-byte item a row: numpy copies short byte rows one
+    call a row, several times slower."""
+    if src.shape[1]:  # a void item has at least one byte
+        item = np.dtype((np.void, src.shape[1]))
+        dst.view(item)[:, 0] = src.view(item)[:, 0]
 
 
 def percent_cells(v: np.ndarray, places: int, kind: str) -> list[bytes]:
@@ -143,45 +188,57 @@ def percent_cells(v: np.ndarray, places: int, kind: str) -> list[bytes]:
 def _cells(v: np.ndarray, places: int, kind: str) -> np.ndarray:
     """Format a 1-d array into a matrix of comma-led, NUL-padded ASCII
     cells, one row per value: dropping a row's NULs gives
-    ``"," + cell % v``. A value the fast path cannot certify is formatted by
-    :func:`percent_cells`, and the matrix widens to fit its text."""
+    ``"," + cell % v``. The sign column, the integer digits of ``%f`` and
+    the hundreds digit of an exponent are there only as far as some value
+    needs them, so a block of like values has no NUL. A value the fast path
+    cannot certify is formatted by :func:`percent_cells`, and the matrix
+    widens to fit its text."""
     a = np.abs(v)
-    limit = _TWO63 if kind == "f" else np.inf  # %f needs |v| 10^p < 2^63
-    bad = ~(a < limit) | ((a > 0) & (a < _TINY))
-    a[bad] = 0.0
     if kind == "f":
+        bad = ~(a < _TWO63 * (1.0 - 2.0 ** -50) / 10.0 ** places)  # n stays below 2^63
+        a[bad] = 0.0
         n, uncertain = _round_scaled(a, places)
-        d = _digits(n, 19)
-        # leading zeros of the integer part are pads; the units digit stays
-        d[:, :18 - places][n[:, None] < _POW10[18:places:-1]] = 0
-        point = 21 - places  # after the comma, the sign and 19 - p digits
-        cells = np.empty((a.size, 22), np.uint8)
-        cells[:, 2:point] = d[:, :19 - places]
-        cells[:, point + 1:] = d[:, 19 - places:]
+        # as many integer digits as the largest value has, at least one
+        lead = max(1, int(np.searchsorted(_POW10, n.max(initial=0), side="right")) - places)
+        exponent = np.zeros((a.size, 0), np.uint8)
     else:
         zero = a == 0
-        a[zero] = 1.0
-        exp = np.searchsorted(_tables()[3], a, side="right") - 1 + _E_MIN
+        bad = ~(zero | ((a >= _TINY) & (a < np.inf)))  # subnormal or not finite
+        a[zero | bad] = 1.0
+        # 10^exp <= a < 10^(exp + 1); the binary exponent gives exp or exp - 1
+        exp = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.int64)
+        exp += a >= _tables()[3][exp + 1 - _E_MIN]
         n, uncertain = _round_scaled(a, places - exp)
         # rounding up to 10^(p+1) carries into the exponent
-        carry = n == _POW10[places + 1]
+        carry = np.flatnonzero(n == _POW10[places + 1])
         n[carry] = _POW10[places]
-        exp += carry
+        exp[carry] += 1
         n[zero] = 0
         exp[zero] = 0
-        point = 3  # after the comma, the sign and the leading digit
-        cells = np.empty((a.size, places + 9), np.uint8)
-        d = _digits(n, places + 1)
-        cells[:, 2] = d[:, 0]
-        cells[:, 4:places + 4] = d[:, 1:]
-        cells[:, places + 4] = ord("e")
-        cells[:, places + 5] = np.where(exp < 0, _MINUS, _PLUS)
-        e = np.abs(exp)
-        cells[:, places + 6:] = _digits(e, 3)
-        cells[:, places + 6][e < 100] = 0
-    cells[:, 0] = _COMMA
-    cells[:, 1] = np.where(np.signbit(v), _MINUS, 0)
+        lead = 1
+        four, five = _exponents()
+        if np.any(np.abs(exp) >= 100):
+            exponent = five.take(exp - _E_MIN).view(np.uint8).reshape(-1, 8)[:, :5]
+        else:
+            exponent = four.take(exp - _E_MIN).view(np.uint8).reshape(-1, 4)
+    neg = np.signbit(v)
+    sign = int(neg.any())
+    point = 1 + sign + lead  # after the comma, the sign and the integer digits
+    end = point + 1 + places
+    cells = np.empty((a.size, end + exponent.shape[1]), np.uint8)
+    # every digit one place right of its own, so the digits after the point
+    # land where they belong; then the integer digits and the point
+    d = _digits(n, lead + places)
+    _put(cells[:, point - lead + 1:end], d)
+    for j in range(lead):
+        cells[:, point - lead + j] = d[:, j]
+    if lead > 1:  # leading zeros of the integer part are pads
+        cells[:, point - lead:point - 1][n[:, None] < _POW10[places + lead - 1:places:-1]] = 0
     cells[:, point] = _DOT
+    _put(cells[:, end:], exponent)
+    cells[:, 0] = _COMMA
+    if sign:
+        cells[:, 1] = np.where(neg, _MINUS, 0)
     bad |= uncertain
     if bad.any():
         texts = percent_cells(v[bad], places, kind)
@@ -209,7 +266,6 @@ def format_column(values: np.ndarray, cell: str) -> np.ndarray:
     out = np.zeros((values.size, 0), np.uint8)
     for start in range(0, values.size, CHUNK_ROWS):
         cells = _cells(values[start:start + CHUNK_ROWS], places, kind)[:, 1:]  # no comma
-        cells = cells[:, cells.any(axis=0)]  # drop the columns that are pads in every row
         if cells.shape[1] > out.shape[1]:
             out = np.pad(out, ((0, 0), (0, cells.shape[1] - out.shape[1])))
         out[start:start + len(cells), :cells.shape[1]] = cells
@@ -229,5 +285,9 @@ def format_table(xcol: np.ndarray, values: np.ndarray, cell: str) -> bytes:
     rows, cols = values.shape
     cells = _cells(values.ravel(), places, kind)
     cells = cells.reshape(rows, cols * cells.shape[1])
-    mat = np.hstack([xcol, cells, np.full((rows, 1), _NEWLINE, np.uint8)])
-    return mat[mat != 0].tobytes()
+    width = xcol.shape[1]
+    mat = np.empty((rows, width + cells.shape[1] + 1), np.uint8)
+    _put(mat[:, :width], xcol)
+    _put(mat[:, width:-1], cells)
+    mat[:, -1] = _NEWLINE
+    return (mat if mat.all() else mat[mat != 0]).tobytes()

@@ -300,7 +300,10 @@ class HybridApproximation:
             if layer is not None:
                 s = np.abs(xs - end) / root
                 near = s <= layer.mesh.b
-                out[near] += evaluate(layer, s[near], n)  # Psi, not Psi'
+                psi = evaluate(layer, s[near], n)  # Psi, not Psi'
+                for j in range(n):  # a column at a time: masked rows of n are slow
+                    column = out[:, j]
+                    column[near] += psi[:, j]
         return out
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -490,6 +491,94 @@ def test_formatter_matches_percent_on_dense_arrays(tmp_path, seed, rows, n, cell
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"row {i}: {values[i - 1].tolist()!r} in {cell}: {g!r} != {w!r}"
+
+
+def _ulp_neighbours(v, reach=3):
+    """Each of the values ``v`` and its neighbours up to ``reach`` ulps away."""
+    out = [v]
+    up = down = v
+    for _ in range(reach):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def _binade_values(scaled, count):
+    """``count`` values spread over the binade holding each of ``scaled``,
+    and the values within 3 ulps of it."""
+    scaled = np.asarray(scaled, dtype=float)
+    low = np.ldexp(1.0, np.frexp(scaled)[1] - 1)
+    spread = 1.0 + np.arange(count) / count + 0.5 ** 40  # not only short binary fractions
+    return np.concatenate([(low[:, None] * spread).ravel(), _ulp_neighbours(scaled)])
+
+
+#: doubles within 2^-54 of a half at the 15th decimal place, either side
+#: (m 2^-(g+15) for the m < 2^53 with m 5^15 = 2^(g-1) + j modulo 2^g, 0 < |j|
+#: < 2^(g-54)): only the exact tail of the remainder rounds them right
+_NEAR_TIES_F = [5.786485e-10, 3.0259465e-09, 4.1832435e-09, 3.30200035e-08,
+                4.97529775e-08, 3.641119275e-07, 1.8865996445e-06]
+#: a tie of %.15e whose power of ten (10^23) is not a double, and a value
+#: within 2^-54 of a half of %.15e, whose power of ten is 10^27
+_NEAR_TIES_E = [2.0 ** -24, 1.7897934635586405e-12]
+
+
+def _regression_values(family, cell):
+    """Deterministic hard cases of exact rounding, one family at a time."""
+    if family == "binades":
+        # %.15f rounds |v| 10^15, which crosses 2^52 (its last fraction bit),
+        # 2^53 (the two-product error reaches 1) and 2^63 (the int64 limit);
+        # %.15e rounds a 16-digit value, which crosses 2^52 and 2^53 in every decade
+        if cell == "%.15f":
+            return _binade_values([2.0 ** 52 / 1e15, 2.0 ** 53 / 1e15, 2.0 ** 63 / 1e15], 2048)
+        decades = 10.0 ** np.arange(-307, 294, 7)
+        return _binade_values(np.concatenate([2.0 ** 52 / 1e15 * decades,
+                                              2.0 ** 53 / 1e15 * decades]), 64)
+    if family == "ties":
+        # k/2^16 for odd k ends in a 5 at the 16th place: a tie of %.15f; all
+        # of them below 1/4, and a stride of them up to 9000
+        odd = np.concatenate([np.arange(1, 2 ** 14, 2),
+                              np.arange(1, 9000 * 2 ** 16, 2 * 14741)])
+        # k/2^(17-d) for odd k in [10^(d-1), 10^d) has 17 significant digits,
+        # the last a 5: a tie of %.15e
+        ties_e = []
+        for d in range(-2, 6):
+            scale = 2.0 ** (17 - d)
+            lo, hi = math.ceil(10.0 ** (d - 1) * scale), math.ceil(10.0 ** d * scale)
+            ties_e.append(np.arange(lo | 1, hi, 2 * max(1, (hi - lo) // 3000)) / scale)
+        for v in _NEAR_TIES_F:
+            fraction = Fraction(v) * 10 ** 15 % 1
+            assert 0 < abs(fraction - Fraction(1, 2)) < Fraction(1, 2 ** 54)
+        return np.concatenate([odd / 65536.0, *ties_e, _NEAR_TIES_F, _NEAR_TIES_E])
+    if family == "powers_of_ten":
+        return _ulp_neighbours(np.array([float(f"1e{k}") for k in range(-307, 309)]))
+    assert family == "zeros_and_subnormals"
+    tiny = 2.2250738585072014e-308  # smallest normal double
+    sub = np.ldexp(np.arange(1.0, 2001.0), -1074)
+    return np.concatenate([[0.0, tiny], _ulp_neighbours(np.array([tiny])), sub,
+                           np.nextafter(tiny, 0.0) - sub, sub * 2.0 ** 40])
+
+
+@pytest.mark.parametrize("family", ["binades", "ties", "powers_of_ten", "zeros_and_subnormals"])
+@pytest.mark.parametrize("cell", ["%.15f", "%.15e"])
+def test_formatter_matches_percent_on_rounding_edges(family, cell):
+    """Both signs of every value, in tables (x cells from format_column) and
+    in one column, compared with ``%`` row by row."""
+    values = _regression_values(family, cell)
+    values = np.concatenate([values, -values])
+    got = numformat.format_column(values, cell)
+    got = [row[row != 0].tobytes() for row in got]
+    want = [(cell % v).encode() for v in values.tolist()]
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, (f"{len(bad)} cells, first {values[bad[0]]!r}: "
+                     f"{got[bad[0]]!r} != {want[bad[0]]!r}")
+    xs = np.linspace(0.0, 1.0, values.size)
+    table = np.stack([values, values[::-1]], axis=1)
+    got = numformat.format_table(numformat.format_column(xs, "%.15f"), table, cell).split(b"\n")
+    want = [(f"%.15f,{cell},{cell}" % (x, *row)).encode()
+            for x, row in zip(xs.tolist(), table.tolist())] + [b""]
+    assert len(got) == len(want)
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, f"{len(bad)} rows, first {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"
 
 
 def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monkeypatch):

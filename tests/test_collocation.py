@@ -109,6 +109,51 @@ def test_evaluate_first_components_equals_the_column_slice():
     assert np.array_equal(got, evaluate(sol, xs)[:, :1])
 
 
+def _plain_hermite(nodes, values, slopes, ts, deriv=False):
+    """The Hermite cubic of each interval, as one broadcast formula per point."""
+    a, b = nodes[0], nodes[-1]
+    ts = np.clip(ts, a, b)
+    k = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, nodes.size - 2)
+    h = (nodes[k + 1] - nodes[k])[:, None]
+    tau = ((ts - nodes[k]) / h[:, 0])[:, None]
+    y0, y1, s0, s1 = values[k], values[k + 1], slopes[k], slopes[k + 1]
+    t2 = tau * tau
+    t3 = t2 * tau
+    if not deriv:
+        return (y0 * (1.0 - 3.0 * t2 + 2.0 * t3) + y1 * (3.0 * t2 - 2.0 * t3)
+                + h * s0 * (tau - 2.0 * t2 + t3) + h * s1 * (t3 - t2))
+    return (y0 * (6.0 * t2 - 6.0 * tau) + y1 * (6.0 * tau - 6.0 * t2)
+            + h * s0 * (1.0 - 4.0 * tau + 3.0 * t2) + h * s1 * (3.0 * t2 - 2.0 * tau)) / h
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluation_is_bitwise_the_plain_hermite_formula(seed):
+    rng = np.random.default_rng(seed)
+    nodes = np.unique(np.concatenate([[-1.5, 2.5], rng.uniform(-1.5, 2.5, 300)]))  # non-uniform
+    shape = (nodes.size, 4)
+    sol = collocation.CollocationSolution(
+        mesh=Mesh(nodes), node_values=rng.normal(size=shape),
+        node_slopes=rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, (nodes.size, 1)),
+        max_residual=None, newton_iterations=1)
+    a, b = nodes[0], nodes[-1]
+    slack = 1e-10 * (b - a)
+    ts = np.concatenate([nodes, [a, b, a - 0.5 * slack, b + 0.5 * slack, a - slack, b + slack],
+                         nodes[1:-1] + 1e-14, rng.uniform(a, b, 2000)])
+    rng.shuffle(ts)
+
+    def same(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    want = _plain_hermite(nodes, sol.node_values, sol.node_slopes, ts)
+    same(evaluate(sol, ts), want)
+    same(evaluate(sol, ts, 2), _plain_hermite(nodes, sol.node_values[:, :2],
+                                              sol.node_slopes[:, :2], ts))
+    same(sol.interpolant(ts), want)
+    same(sol.interpolant(ts[7]), want[7])
+    same(sol.interpolant_derivative(ts),
+         _plain_hermite(nodes, sol.node_values, sol.node_slopes, ts, deriv=True))
+
+
 def test_evaluate_rejects_outside_points():
     sol = solve(linear_ramp_bvp(), SolverConfig(initial_mesh_points=5))
     with pytest.raises(ValueError):
