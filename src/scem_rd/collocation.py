@@ -1,10 +1,11 @@
 """Two-point BVP solver: three-stage Lobatto IIIa collocation.
 
-Solves first-order systems u' = rhs(t, u) on [a, b] with general boundary
-conditions bc(u(a), u(b)) = 0. The discretization is the three-stage
-Lobatto IIIa implicit Runge-Kutta formula (abscissae 0, 1/2, 1), which is
-equivalent to collocation with C^1 piecewise cubics and carries classical
-order 4. Eliminating the interior stage leaves, per subinterval of width h,
+Solves first-order systems u' = rhs(t, u) on [a, b] with separated boundary
+conditions bc(u(a), u(b)) = 0: each component depends on u(a) or on u(b),
+not on both. The discretization is the three-stage Lobatto IIIa implicit
+Runge-Kutta formula (abscissae 0, 1/2, 1), which is equivalent to
+collocation with C^1 piecewise cubics and carries classical order 4.
+Eliminating the interior stage leaves, per subinterval of width h,
 
     y_mid    = (y_k + y_{k+1}) / 2 - (h/8) * (f_{k+1} - f_k),
     y_{k+1}  = y_k + (h/6) * (f_k + 4 f(t_mid, y_mid) + f_{k+1}),
@@ -13,22 +14,22 @@ so the unknowns are the mesh-node values only. The resulting nonlinear
 system (all interval closures plus the boundary residual) is solved by a
 damped Newton iteration that reuses its factors after full steps; for a
 problem flagged linear it is a linear system, solved from zero with one
-assembly, one factorization and one back-solve. With separated boundary
-conditions the Jacobian is banded: the u(a) rows go above the
-block-bidiagonal interval closures and the u(b) rows below them (the de
-Boor-Weiss SOLVEBLOK layout), and LAPACK band LU factors it: dgbtrf and
-dgbtrs of the LAPACK that numpy's linalg extension links, called through
-ctypes, so scipy is not imported. A condition coupling u(a) with u(b)
-adds a corner outside the band, and that Jacobian is factored by
-SuperLU. Adaptive solves refine the mesh by halving subintervals whose
-scaled ODE residual exceeds the tolerance. That residual is a 5-point
-Gauss quadrature of the collocation cubic's defect (the Gauss table is a
-literal, so numpy.polynomial is not imported); the Hermite basis and its
-derivative are tabulated once at the Gauss points, so the cubic at every
-quadrature point of every subinterval is one matrix product. A fixed-mesh
-solve refines nothing, so it does not estimate the residual;
-:func:`estimate_residual` computes it on demand. The returned solution
-carries the collocation cubic as a continuous interpolant.
+assembly, one factorization and one back-solve. The Jacobian is banded:
+the u(a) rows go above the block-bidiagonal interval closures and the u(b)
+rows below them (the de Boor-Weiss SOLVEBLOK layout), and LAPACK band LU
+factors it: dgbtrf and dgbtrs of the LAPACK that numpy's linalg extension
+links, called through ctypes, so scipy is not imported. A condition
+coupling u(a) with u(b) would add a corner outside the band; it raises
+ValueError at the first Jacobian assembly. Adaptive solves refine the mesh
+by halving subintervals whose scaled ODE residual exceeds the tolerance.
+That residual is a 5-point Gauss quadrature of the collocation cubic's
+defect (the Gauss table is a literal, so numpy.polynomial is not
+imported); the Hermite basis and its derivative are tabulated once at the
+Gauss points, so the cubic at every quadrature point of every subinterval
+is one matrix product. A fixed-mesh solve refines nothing, so it does not
+estimate the residual; :func:`estimate_residual` computes it on demand.
+The returned solution carries the collocation cubic as a continuous
+interpolant.
 """
 
 from __future__ import annotations
@@ -137,9 +138,11 @@ class FirstOrderBvp:
             array of times and the (m, dim) states there to the (m, dim)
             derivatives. It is never called point by point.
         bc: boundary residual bc(u(a), u(b)), zero at a solution, exactly
-            dim components. When every component depends on only one
-            endpoint (separated conditions) Newton uses a band LU; a
-            component depending on both takes the slower sparse LU.
+            dim components, each depending on only one endpoint
+            (separated conditions), so that Newton's Jacobian is banded.
+            A component depending on both raises ValueError, and one
+            depending on neither NewtonDivergence, at the first Jacobian
+            assembly.
         interval: (a, b) with a < b. For boundary-layer problems this is
             the stretched domain.
         rhs_jac: optional analytic Jacobian d rhs / d u, called like rhs
@@ -150,9 +153,10 @@ class FirstOrderBvp:
             Jacobians there and no Newton iteration to correct them.
         bc_jac: optional analytic Jacobians of bc, the counterpart of
             rhs_jac: bc_jac(u(a), u(b)) returns the pair (d bc / d u(a),
-            d bc / d u(b)), each (dim, dim). Their zero pattern chooses the
-            band or the sparse LU as bc's does. When absent, each Jacobian
-            pass calls bc 2 dim times for forward differences.
+            d bc / d u(b)), each (dim, dim). Their zero pattern is checked
+            as bc's finite differences are: a row nonzero in both raises
+            ValueError. When absent, each Jacobian pass calls bc 2 dim
+            times for forward differences.
     """
 
     dim: int
@@ -435,57 +439,40 @@ def _jacobian_blocks(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data)
 
 
 def splu(J):
-    """SuperLU factorization of the sparse matrix J. scipy.sparse is
-    imported on the first call, so a run whose boundary conditions are all
-    separated never loads it."""
+    """SuperLU factorization of the sparse matrix J; scipy.sparse is
+    imported on the first call. Nothing in this package calls it: the
+    engine factors by band LU only. The name stays for perfbench's tracer,
+    which patches it, and goes with ROADMAP item 1 part A, as does the
+    CLI's ``--jobs``."""
     from scipy.sparse.linalg import splu as superlu
 
     return superlu(J)
 
 
-def _factor_sparse(L, R, Ba, Bb):
-    """SuperLU on the block-bidiagonal matrix with the bc rows on top.
+def _factor_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data):
+    """Factor the Newton Jacobian by LAPACK band LU; returns a function
+    solving J x = F.
 
-    Needed when a boundary condition couples u(a) and u(b): that row
-    reaches from the first to the last block column, so no narrow band
-    holds it.
+    Every bc row must depend on exactly one endpoint, as its zero pattern
+    in (Ba, Bb) shows. A row on both raises ValueError, before any
+    factorization; a row on neither raises NewtonDivergence, since J is
+    then singular. Rows are ordered u(a)-only bc rows, interval closures,
+    u(b)-only bc rows; the matrix is then banded with kl = pa + dim - 1
+    sub- and ku = max(dim - 1, 2 dim - 1 - pa) superdiagonals, pa being
+    the number of u(a) rows. Entry (r, c) sits at ab[kl + ku + r - c, c].
     """
-    from scipy.sparse import csc_matrix
-
-    n_int, dim, _ = L.shape
-    ii, jj = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-
-    rows, cols, vals = [], [], []
-    for col, data_block in ((0, Ba), (n_int, Bb)):
-        rows.append(ii)
-        cols.append(col * dim + jj)
-        vals.append(data_block.ravel())
-    k = np.arange(n_int)
-    for col_off, blocks in ((0, L), (1, R)):
-        rows.append(((k[:, None] + 1) * dim + ii[None, :]).ravel())
-        cols.append(((k[:, None] + col_off) * dim + jj[None, :]).ravel())
-        vals.append(blocks.reshape(n_int, -1).ravel())
-
-    size = (n_int + 1) * dim
-    J = csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-    try:
-        return splu(J).solve
-    except RuntimeError as exc:  # singular factorization
-        raise NewtonDivergence(f"collocation Jacobian is singular: {exc}") from exc
-
-
-def _factor_banded(L, R, Ba, Bb, on_a):
-    """LAPACK band LU for separated boundary conditions.
-
-    Rows are ordered u(a)-only bc rows, interval closures, u(b)-only bc
-    rows; the matrix is then banded with kl = pa + dim - 1 sub- and
-    ku = max(dim - 1, 2 dim - 1 - pa) superdiagonals, pa being the number
-    of u(a) rows. Entry (r, c) sits at ab[kl + ku + r - c, c].
-    """
+    L, R, Ba, Bb = _jacobian_blocks(bvp, nodes, Y, data)
+    on_a = np.any(Ba != 0.0, axis=1)
+    on_b = np.any(Bb != 0.0, axis=1)
+    if not np.all(on_a | on_b):
+        raise NewtonDivergence(
+            "collocation Jacobian is singular: a boundary condition depends "
+            "on neither endpoint"
+        )
+    coupled = np.flatnonzero(on_a & on_b)
+    if coupled.size:
+        raise ValueError(f"boundary condition row {coupled[0]} depends on both u(a) and "
+                         "u(b); only separated conditions are supported")
     n_int, dim, _ = L.shape
     pa = int(np.count_nonzero(on_a))
     kl = pa + dim - 1
@@ -513,25 +500,6 @@ def _factor_banded(L, R, Ba, Bb, on_a):
         return x
 
     return solve_band
-
-
-def _factor_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data):
-    """Factor the Newton Jacobian; returns a function solving J x = F.
-
-    The bc zero pattern picks the path: separated conditions take the
-    band LU, a row coupling u(a) with u(b) takes SuperLU.
-    """
-    L, R, Ba, Bb = _jacobian_blocks(bvp, nodes, Y, data)
-    on_a = np.any(Ba != 0.0, axis=1)
-    on_b = np.any(Bb != 0.0, axis=1)
-    if not np.all(on_a | on_b):
-        raise NewtonDivergence(
-            "collocation Jacobian is singular: a boundary condition depends "
-            "on neither endpoint"
-        )
-    if np.any(on_a & on_b):
-        return _factor_sparse(L, R, Ba, Bb)
-    return _factor_banded(L, R, Ba, Bb, on_a)
 
 
 def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverConfig):
@@ -678,9 +646,10 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSol
     subintervals whose scaled residual exceeds ``cfg.residual_tol`` are
     halved and Newton repeats from the interpolated previous solution.
     Each pass and its path are logged at debug level on the "scem_rd"
-    logger. Raises NewtonDivergence when the iteration fails to contract,
-    the linear step is not finite or (adaptive mode only) the residual
-    estimate is not finite, and MeshOverflow when the tolerance is
+    logger. Raises ValueError when a boundary condition couples u(a) with
+    u(b), NewtonDivergence when one depends on neither, the iteration fails
+    to contract, the linear step is not finite or (adaptive mode only) the
+    residual estimate is not finite, and MeshOverflow when the tolerance is
     unreachable within ``cfg.max_mesh_points`` (adaptive mode only).
     """
     cfg = cfg or SolverConfig()

@@ -11,6 +11,7 @@ from scipy.linalg import solve_banded
 
 from scem_rd.analysis import (
     GridFunction,
+    check_doubling,
     convergence_table,
     double_mesh_diff,
     exact_constant_system,
@@ -91,6 +92,16 @@ def test_double_mesh_grid_mismatch_rejected():
 def test_grid_must_be_strictly_increasing(bad):
     with pytest.raises(ValueError, match="strictly increasing"):
         GridFunction(grid=np.array(bad), values=np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("grid, values, message", [
+    (np.zeros((3, 1)), np.zeros((3, 1)), "grid must be 1-D and values 2-D"),
+    (np.zeros(3), np.zeros(3), "grid must be 1-D and values 2-D"),
+    (np.linspace(0.0, 1.0, 3), np.zeros((4, 1)), "values must have one row per grid point"),
+], ids=["2d-grid", "1d-values", "row-count"])
+def test_grid_function_rejects_bad_shapes(grid, values, message):
+    with pytest.raises(ValueError, match=message):
+        GridFunction(grid=grid, values=values)
 
 
 def test_double_mesh_example1_magnitude():
@@ -231,6 +242,11 @@ def test_nondoubling_chain_rejected():
         convergence_table(lambda e, n: None, [0.5], [16, 24])
 
 
+def test_empty_chain_rejected():
+    with pytest.raises(ValueError, match="n_list must be nonempty"):
+        check_doubling(())
+
+
 # ---------------------------------------------------------------------------
 # constant-coefficient oracle
 # ---------------------------------------------------------------------------
@@ -290,6 +306,13 @@ def test_oracle_rejects_bad_spectrum():
     for eps in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="eps must be positive"):
             exact_constant_system(A1, F1, eps)
+
+
+@pytest.mark.parametrize("A, f", [(A1[:1], F1), (A1, np.ones(3)), (A1.ravel(), F1)],
+                         ids=["not-square", "f-length", "A-1d"])
+def test_oracle_rejects_bad_shapes(A, f):
+    with pytest.raises(ValueError, match="A must be square and f a matching vector"):
+        exact_constant_system(A, f, 0.01)
 
 
 def test_hybrid_error_stays_small_uniformly_in_eps():

@@ -377,6 +377,20 @@ def test_plotdata_no_oracle_for_nonconstant_forcing(tmp_path):
     assert not (tmp_path / "example2_error_eps0.01.csv").exists()
 
 
+def test_plotdata_no_oracle_for_coefficient_that_vanishes_on_a_coarse_probe(tmp_path):
+    # A11 = 4 at x = 0, 0.1, ..., 1 but spans [3.58, 4.42] between them: an
+    # x-dependent entry is never taken for a constant one
+    nodes = "*".join(f"(x-{k / 10})" for k in range(11))
+    coeff = [["4 + 100000*" + nodes, "-2"], ["-1", "3"]]
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), name="wiggle", coeff=coeff)
+    path = tmp_path / "wiggle.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["plotdata", "--problem", str(path), "--eps", "0.01", "--grid", "201",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "wiggle_plot_eps0.01.csv").exists()
+    assert not (tmp_path / "wiggle_error_eps0.01.csv").exists()
+
+
 def test_plotdata_no_oracle_for_complex_spectrum(tmp_path):
     # strictly dominant with non-positive off-diagonals, so the solve is
     # valid, but A's eigenvalues are complex and the closed form does not apply
@@ -710,15 +724,21 @@ def test_blockwise_outer_values_equal_one_whole_grid_evaluation(tmp_path, monkey
 
 
 def test_cli_commands_leave_superlu_unloaded(tmp_path):
-    # SuperLU is imported on the first coupled boundary condition, so the CLI
-    # (whose problems all have separated conditions) never loads scipy; the
-    # band LU comes from numpy's LAPACK and the Gauss table is a literal
+    # every command factors by band LU from numpy's LAPACK and never calls
+    # splu, so no run loads scipy; the Gauss table is a literal, so none
+    # loads numpy.polynomial. A coupled boundary condition is rejected
+    # before it is factored, and loads nothing either.
     script = """
 import sys
 import numpy as np
+import pytest
 from scem_rd import collocation
 from scem_rd.cli import main
 
+def no_splu(J):
+    raise AssertionError("splu called")
+
+collocation.splu = no_splu
 out = sys.argv[1]
 for argv in (["convergence", "--n", "16,32", "--no-adapt"], ["convergence", "--n", "16,32"],
              ["solve", "--n", "64"], ["plotdata", "--grid", "101"]):
@@ -729,8 +749,9 @@ assert "numpy.polynomial" not in sys.modules
 bvp = collocation.FirstOrderBvp(
     dim=2, rhs=lambda t, U: np.stack([U[:, 1], 0.0 * U[:, 1]], axis=1),
     bc=lambda ua, ub: np.array([ua[0], ub[0] + ua[0] - 1.0]), interval=(0.0, 1.0))
-collocation.solve(bvp, collocation.SolverConfig(initial_mesh_points=5))
-assert "scipy.sparse.linalg" in sys.modules
+with pytest.raises(ValueError, match="row 1 depends on both"):
+    collocation.solve(bvp, collocation.SolverConfig(initial_mesh_points=5))
+assert "scipy" not in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
@@ -743,6 +764,12 @@ assert "scipy.sparse.linalg" in sys.modules
 _X_EDGES = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.5,
             5e-16, 1.5e-15, np.nextafter(5e-16, 1.0), 2.0 ** -50, 3 * 2.0 ** -51,
             1e-15, 0.999999999999999, 0.9999999999999995, -1.0, 12345.678, *_EDGES]
+
+
+@pytest.mark.parametrize("cell", ["%d", "%.15g", "%.0f", "%.18e", "%15f"])
+def test_unsupported_cell_format_is_rejected(cell):
+    with pytest.raises(ValueError, match="unsupported cell format"):
+        numformat.format_column(np.array([0.5]), cell)
 
 
 @pytest.mark.parametrize("xs", [
@@ -922,6 +949,65 @@ def test_run_options_are_checked_before_out_is_created(tmp_path, capsys, monkeyp
                  "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_EXAMPLE1 = BUILTIN_PROBLEMS["example1"].to_dict()
+_RUN = ["--eps", "0.5", "--out", "OUT"]
+
+
+@pytest.mark.parametrize("options, config, message", [
+    (_RUN + ["--grid", "abc"], None, "bad grid 'abc': expected a count or 'paper'"),
+    (_RUN + ["--grid", "1"], None, "grid count must be at least 2"),
+    (["--out", "OUT"], None, "--eps is required"),
+    (["--eps", "0.5"], None, "--out is required"),
+    (["--eps", ",", "--out", "OUT"], None, "eps list must be nonempty"),
+    (["--eps", "0.1,abc", "--out", "OUT"], None, "bad eps token 'abc'"),
+    (_RUN + ["--n", "64,abc"], None, "bad N list '64,abc'"),
+    (_RUN, dict(_EXAMPLE1, forcing=["1", None]),
+     "expected an expression string or number, got None"),
+    (_RUN, {k: v for k, v in _EXAMPLE1.items() if k != "bc_left"},
+     "config is missing field 'bc_left'"),
+    (_RUN, "{", "invalid JSON"),
+    (_RUN, [], "config must be a JSON object"),
+    (_RUN, dict(_EXAMPLE1, n=1), "n must be at least 2"),
+    (_RUN, dict(_EXAMPLE1, coeff=[["4", "-2"], ["-1"]]),
+     "coeff must be an n x n array of expressions"),
+], ids=["grid-word", "grid-one", "no-eps", "no-out", "eps-empty", "eps-word", "n-word",
+        "null-entry", "missing-field", "invalid-json", "not-an-object", "n-one", "not-square"])
+def test_bad_option_or_config_exits_2_and_creates_no_out(tmp_path, capsys, options, config,
+                                                         message):
+    problem = "example1"
+    if config is not None:
+        problem = tmp_path / "problem.json"
+        problem.write_text(config if isinstance(config, str) else json.dumps(config),
+                           encoding="utf-8")
+    out = tmp_path / "out"
+    options = [str(out) if a == "OUT" else a for a in options]
+    assert main(["solve", "--problem", str(problem), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scem-rd: config error: ") and message in err
+    assert not out.exists()
+
+
+def test_grid_paper_and_number_entries_are_the_default_and_string_forms(tmp_path):
+    # --grid paper is solve's default grid, and a JSON number in coeff or
+    # forcing is read as its repr, so both runs write example1's bytes
+    path = tmp_path / "example1.json"
+    path.write_text(json.dumps(dict(_EXAMPLE1, coeff=[[4, -2], [-1, 3.0]], forcing=[1, 2.0])),
+                    encoding="utf-8")
+    for command, strings_grid, numbers_grid, n_files in (
+        ("solve", [], ["--grid", "paper"], 2),
+        ("plotdata", ["--grid", "101"], ["--grid", "101"], 4),  # with error files
+    ):
+        strings, numbers = tmp_path / command / "strings", tmp_path / command / "numbers"
+        assert main([command, "--problem", "example1", "--eps", "2^-1,2^-12", *strings_grid,
+                     "--out", str(strings)]) == 0
+        assert main([command, "--problem", str(path), "--eps", "2^-1,2^-12", *numbers_grid,
+                     "--out", str(numbers)]) == 0
+        names = sorted(p.name for p in strings.iterdir())
+        assert len(names) == n_files and names == sorted(p.name for p in numbers.iterdir())
+        for name in names:
+            assert (strings / name).read_bytes() == (numbers / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["solve", "plotdata"])

@@ -154,6 +154,21 @@ def test_evaluation_is_bitwise_the_plain_hermite_formula(seed):
          _plain_hermite(nodes, sol.node_values, sol.node_slopes, ts, deriv=True))
 
 
+def test_dim_must_be_positive():
+    with pytest.raises(ValueError, match="dim must be positive"):
+        FirstOrderBvp(dim=0, rhs=lambda t, U: U, bc=lambda ua, ub: ua, interval=(0.0, 1.0))
+
+
+def test_newton_started_at_the_solution_stops_after_one_factorization():
+    # u' = 0, u(0) = 1, not flagged linear: Newton starts from the ones
+    # vector, so the first step after the first factorization is zero
+    bvp = FirstOrderBvp(dim=1, rhs=lambda t, U: np.zeros_like(U),
+                        bc=lambda ua, ub: ua - 1.0, interval=(0.0, 1.0))
+    sol = solve(bvp, SolverConfig(initial_mesh_points=5, adaptive=False))
+    assert sol.newton_iterations == 1
+    assert np.array_equal(sol.node_values, np.ones((5, 1)))
+
+
 def test_evaluate_rejects_outside_points():
     sol = solve(linear_ramp_bvp(), SolverConfig(initial_mesh_points=5))
     with pytest.raises(ValueError):
@@ -431,33 +446,26 @@ def test_band_layout_for_every_bc_row_split(data, dim):
         interval=(0.0, 1.0),
         rhs_jac=lambda t, U: np.broadcast_to(M, (len(t), dim, dim)),
     )
-    with mock.patch.object(collocation, "splu", side_effect=AssertionError("sparse path")):
-        sol = solve(bvp, SolverConfig(initial_mesh_points=201, adaptive=False))
+    sol = solve(bvp, SolverConfig(initial_mesh_points=201, adaptive=False))
     want = np.array([expm(M * t) @ ua for t in sol.mesh.nodes])
     assert np.max(np.abs(sol.node_values - want)) <= 1e-8
 
 
-def test_coupled_bc_takes_superlu_and_agrees_with_separated(monkeypatch):
-    factored = []
-
-    def counting_splu(J):
-        factored.append(J.shape)
-        return splu(J)
-
-    splu = collocation.splu
-    monkeypatch.setattr(collocation, "splu", counting_splu)
-    cfg = SolverConfig(initial_mesh_points=5)
-    separated = solve(linear_ramp_bvp(), cfg)
-    assert factored == []
-    coupled = solve(
-        dataclasses.replace(
-            linear_ramp_bvp(), bc=lambda ua, ub: np.array([ua[0], ub[0] + ua[0] - 1.0])
-        ),
-        cfg,
-    )
-    assert factored
-    np.testing.assert_allclose(coupled.node_values, separated.node_values, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(coupled.interpolant(0.37), [0.37, 1.0], rtol=0, atol=1e-12)
+def test_coupled_bc_is_rejected_before_factoring(monkeypatch):
+    # row 1 couples u(b) with u(a): its pattern comes from finite differences
+    # of bc, or from an analytic bc_jac, and either way nothing is factored
+    monkeypatch.setattr(collocation, "dgbtrf", mock.Mock(side_effect=AssertionError("factored")))
+    coupled = dataclasses.replace(
+        linear_ramp_bvp(), bc=lambda ua, ub: np.array([ua[0], ub[0] + ua[0] - 1.0]))
+    bc_jac = mock.Mock(return_value=(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                                     np.array([[0.0, 0.0], [1.0, 0.0]])))
+    for bvp in (coupled, dataclasses.replace(coupled, bc_jac=bc_jac)):
+        for linear in (False, True):
+            with pytest.raises(ValueError, match=r"boundary condition row 1 depends on both "
+                                                 r"u\(a\) and u\(b\)"):
+                solve(dataclasses.replace(bvp, linear=linear), SolverConfig(initial_mesh_points=5))
+    assert bc_jac.call_count == 2
+    assert collocation.dgbtrf.call_count == 0
 
 
 def test_band_lu_loaded_by_file_is_bitwise_scipy_linalg_lapack():

@@ -251,6 +251,15 @@ def test_vacuously_true_when_hypothesis_fails():
     assert check_max_principle(sys, GridFunction(grid=xs, values=vals), tol=1e-6)
 
 
+def test_vacuously_true_when_interior_hypothesis_fails():
+    # y = -x(1-x) in both components: zero at the boundary, negative inside,
+    # and -eps y'' + A y = -2 eps - 2 x(1-x) < 0 there, so the premise fails
+    sys = example1(0.01)
+    xs = np.linspace(0.0, 1.0, 101)
+    vals = np.repeat((-xs * (1.0 - xs))[:, None], 2, axis=1)
+    assert check_max_principle(sys, GridFunction(grid=xs, values=vals), tol=1e-6) is True
+
+
 def test_grid_too_small_rejected():
     sys = example1(0.01)
     cand = GridFunction(grid=np.array([0.0, 1.0]), values=np.zeros((2, 2)))
@@ -280,3 +289,6 @@ def test_system_rejects_bad_shapes():
             make_system(eye, [1.0, 1.0], [0.1, 0.1], left_bc=[0.0, bad])
         with pytest.raises(ValueError, match="finite"):
             make_system(eye, [1.0, 1.0], [0.1, 0.1], right_bc=[bad, 0.0])
+    for side in ("left_bc", "right_bc"):
+        with pytest.raises(ValueError, match="boundary vectors must have length n"):
+            make_system(eye, [1.0, 1.0], [0.1, 0.1], **{side: [0.0, 0.0, 0.0]})
