@@ -177,7 +177,9 @@ def exact_constant_system(
     if np.linalg.cond(P) > 1e12:
         raise ValueError("A is too close to non-diagonalizable")
     g = np.linalg.solve(P, f)
-    s = np.sqrt(lam / eps)
+    with np.errstate(over="ignore"):  # lam / eps passes the largest float below ~1e-308
+        s = np.sqrt(lam / eps)
+    s = np.where(np.isfinite(s), s, np.sqrt(lam) / np.sqrt(eps))
 
     def solution_many(xa):
         # cosh(s(x-1/2))/cosh(s/2) = (exp(s(x-1)) + exp(-s x)) / (1 + exp(-s));

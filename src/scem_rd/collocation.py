@@ -548,10 +548,12 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
 def _linear_pass(bvp: FirstOrderBvp, nodes: np.ndarray) -> np.ndarray:
     """The collocation solution of a linear problem: the Newton step from
     Y = 0. Raises NewtonDivergence when it is not finite, as the line
-    search does on a non-finite residual."""
+    search does on a non-finite residual; an overflow on the way (steps
+    near 1e154 square past the largest float) ends there too, silently."""
     Y = np.zeros((nodes.size, bvp.dim))
-    F, data = _collocation_system(bvp, nodes, Y)
-    Y = _factor_jacobian(bvp, nodes, Y, data)(-F).reshape(Y.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, data = _collocation_system(bvp, nodes, Y)
+        Y = _factor_jacobian(bvp, nodes, Y, data)(-F).reshape(Y.shape)
     if not np.all(np.isfinite(Y)):
         raise NewtonDivergence("linear collocation solve is not finite")
     return Y

@@ -55,8 +55,8 @@ class ProblemConfig:
             raise ConfigError(f"name must be a plain file name, got {self.name!r}")
         if type(self.n) is not int:
             raise ConfigError(f"n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ConfigError("n must be at least 2")
+        if self.n < 1:
+            raise ConfigError("n must be at least 1")
         if len(self.coeff) != self.n or any(len(r) != self.n for r in self.coeff):
             raise ConfigError("coeff must be an n x n array of expressions")
         for name, seq in (("forcing", self.forcing), ("diffusion", self.diffusion),

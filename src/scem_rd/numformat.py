@@ -1,4 +1,4 @@
-"""Exactly rounded, vectorised ``%.<p>f`` and ``%.<p>e`` table formatting.
+"""Exactly rounded, vectorised ``%.15f`` and ``%.15e`` table formatting.
 
 :func:`format_table` renders rows ``x,v_1,..,v_c`` byte-identical to
 ``("%s" + ("," + cell) * c + "\\n") % row``, but in numpy: each value is
@@ -21,7 +21,6 @@ as the x cells that every row of a table shares.
 from __future__ import annotations
 
 import functools
-import re
 import sys
 
 import numpy as np
@@ -39,7 +38,8 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _LOG10_2 = np.log10(2.0)
 #: below one half by more than any error bound of a remainder in _round_scaled
 _NEAR_HALF = 0.5 - 2.0 ** -32
-_CELL = re.compile(r"%\.(\d+)([ef])")
+#: (places, kind) of the two cell formats the CLI writes
+_CELLS = {"%.15f": (15, "f"), "%.15e": (15, "e")}
 _ZERO, _COMMA, _NEWLINE, _DOT, _MINUS = b"0,\n.-"
 
 
@@ -250,11 +250,10 @@ def _cells(v: np.ndarray, places: int, kind: str) -> np.ndarray:
 
 
 def _parse_cell(cell: str) -> tuple[int, str]:
-    """The places and kind of a ``%.<p>f`` or ``%.<p>e`` format, 1 <= p <= 17."""
-    match = _CELL.fullmatch(cell)
-    if match is None or not 1 <= int(match[1]) <= 17:
+    """The places and kind of ``%.15f`` or ``%.15e``; ValueError otherwise."""
+    if cell not in _CELLS:
         raise ValueError(f"unsupported cell format {cell!r}")
-    return int(match[1]), match[2]
+    return _CELLS[cell]
 
 
 def format_column(values: np.ndarray, cell: str) -> np.ndarray:
@@ -277,8 +276,7 @@ def format_table(xcol: np.ndarray, values: np.ndarray, cell: str) -> bytes:
     ``("%s" + ("," + cell) * c + "\\n") % row``.
 
     ``xcol`` holds the x cells as rows of :func:`format_column`, ``values``
-    the (rows, c) floats and ``cell`` a ``%.<p>f`` or ``%.<p>e`` format with
-    ``1 <= p <= 17``.
+    the (rows, c) floats and ``cell`` ``%.15f`` or ``%.15e``.
     """
     places, kind = _parse_cell(cell)
     values = np.asarray(values, dtype=float)

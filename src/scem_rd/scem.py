@@ -25,10 +25,11 @@ The uniformly valid approximation is then assembled in three steps:
    one problem from x = 0 on the full image [0, 1/sqrt(eps)], with the
    mismatches at both ends; it carries both layers.
 3. Composite: y(x) = y_out(x) plus each layer correction Psi(s) where the
-   distance s from its end lies in [0, L]: the x = 0 layer at x / sqrt(eps)
-   for x <= T sqrt(eps) and the x = 1 layer at (1 - x) / sqrt(eps) for
-   x >= 1 - T sqrt(eps) when truncated, and the one layer at x / sqrt(eps)
-   on all of [0, 1] on the full image. Each boundary datum cancels its
+   distance s from its end lies in [0, L]. The composite holds a tuple of
+   layers, the k-th measured from x = k: when truncated, the x = 0 layer at
+   x / sqrt(eps) for x <= T sqrt(eps) and the x = 1 layer at
+   (1 - x) / sqrt(eps) for x >= 1 - T sqrt(eps); on the full image, the one
+   layer at x / sqrt(eps) on all of [0, 1]. Each boundary datum cancels its
    mismatch, so the prescribed boundary values hold exactly by
    construction.
 
@@ -157,7 +158,6 @@ class LayerProblem:
 
 def build_layer_problem(
     sys: ReactionDiffusionSystem,
-    outer: OuterSolution,
     end: float,
     length: float | None = None,
     outer_ends: np.ndarray | None = None,
@@ -167,8 +167,9 @@ def build_layer_problem(
     The interval is the full image [0, 1/sqrt(eps)] of the physical domain,
     with the outer solution's mismatches at ``end`` and at the other end as
     data. A ``length`` T truncates it to [0, T]: the mismatch at ``end``,
-    and Psi = 0 at the cut. ``outer_ends``, if given, is
-    ``outer.eval_many(np.array([0.0, 1.0]))``; it does not depend on eps.
+    and Psi = 0 at the cut. ``outer_ends`` is y_out at x = 0 and 1, shape
+    (2, n); it does not depend on eps, and ``solve_reduced(sys)`` gives it
+    when omitted.
     The problem carries the constant Jacobian of its Dirichlet conditions
     as ``bc_jac``. Raises ValueError unless ``end`` is 0 or 1, every
     component has the same diffusion value and 0 < T <= 1/sqrt(eps).
@@ -188,7 +189,7 @@ def build_layer_problem(
 
     # data at s = 0 (this end) and s = L (the other end, or zero at a cut)
     if outer_ends is None:
-        outer_ends = outer.eval_many(np.array([0.0, 1.0]))
+        outer_ends = solve_reduced(sys).eval_many(np.array([0.0, 1.0]))
     order = [int(end), 1 - int(end)]
     data = np.array([sys.left_bc, sys.right_bc])[order] - outer_ends[order]
     if length is not None:
@@ -251,30 +252,31 @@ def build_layer_problem(
 class HybridApproximation:
     """Uniformly valid composite: outer plus layer corrections.
 
-    Each layer is posed in the distance s = |x - end| / sqrt(eps) from its
-    end, x = 0 for ``left_layer`` and x = 1 for ``right_layer``, and its
-    correction is added where s lies in the layer's interval [0, L] and is
-    zero elsewhere; eps is the outer system's shared diffusion value.
-    Truncated layers both cover [0, T]. On the full stretched image
-    ``left_layer`` covers [0, 1/sqrt(eps)] with both boundary mismatches,
-    and ``right_layer`` is None. Raises ValueError unless each layer has
-    dimension 2n for n components and the left interval fits in the
-    stretched image, which a lone left layer must cover.
+    ``layers[k]`` is posed in the distance s = |x - k| / sqrt(eps) from
+    x = k, and its correction is added where s lies in the layer's interval
+    [0, L] and is zero elsewhere; eps is the outer system's shared
+    diffusion value. Truncated layers are two, both on [0, T]. On the full
+    stretched image one layer from x = 0 covers [0, 1/sqrt(eps)] with both
+    boundary mismatches. Raises ValueError unless there are one or two
+    layers, each of dimension 2n for n components with its interval in the
+    stretched image, and a lone layer covers all of it.
     """
 
     outer: OuterSolution
-    left_layer: CollocationSolution
-    right_layer: CollocationSolution | None
+    layers: tuple[CollocationSolution, ...]
 
     def __post_init__(self) -> None:
-        left, right = self.left_layer, self.right_layer
-        if any(layer.dim != 2 * self.outer.sys.n for layer in (left, right) if layer is not None):
-            raise ValueError("layer solutions must have dimension 2n for n components")
         eps = self.outer.sys.diffusion[0]
-        reach, span = left.mesh.b, 1.0 / np.sqrt(eps)
-        if reach > span or (right is None and reach != span):
-            raise ValueError(f"left layer interval [0, {reach!r}] does not fit the "
-                             f"stretched image of eps = {eps!r}")
+        span = 1.0 / np.sqrt(eps)
+        if len(self.layers) not in (1, 2):
+            raise ValueError(f"a composite has one or two layers, not {len(self.layers)}")
+        for k, layer in enumerate(self.layers):
+            if layer.dim != 2 * self.outer.sys.n:
+                raise ValueError("layer solutions must have dimension 2n for n components")
+            reach = layer.mesh.b
+            if reach > span or (len(self.layers) == 1 and reach != span):
+                raise ValueError(f"layer at x = {k} interval [0, {reach!r}] does not fit "
+                                 f"the stretched image of eps = {eps!r}")
 
     def eval(self, x) -> np.ndarray:
         """Composite values at scalar or 1-D x in [0, 1]."""
@@ -296,14 +298,13 @@ class HybridApproximation:
             raise ValueError(f"outer_values has shape {np.shape(outer_values)}, "
                              f"not (len(xs), n) = {(len(xs), n)}")
         root = np.sqrt(self.outer.sys.diffusion[0])
-        for layer, end in ((self.left_layer, 0.0), (self.right_layer, 1.0)):
-            if layer is not None:
-                s = np.abs(xs - end) / root
-                near = s <= layer.mesh.b
-                psi = evaluate(layer, s[near], n)  # Psi, not Psi'
-                for j in range(n):  # a column at a time: masked rows of n are slow
-                    column = out[:, j]
-                    column[near] += psi[:, j]
+        for end, layer in enumerate(self.layers):
+            s = np.abs(xs - end) / root
+            near = s <= layer.mesh.b
+            psi = evaluate(layer, s[near], n)  # Psi, not Psi'
+            for j in range(n):  # a column at a time: masked rows of n are slow
+                column = out[:, j]
+                column[near] += psi[:, j]
         return out
 
 
@@ -319,9 +320,8 @@ def hybrid_solve(
     1/sqrt(eps) is at least T = 42 / sqrt(delta) solves one layer problem
     at each end, measured from that end on [0, T]. Otherwise, and on a
     fixed mesh, one problem from x = 0 covers the full image and carries
-    both boundary mismatches, and the result's ``right_layer`` is None.
-    Each layer solve starts from the uniform ``cfg.initial_mesh_points``
-    mesh.
+    both boundary mismatches, and the result has that one layer. Each
+    layer solve starts from the uniform ``cfg.initial_mesh_points`` mesh.
 
     The check depends only on ``sys.coeff``, and the outer solution's
     values at x = 0 and 1 only on ``sys.coeff`` and ``sys.forcing``. Every
@@ -332,7 +332,6 @@ def hybrid_solve(
     on every call.
     """
     report, outer_ends = _report_and_ends(sys)
-    outer = solve_reduced(sys)
     cfg = cfg or SolverConfig()
     cut = _TRUNCATION / np.sqrt(report.delta)
     # unequal diffusion values are raised by build_layer_problem
@@ -340,13 +339,8 @@ def hybrid_solve(
     ends = (0.0,) if length is None else (0.0, 1.0)
     # build both problems before either solve: interleaving them shifts when
     # the cyclic garbage collector runs, and measured ~8% slower at deep eps
-    problems = [build_layer_problem(sys, outer, end, length, outer_ends) for end in ends]
-    layers = [solve(problem.bvp, cfg) for problem in problems]
-    return HybridApproximation(
-        outer=outer,
-        left_layer=layers[0],
-        right_layer=layers[1] if length is not None else None,
-    )
+    problems = [build_layer_problem(sys, end, length, outer_ends) for end in ends]
+    return HybridApproximation(solve_reduced(sys), tuple(solve(p.bvp, cfg) for p in problems))
 
 
 def _report_and_ends(sys: ReactionDiffusionSystem) -> tuple[AssumptionReport, np.ndarray]:

@@ -1,6 +1,6 @@
 """Continuous problem definition for coupled reaction-diffusion systems.
 
-A system is n >= 2 second-order equations on [0, 1],
+A system is n >= 1 second-order equations on [0, 1],
 
     -eps_i * y_i'' + sum_j a_ij(x) y_j = f_i(x),    y_i(0), y_i(1) prescribed,
 
@@ -73,8 +73,8 @@ class ReactionDiffusionSystem:
 
     def __post_init__(self) -> None:
         n = len(self.forcing)
-        if n < 2:
-            raise ValueError("system must have at least 2 components")
+        if n < 1:
+            raise ValueError("system must have at least 1 component")
         if len(self.coeff) != n or any(len(row) != n for row in self.coeff):
             raise ValueError("coeff must be an n x n grid matching forcing length")
         if len(self.diffusion) != n:

@@ -298,6 +298,15 @@ def test_oracle_no_overflow_for_tiny_eps():
     assert np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("eps", [1e-308, 1e-310, 5e-324])
+def test_oracle_is_finite_where_lam_over_eps_overflows(eps):
+    # example1's eigenvalue 5 over eps passes the largest float below ~2.8e-308;
+    # the oracle must stay finite, exact at both ends, and raise no warning
+    vals = exact_constant_system(A1, F1, eps)(np.array([0.0, 1e-100, 0.5, 1.0]))
+    assert np.array_equal(vals[[0, 3]], np.zeros((2, 2)))
+    np.testing.assert_allclose(vals[1:3], [[0.7, 0.9]] * 2, atol=1e-15)
+
+
 def test_oracle_rejects_bad_spectrum():
     with pytest.raises(ValueError):
         exact_constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]), F1, 0.01)

@@ -252,6 +252,30 @@ def test_solver_failure_exits_3_and_names_eps(tmp_path, capsys):
     assert "eps=0.25" in err
 
 
+def test_scalar_config_runs_every_command(tmp_path):
+    config = {"name": "scalar", "n": 1, "coeff": [["2"]], "forcing": ["1"],
+              "diffusion": ["eps"], "bc_left": [0.0], "bc_right": [0.0]}
+    problem = tmp_path / "scalar.json"
+    problem.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in (["solve"], ["plotdata", "--grid", "201"], ["convergence", "--n", "16,32"]):
+        assert main([*command, "--problem", str(problem), "--eps", "1e-2,1e-8,1e-300",
+                     "--out", str(out)]) == 0
+    for eps in ("0.01", "1e-08", "1e-300"):
+        header, rows = read_csv(out / f"scalar_error_eps{eps}.csv")
+        assert header == ["x", "e_1"] and len(rows) == 201
+        assert max(abs(float(row[1])) for row in rows) <= 1e-8
+
+
+def test_fixed_mesh_failure_at_subnormal_eps_prints_one_line(tmp_path, capsys):
+    # h^2 overflows in the fixed-mesh Jacobian; that must print no numpy warning
+    assert main(["convergence", "--problem", "example1", "--eps", "1e-320", "--n", "4,8",
+                 "--no-adapt", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scem-rd: solver failure: eps=9.99989e-321 (N=4)")
+    assert err.count("\n") == 1
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     assert main(["solve", "--problem", "example2", "--dump-config"]) == 0
     text = capsys.readouterr().out
@@ -766,7 +790,7 @@ _X_EDGES = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.5,
             1e-15, 0.999999999999999, 0.9999999999999995, -1.0, 12345.678, *_EDGES]
 
 
-@pytest.mark.parametrize("cell", ["%d", "%.15g", "%.0f", "%.18e", "%15f"])
+@pytest.mark.parametrize("cell", ["%d", "%.15g", "%.0f", "%.18e", "%15f", "%.14f"])
 def test_unsupported_cell_format_is_rejected(cell):
     with pytest.raises(ValueError, match="unsupported cell format"):
         numformat.format_column(np.array([0.5]), cell)
@@ -969,11 +993,11 @@ _RUN = ["--eps", "0.5", "--out", "OUT"]
      "config is missing field 'bc_left'"),
     (_RUN, "{", "invalid JSON"),
     (_RUN, [], "config must be a JSON object"),
-    (_RUN, dict(_EXAMPLE1, n=1), "n must be at least 2"),
+    (_RUN, dict(_EXAMPLE1, n=0), "n must be at least 1"),
     (_RUN, dict(_EXAMPLE1, coeff=[["4", "-2"], ["-1"]]),
      "coeff must be an n x n array of expressions"),
 ], ids=["grid-word", "grid-one", "no-eps", "no-out", "eps-empty", "eps-word", "n-word",
-        "null-entry", "missing-field", "invalid-json", "not-an-object", "n-one", "not-square"])
+        "null-entry", "missing-field", "invalid-json", "not-an-object", "n-zero", "not-square"])
 def test_bad_option_or_config_exits_2_and_creates_no_out(tmp_path, capsys, options, config,
                                                          message):
     problem = "example1"

@@ -28,7 +28,7 @@ from scem_rd.collocation import (
     solve,
 )
 from scem_rd.problems import example1, example2
-from scem_rd.scem import build_layer_problem, solve_reduced
+from scem_rd.scem import build_layer_problem
 
 
 def exponential_bvp():
@@ -477,7 +477,7 @@ import sys
 import numpy as np
 from scem_rd import collocation
 from scem_rd.problems import example1, example2
-from scem_rd.scem import build_layer_problem, solve_reduced
+from scem_rd.scem import build_layer_problem
 
 assert "scipy" not in sys.modules
 loaded = collocation.dgbtrf, collocation.dgbtrs
@@ -494,7 +494,7 @@ def recording_dgbtrs(lu, kl, ku, rhs, piv):
 collocation.dgbtrf, collocation.dgbtrs = recording_dgbtrf, recording_dgbtrs
 for make in (example1, example2):
     system = make(2.0**-8)
-    bvp = build_layer_problem(system, solve_reduced(system), 0.0).bvp
+    bvp = build_layer_problem(system, 0.0).bvp
     collocation.solve(bvp, collocation.SolverConfig(initial_mesh_points=1025, adaptive=False))
 assert "scipy" not in sys.modules
 from scipy.linalg import lapack
@@ -625,7 +625,7 @@ def test_linear_layer_problem_factors_once_per_pass(monkeypatch, caplog):
     monkeypatch.setattr(collocation, "dgbtrf", counting_dgbtrf)
     monkeypatch.setattr(collocation, "_residual_per_interval", counting_residual)
     sys = example1(1e-6)
-    layer = build_layer_problem(sys, solve_reduced(sys), 0.0)
+    layer = build_layer_problem(sys, 0.0)
     sol = solve(layer.bvp)
     assert len(passes) > 1  # refinement happened
     assert factor_sizes == [n * layer.bvp.dim for n in passes]
@@ -640,7 +640,7 @@ def test_linear_layer_problem_factors_once_per_pass(monkeypatch, caplog):
                          ids=["fixed-mesh", "adaptive"])
 def test_linear_path_agrees_with_newton_on_the_layer_problem(cfg):
     sys = example2(1e-4)
-    bvp = build_layer_problem(sys, solve_reduced(sys), 0.0).bvp
+    bvp = build_layer_problem(sys, 0.0).bvp
     assert bvp.linear
     linear = solve(bvp, cfg)
     newton = solve(dataclasses.replace(bvp, linear=False), cfg)
@@ -694,7 +694,7 @@ def test_non_finite_residual_estimate_raises_newton_divergence(monkeypatch, line
 
 def example1_layer_bvp(eps):
     sys = example1(eps)
-    return build_layer_problem(sys, solve_reduced(sys), 0.0).bvp
+    return build_layer_problem(sys, 0.0).bvp
 
 
 @pytest.fixture
@@ -825,7 +825,7 @@ def test_residual_kernel_is_bitwise_the_plain_formula(dim):
 
 def test_residual_kernel_is_bitwise_the_plain_formula_on_a_layer_problem():
     sys = example2(1e-8)
-    bvp = build_layer_problem(sys, solve_reduced(sys), 0.0).bvp
+    bvp = build_layer_problem(sys, 0.0).bvp
     assert bvp.dim == 6
     sol = solve(bvp, SolverConfig(initial_mesh_points=41, adaptive=False))
     args = (bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
@@ -880,7 +880,7 @@ def test_jacobian_blocks_match_einsum_for_dense_jacobian(dim):
 def test_jacobian_blocks_bitwise_for_layer_problem(make):
     # the layer Jacobian [[0, I], [A, 0]]: every product has one nonzero term
     sys = make(1e-4)
-    layer = build_layer_problem(sys, solve_reduced(sys), 1.0)
+    layer = build_layer_problem(sys, 1.0)
     nodes = np.linspace(*layer.bvp.interval, 301)
     for got, want in zip(*jacobian_blocks_and_reference(layer.bvp, nodes)):
         assert np.array_equal(got, want)
@@ -939,7 +939,7 @@ def nonlinear_bvp(dim):
 
 def example2_layer_without_jacobian():
     sys = example2(2.0**-8)
-    layer = build_layer_problem(sys, solve_reduced(sys), 1.0)
+    layer = build_layer_problem(sys, 1.0)
     return dataclasses.replace(layer.bvp, rhs_jac=None, bc_jac=None)
 
 

@@ -119,7 +119,7 @@ def test_dominant_reduced_matrix_needs_no_svd(monkeypatch, build):
 
 def test_left_layer_problem_shape():
     sys = example1(0.01)
-    lp = build_layer_problem(sys, solve_reduced(sys), 0.0)
+    lp = build_layer_problem(sys, 0.0)
     assert lp.end == 0.0
     assert lp.bvp.interval == (0.0, 10.0)
     assert lp.bvp.dim == 4
@@ -129,7 +129,7 @@ def test_left_layer_problem_shape():
 def test_right_layer_problem_shape():
     # measured from x = 1: the same interval as the left problem
     sys = example1(0.01)
-    lp = build_layer_problem(sys, solve_reduced(sys), 1.0)
+    lp = build_layer_problem(sys, 1.0)
     assert lp.end == 1.0
     assert lp.bvp.interval == (0.0, 10.0)
     np.testing.assert_allclose(lp.bc_values, [[-0.7, -0.9], [-0.7, -0.9]], atol=1e-12)
@@ -139,12 +139,12 @@ def test_right_layer_problem_shape():
 def test_layer_end_must_be_zero_or_one(end):
     sys = example1(0.01)
     with pytest.raises(ValueError, match="is not 0 or 1"):
-        build_layer_problem(sys, solve_reduced(sys), end)
+        build_layer_problem(sys, end)
 
 
 def test_zero_data_layer_solution_vanishes():
     sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [0.0, 0.0], [0.01, 0.01])
-    lp = build_layer_problem(sys, solve_reduced(sys), 0.0)
+    lp = build_layer_problem(sys, 0.0)
     np.testing.assert_allclose(lp.bc_values, 0.0, atol=1e-15)
     sol = solve(lp.bvp, CFG)
     assert np.max(np.abs(sol.node_values)) <= 1e-12
@@ -157,9 +157,8 @@ def test_right_layer_mirrors_left():
     eps = 0.01
     config = _deep_eps_problem("variable_a", "asymmetric")
     sys = config.build_system(eps)
-    outer = solve_reduced(sys)
     cfg = SolverConfig(initial_mesh_points=1001, adaptive=False)
-    near, far = (build_layer_problem(sys, outer, end) for end in (0.0, 1.0))
+    near, far = (build_layer_problem(sys, end) for end in (0.0, 1.0))
     np.testing.assert_array_equal(far.bc_values, near.bc_values[::-1])
     psi0, psi1 = solve(near.bvp, cfg), solve(far.bvp, cfg)
     s = psi1.mesh.nodes
@@ -177,7 +176,7 @@ UNEQUAL_DIFFUSION = pytest.mark.parametrize(
 def test_two_distinct_small_parameters_rejected(diffusion):
     sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], diffusion)
     with pytest.raises(ValueError):
-        build_layer_problem(sys, solve_reduced(sys), 0.0)
+        build_layer_problem(sys, 0.0)
 
 
 @UNEQUAL_DIFFUSION
@@ -190,7 +189,7 @@ def test_hybrid_solve_rejects_unequal_diffusion(diffusion):
 def test_all_unit_diffusion_is_allowed():
     # equal diffusion of 1: stretched domain is [0, 1] itself
     sys = example1(1.0)
-    lp = build_layer_problem(sys, solve_reduced(sys), 0.0)
+    lp = build_layer_problem(sys, 0.0)
     assert lp.bvp.interval == (0.0, 1.0)
     assert lp.bvp.dim == 4
 
@@ -220,9 +219,22 @@ def test_composite_mismatched_eps_rejected():
     hybrid = hybrid_solve(example1(0.01), CFG)  # one layer on [0, 10]
     for eps in (0.0025, 0.04):  # stretched images 20 and 5
         with pytest.raises(ValueError, match="stretched image"):
-            HybridApproximation(solve_reduced(example1(eps)), hybrid.left_layer, None)
+            HybridApproximation(solve_reduced(example1(eps)), hybrid.layers)
     with pytest.raises(ValueError, match="dimension 2n"):
-        HybridApproximation(solve_reduced(example2(0.01)), hybrid.left_layer, None)
+        HybridApproximation(solve_reduced(example2(0.01)), hybrid.layers)
+
+
+def test_composite_checks_every_layer_and_their_count():
+    # at eps = 1e-3 the stretched image is 31.62 and both layers are truncated
+    # to T = 29.7; an x = 1 layer on [0, 40] reaches past the image
+    hybrid = hybrid_solve(example1(1e-3), CFG)
+    assert [layer.mesh.b for layer in hybrid.layers] == [T_EXAMPLE1, T_EXAMPLE1]
+    long = solve(build_layer_problem(example1(1e-4), 1.0, 40.0).bvp, CFG)
+    with pytest.raises(ValueError, match="layer at x = 1 interval"):
+        HybridApproximation(hybrid.outer, (hybrid.layers[0], long))
+    for layers in ((), (*hybrid.layers, hybrid.layers[0])):
+        with pytest.raises(ValueError, match="one or two layers"):
+            HybridApproximation(hybrid.outer, layers)
 
 
 @pytest.mark.parametrize("x", [-0.05, 1.5, -np.inf, np.nan])
@@ -248,8 +260,8 @@ def test_outer_solution_rejects_points_outside_the_domain(x):
                                    "oracle"])
 def test_pointwise_entry_points_take_a_scalar_or_1d_x_only(entry):
     hybrid = hybrid_solve(example1(0.01), CFG)
-    fn = {"interpolant": hybrid.left_layer.interpolant,
-          "interpolant_derivative": hybrid.left_layer.interpolant_derivative,
+    fn = {"interpolant": hybrid.layers[0].interpolant,
+          "interpolant_derivative": hybrid.layers[0].interpolant_derivative,
           "outer": hybrid.outer, "eval": hybrid.eval,
           "oracle": exact_constant_system(np.array([[4.0, -2.0], [-1.0, 3.0]]),
                                           np.array([1.0, 2.0]), 0.01)}[entry]
@@ -386,7 +398,7 @@ def test_assumption_reports_are_kept_per_coefficient_field(monkeypatch):
     for eps in (1e-8, 1e-10):
         for delta, sys in fields.items():
             hybrid = hybrid_solve(dataclasses.replace(sys, diffusion=(eps, eps)))
-            assert hybrid.left_layer.mesh.b == pytest.approx(42.0 / np.sqrt(delta), rel=1e-15)
+            assert hybrid.layers[0].mesh.b == pytest.approx(42.0 / np.sqrt(delta), rel=1e-15)
     assert [sys.coeff for sys in checked] == [sys.coeff for sys in fields.values()]
 
 
@@ -497,7 +509,7 @@ def test_layer_bc_jacobian_is_bitwise_the_finite_differences(name, bc, end, leng
     # at u = 0, where a linear pass takes the Jacobians, each forward
     # difference of a datum d is exactly 0 or 1 while |d| < 2^27
     sys = _deep_eps_problem(name, bc).build_system(1e-4)
-    bvp = build_layer_problem(sys, solve_reduced(sys), end, length).bvp
+    bvp = build_layer_problem(sys, end, length).bvp
     zero = np.zeros(bvp.dim)
     differenced = collocation._bc_jacobians(dataclasses.replace(bvp, bc_jac=None), zero, zero,
                                             bvp.bc(zero, zero))
@@ -644,8 +656,8 @@ def test_fixed_mesh_layer_solves_start_uniform(monkeypatch):
     cfg = SolverConfig(initial_mesh_points=201, adaptive=False)
     hybrid = hybrid_solve(example1(1e-8), cfg)
     assert intervals == [(0.0, 1e4)]
-    assert hybrid.right_layer is None
-    assert np.array_equal(hybrid.left_layer.mesh.nodes, np.linspace(0.0, 1e4, 201))
+    assert len(hybrid.layers) == 1
+    assert np.array_equal(hybrid.layers[0].mesh.nodes, np.linspace(0.0, 1e4, 201))
 
 
 def test_fixed_mesh_layer_solves_estimate_no_residual(monkeypatch):
@@ -654,7 +666,7 @@ def test_fixed_mesh_layer_solves_estimate_no_residual(monkeypatch):
     hybrid = hybrid_solve(example1(2.0**-10), SolverConfig(initial_mesh_points=65,
                                                            adaptive=False))
     assert intervals == [(0.0, 32.0)]
-    assert hybrid.left_layer.max_residual is None
+    assert hybrid.layers[0].max_residual is None
 
 
 def test_short_stretched_interval_keeps_uniform_start(monkeypatch):
@@ -664,9 +676,9 @@ def test_short_stretched_interval_keeps_uniform_start(monkeypatch):
     sys = example1(2.0**-8)
     hybrid = hybrid_solve(sys, SolverConfig())
     assert intervals == [(0.0, 16.0)]
-    assert hybrid.right_layer is None
-    uniform = solve(build_layer_problem(sys, solve_reduced(sys), 0.0).bvp, SolverConfig())
-    got = hybrid.left_layer
+    assert len(hybrid.layers) == 1
+    uniform = solve(build_layer_problem(sys, 0.0).bvp, SolverConfig())
+    got = hybrid.layers[0]
     assert np.array_equal(got.mesh.nodes, uniform.mesh.nodes)
     assert np.array_equal(got.node_values, uniform.node_values)
     assert np.array_equal(got.node_slopes, uniform.node_slopes)
@@ -684,9 +696,9 @@ def test_full_image_layer_serves_both_ends(eps, monkeypatch):
     hybrid = hybrid_solve(sys, cfg)
     span = 1.0 / np.sqrt(eps)
     assert intervals == [(0.0, span)]
-    right = solve(build_layer_problem(sys, hybrid.outer, 1.0).bvp, cfg)
+    right = solve(build_layer_problem(sys, 1.0).bvp, cfg)
     s = right.mesh.nodes
-    mirrored = evaluate(hybrid.left_layer, span - s)[:, :2]
+    mirrored = evaluate(hybrid.layers[0], span - s)[:, :2]
     assert np.max(np.abs(right.node_values[:, :2] - mirrored)) <= 1e-12
     ends = hybrid.eval_many(np.array([0.0, 1.0]))
     assert np.max(np.abs(ends - [config.bc_left, config.bc_right])) <= 1e-9
@@ -698,30 +710,39 @@ def test_deep_eps_layers_are_solved_on_truncated_domains(monkeypatch):
     hybrid = hybrid_solve(sys, SolverConfig())
     assert intervals == [(0.0, T_EXAMPLE1), (0.0, T_EXAMPLE1)]
     # one pass on the uniform start: the linear problem takes one linear step
-    for layer in (hybrid.left_layer, hybrid.right_layer):
+    for layer in hybrid.layers:
         assert np.array_equal(layer.mesh.nodes, np.linspace(0.0, T_EXAMPLE1, 1000))
         assert layer.newton_iterations == 1
         assert np.max(np.abs(layer.node_values[-1, :2])) <= 1e-15
     # each layer carries the mismatch at its own end and vanishes at the cut;
     # with constant A and symmetric data the two problems are the same one
-    outer = solve_reduced(sys)
     for end in (0.0, 1.0):
-        layer = build_layer_problem(sys, outer, end, T_EXAMPLE1)
+        layer = build_layer_problem(sys, end, T_EXAMPLE1)
         np.testing.assert_allclose(layer.bc_values, [[-0.7, -0.9], [0.0, 0.0]], atol=1e-12)
-    assert np.array_equal(hybrid.right_layer.node_values, hybrid.left_layer.node_values)
+    assert np.array_equal(hybrid.layers[1].node_values, hybrid.layers[0].node_values)
     # each correction is zero off its support, |x| > T sqrt(eps) = 0.003 from
     # its end, so there the composite is the outer solution itself
     xs = np.linspace(0.005, 0.995, 101)
     assert np.array_equal(hybrid.eval_many(xs), hybrid.outer.eval_many(xs))
 
 
+@pytest.mark.parametrize("points", [5, 65, 1025])
+@pytest.mark.parametrize("eps", [1e-300, 1e-320, 5e-324])
+def test_fixed_mesh_at_tiny_eps_fails_cleanly(eps, points):
+    # the full image is 1e150 long or more, and h^2 overflows in the Jacobian
+    # at subnormal eps: that must end as NewtonDivergence, not a numpy warning
+    cfg = SolverConfig(initial_mesh_points=points, adaptive=False)
+    for make in (example1, example2):
+        with pytest.raises(collocation.NewtonDivergence):
+            hybrid_solve(make(eps), cfg)
+
+
 def test_truncated_layer_length_must_fit_the_stretched_image():
     sys = example1(2.0**-8)  # stretched image 16
-    outer = solve_reduced(sys)
-    assert build_layer_problem(sys, outer, 1.0, 16.0).bvp.interval == (0.0, 16.0)
+    assert build_layer_problem(sys, 1.0, 16.0).bvp.interval == (0.0, 16.0)
     for length in (16.5, 0.0, -1.0):
         with pytest.raises(ValueError):
-            build_layer_problem(sys, outer, 0.0, length)
+            build_layer_problem(sys, 0.0, length)
 
 
 def test_truncated_layer_problems_do_not_depend_on_eps(monkeypatch):
@@ -732,8 +753,7 @@ def test_truncated_layer_problems_do_not_depend_on_eps(monkeypatch):
     for eps in (1e-30, 1e-300):
         hybrid = hybrid_solve(example1(eps), SolverConfig())
         assert intervals[-2:] == [(0.0, T_EXAMPLE1), (0.0, T_EXAMPLE1)]
-        for got, want in ((hybrid.left_layer, base.left_layer),
-                          (hybrid.right_layer, base.right_layer)):
+        for got, want in zip(hybrid.layers, base.layers, strict=True):
             assert np.array_equal(got.mesh.nodes, want.mesh.nodes)
             assert np.array_equal(got.node_values, want.node_values)
 
@@ -749,6 +769,20 @@ def test_error_is_bounded_across_the_truncation_switch(eps, monkeypatch):
     xs = np.linspace(0.0, 1.0, 1001)
     vals = hybrid.eval_many(xs)
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-9
+
+
+SCALAR = {"name": "scalar", "n": 1, "coeff": [["2"]], "forcing": ["1"],
+          "diffusion": ["eps"], "bc_left": [0.0], "bc_right": [0.0]}
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-300])
+def test_scalar_problem_matches_its_closed_form(eps):
+    # -eps y'' + 2 y = 1, y(0) = y(1) = 0, from the library and from a config
+    exact = exact_constant_system(np.array([[2.0]]), np.array([1.0]), eps)
+    grid = _stretched_grid(eps)
+    for sys in (make_system([[2.0]], [1.0], [eps]), config_from_dict(SCALAR).build_system(eps)):
+        hybrid = hybrid_solve(sys, SolverConfig())
+        assert np.max(np.abs(hybrid.eval_many(grid) - exact(grid))) <= 1e-8
 
 
 def _deep_eps_problem(name, bc):
@@ -770,7 +804,7 @@ def test_deep_eps_solves_are_bounded_and_exact_at_the_boundary(eps, name, bc, mo
     intervals = _capture_layer_intervals(monkeypatch)
     hybrid = hybrid_solve(config.build_system(eps), SolverConfig())
     assert len(intervals) == 2  # truncated
-    for layer in (hybrid.left_layer, hybrid.right_layer):
+    for layer in hybrid.layers:
         assert layer.newton_iterations <= 2  # linear: 1 a pass, so <= 2 passes
         assert layer.mesh.nodes.size <= 1100
     ends = hybrid.eval_many(np.array([0.0, 1.0]))
@@ -785,8 +819,8 @@ def test_deep_eps_invariants_and_bounded_passes(eps):
     sys = example1(eps)
     hybrid = hybrid_solve(sys, SolverConfig())
     # linear layer problems: 1 linear step a pass, so <= 3 passes
-    assert hybrid.left_layer.newton_iterations <= 3
-    assert hybrid.right_layer.newton_iterations <= 3
+    assert hybrid.layers[0].newton_iterations <= 3
+    assert hybrid.layers[1].newton_iterations <= 3
 
     assert np.max(np.abs(hybrid.eval(0.0))) <= 1e-9
     assert np.max(np.abs(hybrid.eval(1.0))) <= 1e-9
@@ -806,8 +840,8 @@ def test_deep_eps_invariants_and_bounded_passes(eps):
 def test_example2_deep_eps_layer_solves_take_at_most_three_passes():
     for eps in (1e-12, 1e-300):
         hybrid = hybrid_solve(example2(eps), SolverConfig())
-        assert hybrid.left_layer.newton_iterations <= 3
-        assert hybrid.right_layer.newton_iterations <= 3
+        assert hybrid.layers[0].newton_iterations <= 3
+        assert hybrid.layers[1].newton_iterations <= 3
 
 
 @pytest.mark.parametrize("eps", [2.0**-6, 1e-8], ids=["full_image", "truncated"])
@@ -817,8 +851,8 @@ def test_composite_is_the_same_per_block(eps):
     # it splits inside a layer or at a truncated layer's cut s = T
     hybrid = hybrid_solve(_deep_eps_problem("variable_a", "asymmetric").build_system(eps),
                           SolverConfig())
-    assert (hybrid.right_layer is None) == (eps == 2.0**-6)
-    reach = hybrid.left_layer.mesh.b * np.sqrt(eps)  # x of s = L from x = 0
+    assert (len(hybrid.layers) == 1) == (eps == 2.0**-6)
+    reach = hybrid.layers[0].mesh.b * np.sqrt(eps)  # x of s = L from x = 0
     xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 20001), [reach, 1.0 - reach]]))
     outer_values = hybrid.outer.eval_many(xs)
     whole = hybrid.eval_many(xs, outer_values)

@@ -273,7 +273,7 @@ def test_grid_too_small_rejected():
 
 def test_system_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        make_system([[1.0]], [1.0], [0.1])  # n = 1
+        make_system([], [], [])  # n = 0
     with pytest.raises(ValueError):
         make_system([[1.0, 0.0]], [1.0, 1.0], [0.1, 0.1])  # ragged coeff
     with pytest.raises(ValueError):
