@@ -119,12 +119,15 @@ def convergence_table(
     N+1 points. D^N needs the 2N solution and p^N needs D^{2N}, so the
     sweep internally also solves at 2*max(N) and 4*max(N); the reported
     columns remain exactly ``n_list``. Cells run in sweep order (eps-major),
-    and the first that raises stops the sweep with its exception. Only one
+    and the first that raises stops the sweep with its exception; an empty
+    eps_list or a bad n_list raises ValueError before any solve. Only one
     eps row of solutions is held: an eps's D values are taken, and its
     grid functions dropped, before the next eps's first cell.
     """
     eps_list = tuple(float(e) for e in eps_list)
     n_list = tuple(int(n) for n in n_list)
+    if not eps_list:
+        raise ValueError("eps_list must be nonempty")
     check_doubling(n_list)
 
     solve_ns = n_list + (2 * n_list[-1], 4 * n_list[-1])

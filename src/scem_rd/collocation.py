@@ -188,16 +188,8 @@ class Mesh:
             raise ValueError("mesh nodes must be strictly increasing")
 
     @property
-    def a(self) -> float:
-        return float(self.nodes[0])
-
-    @property
     def b(self) -> float:
         return float(self.nodes[-1])
-
-    @property
-    def n_intervals(self) -> int:
-        return self.nodes.size - 1
 
 
 @dataclass(frozen=True)
@@ -240,7 +232,7 @@ class SolverConfig:
 class CollocationSolution:
     """Converged collocation solution with its continuous interpolant.
 
-    ``interpolant`` evaluates the per-subinterval collocation cubic; it
+    :func:`evaluate` evaluates the per-subinterval collocation cubic; it
     reproduces ``node_values`` exactly at the mesh nodes and is C^1 across
     them. ``max_residual`` is the largest scaled ODE residual over all
     subintervals at termination of an adaptive solve, and None after a
@@ -260,16 +252,6 @@ class CollocationSolution:
     def dim(self) -> int:
         return self.node_values.shape[1]
 
-    def interpolant(self, t) -> np.ndarray:
-        """Evaluate the collocation polynomial at scalar or 1-D t."""
-        return scalar_or_1d(lambda ts: _interp_arrays(
-            self.mesh.nodes, self.node_values, self.node_slopes, ts), t)
-
-    def interpolant_derivative(self, t) -> np.ndarray:
-        """Derivative of the collocation polynomial at scalar or 1-D t."""
-        return scalar_or_1d(lambda ts: _interp_arrays(
-            self.mesh.nodes, self.node_values, self.node_slopes, ts, deriv=True), t)
-
 
 # ---------------------------------------------------------------------------
 # cubic Hermite basis (the collocation polynomial in value/slope form)
@@ -287,14 +269,13 @@ def _hermite_basis(tau, deriv=False):
     return a - b, b - a, 1.0 - 4.0 * tau + 3.0 * t2, 3.0 * t2 - 2.0 * tau
 
 
-def _hermite(y0, y1, s0, s1, h, tau, deriv=False):
-    """Evaluate the Hermite cubic (or its derivative) at local tau in [0, 1]:
-    ``y0 w0 + y1 w1 + (h s0) w2 + (h s1) w3``, divided by h for the
-    derivative, summed left to right with the weights of
-    :func:`_hermite_basis`. h and tau are (m,), and y0/y1/s0/s1 are
-    (dim, m): component-major, so every product runs along the m points.
+def _hermite(y0, y1, s0, s1, h, tau):
+    """Evaluate the Hermite cubic at local tau in [0, 1]:
+    ``y0 w0 + y1 w1 + (h s0) w2 + (h s1) w3``, summed left to right with the
+    weights of :func:`_hermite_basis`. h and tau are (m,), and y0/y1/s0/s1
+    are (dim, m): component-major, so every product runs along the m points.
     """
-    w0, w1, w2, w3 = _hermite_basis(tau, deriv)
+    w0, w1, w2, w3 = _hermite_basis(tau)
     out = y0 * w0
     out += y1 * w1
     hs = h * s0
@@ -303,8 +284,6 @@ def _hermite(y0, y1, s0, s1, h, tau, deriv=False):
     np.multiply(h, s1, out=hs)
     hs *= w3
     out += hs
-    if deriv:
-        out /= h
     return out
 
 
@@ -313,7 +292,6 @@ def _interp_arrays(
     values: np.ndarray,
     slopes: np.ndarray,
     ts: np.ndarray,
-    deriv: bool = False,
 ) -> np.ndarray:
     a, b = nodes[0], nodes[-1]
     slack = 1e-10 * max(1.0, abs(b - a))
@@ -332,23 +310,31 @@ def _interp_arrays(
     ts /= h  # tau
     values, slopes = np.ascontiguousarray(values.T), np.ascontiguousarray(slopes.T)
     out = _hermite(values.take(k, axis=1), values.take(k1, axis=1),
-                   slopes.take(k, axis=1), slopes.take(k1, axis=1), h, ts, deriv=deriv)
+                   slopes.take(k, axis=1), slopes.take(k1, axis=1), h, ts)
     return out.T.copy()  # (m, dim) in C order
 
 
-def evaluate(sol: CollocationSolution, points: Sequence[float] | np.ndarray,
+def evaluate(sol: CollocationSolution, points: float | Sequence[float] | np.ndarray,
              components: int | None = None) -> np.ndarray:
-    """Interpolant values at the given points, shape (len(points), dim), or
-    of the first ``components`` components only, shape (len(points),
-    components); each component's cubic is interpolated on its own.
+    """Interpolant values at scalar or 1-D points, shape (len(points), dim),
+    one row for a scalar; or of the first ``components`` components only,
+    shape (len(points), components), each component's cubic interpolated on
+    its own.
 
     Between nodes this is the collocation cubic itself, so accuracy is
-    fourth order everywhere, not just at the mesh nodes. Points must lie
-    in the solution interval.
+    fourth order everywhere, not just at the mesh nodes. Raises ValueError
+    for points of two or more dimensions or outside the solution interval,
+    and unless ``components`` is None or an integer from 1 to ``sol.dim``.
     """
+    # bool is an Integral, but True is no count
+    if components is not None and not (
+            isinstance(components, numbers.Integral) and not isinstance(components, bool)
+            and 1 <= components <= sol.dim):
+        raise ValueError(f"components must be None or an integer from 1 to {sol.dim}, "
+                         f"not {components!r}")
     cols = slice(components)
-    return _interp_arrays(sol.mesh.nodes, sol.node_values[:, cols], sol.node_slopes[:, cols],
-                          np.asarray(points, dtype=float))
+    values, slopes = sol.node_values[:, cols], sol.node_slopes[:, cols]
+    return scalar_or_1d(lambda ts: _interp_arrays(sol.mesh.nodes, values, slopes, ts), points)
 
 
 # ---------------------------------------------------------------------------

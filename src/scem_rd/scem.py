@@ -90,7 +90,10 @@ def _varah_certified(A: np.ndarray) -> np.ndarray:
 
 
 def _check_domain(xs: np.ndarray, what: str) -> None:
-    """Raise ValueError unless every x lies in [0, 1]; NaN fails too."""
+    """Raise ValueError unless xs is 1-D and every x lies in [0, 1]; NaN
+    fails too."""
+    if np.ndim(xs) != 1:
+        raise ValueError(f"{what} takes 1-D x, not of shape {np.shape(xs)}")
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError(f"{what} evaluated outside the domain [0, 1]")
 
@@ -111,7 +114,7 @@ class OuterSolution:
         return scalar_or_1d(self.eval_many, x)
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Pointwise solves on a grid; returns shape (len(xs), n)."""
+        """Pointwise solves on a 1-D grid; returns shape (len(xs), n)."""
         _check_domain(xs, "outer solution")
         A = self.sys.coeff_matrix(xs)
         suspect = ~_varah_certified(A)
@@ -283,11 +286,11 @@ class HybridApproximation:
         return scalar_or_1d(self.eval_many, x)
 
     def eval_many(self, xs: np.ndarray, outer_values: np.ndarray | None = None) -> np.ndarray:
-        """Composite values on a grid, shape (len(xs), n). ``outer_values``,
+        """Composite values on a 1-D grid, shape (len(xs), n). ``outer_values``,
         if given, is ``self.outer.eval_many(xs)`` (not modified); it does not
         depend on eps, so composites of one problem can share it. Raises
-        ValueError unless every x lies in [0, 1] and ``outer_values`` has
-        shape (len(xs), n)."""
+        ValueError unless xs is 1-D, every x lies in [0, 1] and
+        ``outer_values`` has shape (len(xs), n)."""
         _check_domain(xs, "composite")
         n = self.outer.sys.n
         if outer_values is None:

@@ -247,6 +247,14 @@ def test_empty_chain_rejected():
         check_doubling(())
 
 
+def test_empty_eps_list_rejected_before_any_solve():
+    def solver(eps, n):
+        raise AssertionError("solved with an empty eps_list")
+
+    with pytest.raises(ValueError, match="eps_list must be nonempty"):
+        convergence_table(solver, [], [16, 32])
+
+
 # ---------------------------------------------------------------------------
 # constant-coefficient oracle
 # ---------------------------------------------------------------------------

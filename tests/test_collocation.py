@@ -67,19 +67,19 @@ def scalar_layer_exact(eps, xs):
 
 def test_exponential_growth():
     sol = solve(exponential_bvp())
-    assert abs(sol.interpolant(1.0)[0] - np.e) <= 1e-8
+    assert abs(evaluate(sol, 1.0)[0] - np.e) <= 1e-8
     assert sol.max_residual <= 1e-6
 
 
 def test_exponential_between_nodes():
     sol = solve(exponential_bvp(), SolverConfig(initial_mesh_points=101))
-    assert abs(sol.interpolant(0.5)[0] - np.exp(0.5)) <= 1e-8
+    assert abs(evaluate(sol, 0.5)[0] - np.exp(0.5)) <= 1e-8
 
 
 def test_linear_solution_exact():
     sol = solve(linear_ramp_bvp(), SolverConfig(initial_mesh_points=5))
-    assert abs(sol.interpolant(0.37)[0] - 0.37) <= 1e-14
-    assert abs(sol.interpolant(1.0)[0] - 1.0) <= 1e-14
+    assert abs(evaluate(sol, 0.37)[0] - 0.37) <= 1e-14
+    assert abs(evaluate(sol, 1.0)[0] - 1.0) <= 1e-14
 
 
 def test_linear_problem_needs_two_newton_iterations():
@@ -104,12 +104,13 @@ def test_evaluate_at_nodes_reproduces_node_values():
 def test_evaluate_first_components_equals_the_column_slice():
     sol = solve(scalar_layer_bvp(0.01), SolverConfig(initial_mesh_points=51))
     xs = np.concatenate([np.linspace(0.0, 1.0, 1001), sol.mesh.nodes])
-    got = evaluate(sol, xs, 1)
-    assert got.shape == (xs.size, 1)
-    assert np.array_equal(got, evaluate(sol, xs)[:, :1])
+    for components in (1, np.int64(1), 2):
+        got = evaluate(sol, xs, components)
+        assert got.shape == (xs.size, components)
+        assert np.array_equal(got, evaluate(sol, xs)[:, :components])
 
 
-def _plain_hermite(nodes, values, slopes, ts, deriv=False):
+def _plain_hermite(nodes, values, slopes, ts):
     """The Hermite cubic of each interval, as one broadcast formula per point."""
     a, b = nodes[0], nodes[-1]
     ts = np.clip(ts, a, b)
@@ -119,11 +120,8 @@ def _plain_hermite(nodes, values, slopes, ts, deriv=False):
     y0, y1, s0, s1 = values[k], values[k + 1], slopes[k], slopes[k + 1]
     t2 = tau * tau
     t3 = t2 * tau
-    if not deriv:
-        return (y0 * (1.0 - 3.0 * t2 + 2.0 * t3) + y1 * (3.0 * t2 - 2.0 * t3)
-                + h * s0 * (tau - 2.0 * t2 + t3) + h * s1 * (t3 - t2))
-    return (y0 * (6.0 * t2 - 6.0 * tau) + y1 * (6.0 * tau - 6.0 * t2)
-            + h * s0 * (1.0 - 4.0 * tau + 3.0 * t2) + h * s1 * (3.0 * t2 - 2.0 * tau)) / h
+    return (y0 * (1.0 - 3.0 * t2 + 2.0 * t3) + y1 * (3.0 * t2 - 2.0 * t3)
+            + h * s0 * (tau - 2.0 * t2 + t3) + h * s1 * (t3 - t2))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -148,10 +146,8 @@ def test_evaluation_is_bitwise_the_plain_hermite_formula(seed):
     same(evaluate(sol, ts), want)
     same(evaluate(sol, ts, 2), _plain_hermite(nodes, sol.node_values[:, :2],
                                               sol.node_slopes[:, :2], ts))
-    same(sol.interpolant(ts), want)
-    same(sol.interpolant(ts[7]), want[7])
-    same(sol.interpolant_derivative(ts),
-         _plain_hermite(nodes, sol.node_values, sol.node_slopes, ts, deriv=True))
+    same(evaluate(sol, list(ts)), want)
+    same(evaluate(sol, ts[7]), want[7])
 
 
 def test_dim_must_be_positive():
@@ -182,14 +178,15 @@ def test_evaluate_rejects_outside_points():
 def test_interpolant_is_c1_at_shared_nodes():
     sol = solve(scalar_layer_bvp(0.04), SolverConfig(initial_mesh_points=21))
     interior = sol.mesh.nodes[1:-1]
-    np.testing.assert_array_equal(sol.interpolant(interior), sol.node_values[1:-1])
-    # derivative from either side agrees with the stored slope
-    d = sol.interpolant_derivative(interior)
-    np.testing.assert_allclose(d, sol.node_slopes[1:-1], rtol=0, atol=1e-9)
-    eps_t = 1e-9
-    left = sol.interpolant_derivative(interior - eps_t)
-    right = sol.interpolant_derivative(interior + eps_t)
-    np.testing.assert_allclose(left, right, rtol=0, atol=1e-6)
+    at_nodes = evaluate(sol, interior)
+    np.testing.assert_array_equal(at_nodes, sol.node_values[1:-1])
+    # the difference quotient from either side tends to the stored slope;
+    # its truncation error is about dt |u''| / 2, and |u''| <= 1 / eps^1.5
+    dt = 1e-7
+    left = (at_nodes - evaluate(sol, interior - dt)) / dt
+    right = (evaluate(sol, interior + dt) - at_nodes) / dt
+    np.testing.assert_allclose(left, sol.node_slopes[1:-1], rtol=0, atol=1e-4)
+    np.testing.assert_allclose(right, sol.node_slopes[1:-1], rtol=0, atol=1e-4)
 
 
 def test_residual_zero_for_cubic_solution():
@@ -272,7 +269,7 @@ def test_nonlinear_problem_converges():
         interval=(0.0, 1.0),
     )
     sol = solve(bvp, SolverConfig(initial_mesh_points=51))
-    assert abs(sol.interpolant(1.0)[0] - 1.0) <= 1e-8
+    assert abs(evaluate(sol, 1.0)[0] - 1.0) <= 1e-8
 
 
 # u'' = g(u) with u(0), u(1): Troesch's problem at lambda = 3 and 5, an
@@ -300,7 +297,7 @@ def test_nonlinear_second_order_problems_match_solve_bvp(name):
                     lambda ya, yb: np.array([ya[0] - left, yb[0] - right]),
                     xs, np.ones((2, xs.size)), tol=1e-8, max_nodes=10000)
     assert ref.success
-    assert np.max(np.abs(sol.interpolant(xs)[:, 0] - ref.sol(xs)[0])) <= 1e-6
+    assert np.max(np.abs(evaluate(sol, xs)[:, 0] - ref.sol(xs)[0])) <= 1e-6
 
 
 def test_damped_newton_halves_the_step_until_the_residual_falls(monkeypatch):
@@ -340,7 +337,7 @@ def test_mesh_validation():
     with pytest.raises(ValueError):
         Mesh(np.array([1.0]))
     m = Mesh(np.array([0.0, 0.25, 1.0]))
-    assert m.a == 0.0 and m.b == 1.0 and m.n_intervals == 2
+    assert m.b == 1.0 and np.array_equal(m.nodes, [0.0, 0.25, 1.0])
 
 
 def test_first_pass_runs_on_the_uniform_initial_mesh():

@@ -256,12 +256,10 @@ def test_outer_solution_rejects_points_outside_the_domain(x):
         outer.eval_many(np.array([0.5, x]))
 
 
-@pytest.mark.parametrize("entry", ["interpolant", "interpolant_derivative", "outer", "eval",
-                                   "oracle"])
+@pytest.mark.parametrize("entry", ["evaluate", "outer", "eval", "oracle"])
 def test_pointwise_entry_points_take_a_scalar_or_1d_x_only(entry):
     hybrid = hybrid_solve(example1(0.01), CFG)
-    fn = {"interpolant": hybrid.layers[0].interpolant,
-          "interpolant_derivative": hybrid.layers[0].interpolant_derivative,
+    fn = {"evaluate": lambda x: evaluate(hybrid.layers[0], x),
           "outer": hybrid.outer, "eval": hybrid.eval,
           "oracle": exact_constant_system(np.array([[4.0, -2.0], [-1.0, 3.0]]),
                                           np.array([1.0, 2.0]), 0.01)}[entry]
@@ -272,6 +270,30 @@ def test_pointwise_entry_points_take_a_scalar_or_1d_x_only(entry):
         np.testing.assert_allclose(fn(x), row, rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="scalar or 1-D"):
         fn(xs.reshape(2, 2))
+
+
+def test_evaluate_at_a_scalar_is_its_one_point_row_bitwise():
+    layer = hybrid_solve(example1(0.01), CFG).layers[0]
+    got = evaluate(layer, 0.5)
+    assert got.shape == (layer.dim,)
+    assert got.tobytes() == evaluate(layer, [0.5])[0].tobytes()
+
+
+@pytest.mark.parametrize("components", [-1, 0, 5, 7, 2.5, True, "2"])
+def test_evaluate_takes_only_a_component_count_from_1_to_dim(components):
+    layer = hybrid_solve(example1(0.01), CFG).layers[0]  # dim 4
+    with pytest.raises(ValueError, match="components must be None or an integer from 1 to 4"):
+        evaluate(layer, [0.5], components)
+
+
+@pytest.mark.parametrize("entry", ["outer", "composite"])
+def test_eval_many_takes_1d_x_only(entry):
+    hybrid = hybrid_solve(example1(0.01), CFG)
+    eval_many = {"outer": hybrid.outer.eval_many, "composite": hybrid.eval_many}[entry]
+    xs = np.linspace(0.0, 0.75, 4)
+    for bad in (xs.reshape(2, 2), xs[:, None], np.float64(0.5)):
+        with pytest.raises(ValueError, match="takes 1-D x"):
+            eval_many(bad)
 
 
 def test_composite_checks_shared_outer_values():
