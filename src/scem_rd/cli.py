@@ -145,8 +145,9 @@ def _make_output_dir(manifest: RunManifest) -> None:
 
 
 def _start_points(n_list: tuple[int, ...]) -> int:
-    """Start mesh of the solves of a solve or plotdata run: N+1 nodes for the largest N, else 1000."""
-    return n_list[-1] + 1 if n_list else 1000
+    """Start mesh of the solves of a solve or plotdata run: N+1 nodes for the
+    largest N, else the solver's default."""
+    return n_list[-1] + 1 if n_list else SolverConfig.initial_mesh_points
 
 
 def _cell_solver(manifest: RunManifest):

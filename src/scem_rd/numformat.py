@@ -5,14 +5,13 @@
 rounded half to even on the exact product of ``|v|`` and a power of ten,
 and its digits, sign and exponent go into one row of a uint8 cell matrix.
 The product is exact by Dekker's two-product when the power of ten is a
-double; otherwise a double-double power bounds its error. Only the rare
-cells whose remainder lies near one half work out its exact tails. A block
-of cells has a sign column, integer digits and a three-digit exponent only
-as far as one of its values needs them, and the rows that need less carry
-NUL pad bytes, which are dropped on output; a block of like values has
-none, and is written as it stands. A value the fast path cannot certify
-(non-finite, subnormal in ``%e``, ``|v| 10^p`` within 2^-50 of 2^63 or
-beyond in ``%f``, or a remainder within the error bound of one half) is
+double; otherwise a double-double power bounds its error. A block of cells
+has a sign column and integer digits only as far as one of its values
+needs them, and the rows that need less carry NUL pad bytes, which are
+dropped on output; a block of like values has none, and is written as it
+stands. A value the fast path cannot certify (non-finite, subnormal or
+with a three-digit exponent in ``%e``, ``|v| 10^p`` within 2^-50 of 2^63
+or beyond in ``%f``, or a remainder within 2^-32 of one half) is
 formatted by ``%`` in its own cell (:func:`percent_cells`).
 :func:`format_column` formats one column into the same matrix form, such
 as the x cells that every row of a table shares.
@@ -89,21 +88,15 @@ def _two_prod(a, b):
     return p, err
 
 
-def _two_sum(a, b):
-    """Knuth: a + b == s + err exactly."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 def _round_scaled(a: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     """Round ``a * 10^k`` half to even: for ``a`` normal and ``k`` an array,
     or for ``a`` >= 0 and a scalar ``k`` with ``a * 10^k <= 2^63 - 2^12``
     (a subnormal ``a`` then rounds to 0, as it should).
 
     Returns ``(n, bad)``: the int64 results and where they are not
-    certified (10^k is not a double and the remainder lies within the error
-    bound of one half).
+    certified, which is where the computed remainder lies within 2^-32 of
+    one half. Its error (about 2^-50 + x 2^-96) is far smaller, so a
+    remainder outside that band rounds the right way.
     """
     hi, lo, shift, _ = _tables()
     i = k - _K_MIN
@@ -111,31 +104,15 @@ def _round_scaled(a: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     x = np.ldexp(a, shift[i])  # exact: the product is near 10^k
     p, err = _two_prod(x, hi)
     r = np.rint(p)
-    xlo = x * lo  # 0 where 10^k is a double
-    # the remainder (p - r) + err + x*lo, rounded into [-1/2, 1/2]; its exact
-    # tails matter only near a half, so only those cells work them out
+    # the remainder (p - r) + err + x*lo, rounded into [-1/2, 1/2]
     s = p - r
     s += err
-    s += xlo
+    s += x * lo  # 0 where 10^k is a double
     q = np.rint(s)
     s -= q
     n = r.astype(np.int64)
     n += q.astype(np.int64)
-    bad = np.zeros(a.shape, bool)
-    near = np.flatnonzero(np.abs(s) >= _NEAR_HALF)
-    if near.size:
-        s, tail = _two_sum(p[near] - r[near], err[near])  # the same sums, with their errors
-        s, tail2 = _two_sum(s, xlo[near])
-        tail += tail2
-        s -= np.rint(s)
-        # with lo == 0 the remainder s + tail is exact: step past a half when
-        # the tail says so, and on a tie only to reach the even neighbour
-        m = n[near]
-        step = (np.abs(s) == 0.5) & ((tail * s > 0) | ((tail == 0) & ((m & 1) == 1)))
-        n[near] = m + np.where(step, np.sign(s), 0.0).astype(np.int64)
-        margin = x[near] * 2.0 ** -96 + 2.0 ** -50
-        bad[near] = (xlo[near] != 0) & (np.abs(np.abs(s) - 0.5) <= margin)
-    return n, bad
+    return n, np.abs(s) >= _NEAR_HALF
 
 
 @functools.cache
@@ -146,16 +123,10 @@ def _quads() -> np.ndarray:
 
 
 @functools.cache
-def _exponents() -> tuple[np.ndarray, np.ndarray]:
-    """``e``, the sign and the digits of the exponents _E_MIN.._E_MAX, one
-    entry each: four bytes in a uint32, for blocks without a three-digit
-    exponent, and five bytes (the hundreds digit NUL below 100) and three
-    NULs in a uint64."""
-    five = np.zeros((_E_MAX + 1 - _E_MIN, 8), np.uint8)
-    five[:, :5] = np.frombuffer(b"".join(f"e{e:+04d}".encode() for e in range(_E_MIN, _E_MAX + 1)),
-                                np.uint8).reshape(-1, 5)
-    five[np.abs(np.arange(_E_MIN, _E_MAX + 1)) < 100, 2] = 0
-    return five[:, [0, 1, 3, 4]].copy().view(np.uint32).ravel(), five.view(np.uint64).ravel()
+def _exponents() -> np.ndarray:
+    """The four bytes ``e-99``..``e+99``, one uint32 for each exponent."""
+    text = b"".join(f"e{e:+03d}".encode() for e in range(-99, 100))
+    return np.frombuffer(text, np.uint32)
 
 
 def _digits(n: np.ndarray, count: int) -> np.ndarray:
@@ -188,11 +159,11 @@ def percent_cells(v: np.ndarray, places: int, kind: str) -> list[bytes]:
 def _cells(v: np.ndarray, places: int, kind: str) -> np.ndarray:
     """Format a 1-d array into a matrix of comma-led, NUL-padded ASCII
     cells, one row per value: dropping a row's NULs gives
-    ``"," + cell % v``. The sign column, the integer digits of ``%f`` and
-    the hundreds digit of an exponent are there only as far as some value
-    needs them, so a block of like values has no NUL. A value the fast path
-    cannot certify is formatted by :func:`percent_cells`, and the matrix
-    widens to fit its text."""
+    ``"," + cell % v``. The sign column and the integer digits of ``%f``
+    are there only as far as some value needs them, so a block of like
+    values has no NUL. A value the fast path cannot certify, such as one
+    with a three-digit exponent, is formatted by :func:`percent_cells`, and
+    the matrix widens to fit its text."""
     a = np.abs(v)
     if kind == "f":
         bad = ~(a < _TWO63 * (1.0 - 2.0 ** -50) / 10.0 ** places)  # n stays below 2^63
@@ -215,12 +186,11 @@ def _cells(v: np.ndarray, places: int, kind: str) -> np.ndarray:
         exp[carry] += 1
         n[zero] = 0
         exp[zero] = 0
+        big = np.abs(exp) >= 100  # a three-digit exponent is left to %
+        bad |= big
+        exp[big] = 0
         lead = 1
-        four, five = _exponents()
-        if np.any(np.abs(exp) >= 100):
-            exponent = five.take(exp - _E_MIN).view(np.uint8).reshape(-1, 8)[:, :5]
-        else:
-            exponent = four.take(exp - _E_MIN).view(np.uint8).reshape(-1, 4)
+        exponent = _exponents().take(exp + 99).view(np.uint8).reshape(-1, 4)
     neg = np.signbit(v)
     sign = int(neg.any())
     point = 1 + sign + lead  # after the comma, the sign and the integer digits

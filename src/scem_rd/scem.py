@@ -89,13 +89,15 @@ def _varah_certified(A: np.ndarray) -> np.ndarray:
     return (excess > 0.0) & (A.shape[-1] * row_sums.max(axis=1) <= _SINGULAR_COND * excess)
 
 
-def _check_domain(xs: np.ndarray, what: str) -> None:
-    """Raise ValueError unless xs is 1-D and every x lies in [0, 1]; NaN
-    fails too."""
-    if np.ndim(xs) != 1:
-        raise ValueError(f"{what} takes 1-D x, not of shape {np.shape(xs)}")
+def _check_domain(xs, what: str) -> np.ndarray:
+    """Return xs as a float array; raise ValueError unless it is 1-D and
+    every x lies in [0, 1] (NaN fails too)."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"{what} takes 1-D x, not of shape {xs.shape}")
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError(f"{what} evaluated outside the domain [0, 1]")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class OuterSolution:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Pointwise solves on a 1-D grid; returns shape (len(xs), n)."""
-        _check_domain(xs, "outer solution")
+        xs = _check_domain(xs, "outer solution")
         A = self.sys.coeff_matrix(xs)
         suspect = ~_varah_certified(A)
         if np.any(suspect):
@@ -291,7 +293,7 @@ class HybridApproximation:
         depend on eps, so composites of one problem can share it. Raises
         ValueError unless xs is 1-D, every x lies in [0, 1] and
         ``outer_values`` has shape (len(xs), n)."""
-        _check_domain(xs, "composite")
+        xs = _check_domain(xs, "composite")
         n = self.outer.sys.n
         if outer_values is None:
             out = self.outer.eval_many(xs)

@@ -68,9 +68,6 @@ class ReactionDiffusionSystem:
     left_bc: np.ndarray
     right_bc: np.ndarray
 
-    #: the fixed domain; rescale affinely before constructing if needed
-    domain = (0.0, 1.0)
-
     def __post_init__(self) -> None:
         n = len(self.forcing)
         if n < 1:

@@ -552,7 +552,7 @@ def _binade_values(scaled, count):
 
 #: doubles within 2^-54 of a half at the 15th decimal place, either side
 #: (m 2^-(g+15) for the m < 2^53 with m 5^15 = 2^(g-1) + j modulo 2^g, 0 < |j|
-#: < 2^(g-54)): only the exact tail of the remainder rounds them right
+#: < 2^(g-54)): too near a half for the fast path, which leaves them to ``%``
 _NEAR_TIES_F = [5.786485e-10, 3.0259465e-09, 4.1832435e-09, 3.30200035e-08,
                 4.97529775e-08, 3.641119275e-07, 1.8865996445e-06]
 #: a tie of %.15e whose power of ten (10^23) is not a double, and a value
@@ -619,7 +619,44 @@ def test_formatter_matches_percent_on_rounding_edges(family, cell):
     assert not bad, f"{len(bad)} rows, first {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"
 
 
-def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monkeypatch):
+def _three_digit_exponents():
+    """Values whose ``%.15e`` has a three-digit exponent, neighbours of
+    1e-99 and 1e100 included."""
+    below, above = [1e-99], [1e100]
+    for _ in range(3):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], math.inf))
+    values = [1e-100, 1e-150, 1e150, 1e300, *below[1:], *above]
+    assert all(abs(int(("%.15e" % v).split("e")[1])) >= 100 for v in values)
+    return values
+
+
+@pytest.mark.parametrize("cell, values", [
+    ("%.15f", _NEAR_TIES_F + [k / 65536.0 for k in (1, 3, 4097, 65535, 2 ** 20 + 7)]),
+    ("%.15e", _NEAR_TIES_E + _three_digit_exponents()),
+])
+def test_near_halves_and_three_digit_exponents_are_left_to_percent(cell, values, monkeypatch):
+    values = np.array(values + [-v for v in values])
+    formatted = []
+
+    def counting_percent_cells(v, places, kind):
+        formatted.extend(v.tolist())
+        return percent_cells(v, places, kind)
+
+    monkeypatch.setattr(numformat, "percent_cells", counting_percent_cells)
+    got = numformat.format_column(values, cell)
+    assert formatted == values.tolist()
+    assert [row[row != 0].tobytes() for row in got] == [(cell % v).encode() for v in values.tolist()]
+    formatted.clear()
+    xs = np.linspace(0.0, 1.0, values.size)
+    got = numformat.format_table(numformat.format_column(xs, "%.15f"), values[:, None], cell)
+    assert formatted == values.tolist()
+    assert got == b"".join((f"%.15f,{cell}\n" % (x, v)).encode()
+                           for x, v in zip(xs.tolist(), values.tolist()))
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monkeypatch, example):
     evaluated = []  # eval_many results of the run, in call order
     eval_many = HybridApproximation.eval_many
 
@@ -637,20 +674,27 @@ def test_plotdata_files_equal_percent_rendering_without_fallback(tmp_path, monke
     monkeypatch.setattr(HybridApproximation, "eval_many", recording_eval_many)
     monkeypatch.setattr(numformat, "percent_cells", counting_percent_cells)
     eps_tokens = ["2^-1", "2^-8", "2^-15"]
-    assert main(["plotdata", "--problem", "example1", "--eps", ",".join(eps_tokens),
+    assert main(["plotdata", "--problem", example, "--eps", ",".join(eps_tokens),
                  "--grid", "2001", "--out", str(tmp_path)]) == 0
     xs = np.linspace(0.0, 1.0, 2001)
     xstr = ["%.15f" % x for x in xs]
-    A, f = cli._constant_system_data(BUILTIN_PROBLEMS["example1"])
+    # example2's forcing is linear in x, so it has no oracle and no error files
+    oracle_data = cli._constant_system_data(BUILTIN_PROBLEMS[example])
+    assert (oracle_data is None) == (example == "example2")
     assert len(evaluated) == len(eps_tokens)
     for token, values in zip(eps_tokens, evaluated):
         eps = parse_eps_list(token)[0]
         tag = format(eps, ".10g")
-        err = np.abs(values - exact_constant_system(A, f, eps)(xs))
-        assert (tmp_path / f"example1_plot_eps{tag}.csv").read_bytes() == \
-            _percent_table(["x", "y_1", "y_2"], xstr, values, "%.15f")
-        assert (tmp_path / f"example1_error_eps{tag}.csv").read_bytes() == \
-            _percent_table(["x", "e_1", "e_2"], xstr, err, "%.15e")
+        columns = range(1, values.shape[1] + 1)
+        assert (tmp_path / f"{example}_plot_eps{tag}.csv").read_bytes() == \
+            _percent_table(["x", *(f"y_{i}" for i in columns)], xstr, values, "%.15f")
+        error_file = tmp_path / f"{example}_error_eps{tag}.csv"
+        if oracle_data is None:
+            assert not error_file.exists()
+            continue
+        err = np.abs(values - exact_constant_system(*oracle_data, eps)(xs))
+        assert error_file.read_bytes() == \
+            _percent_table(["x", *(f"e_{i}" for i in columns)], xstr, err, "%.15e")
     assert fallback_values == []
 
 

@@ -296,6 +296,20 @@ def test_eval_many_takes_1d_x_only(entry):
             eval_many(bad)
 
 
+@pytest.mark.parametrize("entry", ["outer", "composite"])
+def test_eval_many_takes_a_list_or_tuple_as_its_array(entry):
+    hybrid = hybrid_solve(example1(0.01), CFG)
+    eval_many = {"outer": hybrid.outer.eval_many, "composite": hybrid.eval_many}[entry]
+    xs = [0.0, 0.003, 0.5, 0.999, 1.0]
+    want = eval_many(np.array(xs))
+    for points in (xs, tuple(xs)):
+        got = eval_many(points)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="takes 1-D x"):
+        eval_many([[0.5]])
+
+
 def test_composite_checks_shared_outer_values():
     hybrid = hybrid_solve(example1(0.01), CFG)
     xs = np.linspace(0.0, 1.0, 11)
