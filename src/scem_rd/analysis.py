@@ -35,6 +35,17 @@ def scalar_or_1d(eval_many: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray
     return out[0] if xs.ndim == 0 else out
 
 
+def check_domain(xs, what: str) -> np.ndarray:
+    """Return xs as a float array; raise ValueError unless it is 1-D and
+    every x lies in [0, 1] (NaN fails too)."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"{what} takes 1-D x, not of shape {xs.shape}")
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError(f"{what} evaluated outside the domain [0, 1]")
+    return xs
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Componentwise values of a vector function on a strictly increasing grid."""
@@ -120,14 +131,16 @@ def convergence_table(
     sweep internally also solves at 2*max(N) and 4*max(N); the reported
     columns remain exactly ``n_list``. Cells run in sweep order (eps-major),
     and the first that raises stops the sweep with its exception; an empty
-    eps_list or a bad n_list raises ValueError before any solve. Only one
-    eps row of solutions is held: an eps's D values are taken, and its
-    grid functions dropped, before the next eps's first cell.
+    eps_list, a repeated eps or a bad n_list raises ValueError before any
+    solve. Only one eps row of solutions is held: an eps's D values are
+    taken, and its grid functions dropped, before the next eps's first cell.
     """
     eps_list = tuple(float(e) for e in eps_list)
     n_list = tuple(int(n) for n in n_list)
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
+    if len(set(eps_list)) != len(eps_list):
+        raise ValueError(f"eps_list repeats an eps: {eps_list}")
     check_doubling(n_list)
 
     solve_ns = n_list + (2 * n_list[-1], 4 * n_list[-1])
@@ -160,8 +173,9 @@ def exact_constant_system(
         z(x) = (g/lam) * (1 - cosh(s (x - 1/2)) / cosh(s / 2)),  s = sqrt(lam/eps),
 
     evaluated here in an exponential form that cannot overflow for small
-    eps. Returns a callable mapping x (scalar or 1-D array) to the
-    solution; array input yields shape (len(x), n).
+    eps. Returns a callable mapping x (scalar or 1-D array) in [0, 1] to
+    the solution; array input yields shape (len(x), n). x outside [0, 1],
+    NaN included, raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -185,6 +199,7 @@ def exact_constant_system(
     s = np.where(np.isfinite(s), s, np.sqrt(lam) / np.sqrt(eps))
 
     def solution_many(xa):
+        xa = check_domain(xa, "closed-form solution")
         # cosh(s(x-1/2))/cosh(s/2) = (exp(s(x-1)) + exp(-s x)) / (1 + exp(-s));
         # every exponent is <= 0 on [0, 1], so no overflow for any eps
         e = np.exp(s[None, :] * (xa[:, None] - 1.0)) + np.exp(-s[None, :] * xa[:, None])

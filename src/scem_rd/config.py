@@ -116,7 +116,7 @@ class ProblemConfig:
 
 def _field(text: str):
     """A compiled expression, or its value if it has no x: a system
-    samples a number without the interpreter."""
+    samples a number without calling the evaluator."""
     fn = compile_expression(text)
     return fn if fn.constant is None else fn.constant
 

@@ -8,31 +8,33 @@ Grammar (whitespace is allowed anywhere between tokens and at either end):
     atom   := NUMBER | 'x' | '(' expr ')'
 
 This is a subset of Python's expression grammar with the same precedence
-and associativity, so ``ast.parse`` builds the tree and a whitelist of node
-types restricts it to the grammar above. Just enough to express constants
-and polynomials in x; compiled to a numpy-vectorized callable. At most
-``MAX_TOKENS`` tokens are accepted, which bounds how deep parsing and
-evaluation recurse.
+and associativity, so ``ast.parse`` builds the tree, every node of which
+must be one of the grammar's types. Python's compiler then compiles the
+checked tree once, and the evaluator runs that code with x bound to a
+float array, so constants and polynomials in x evaluate numpy-vectorized.
+At most ``MAX_TOKENS`` tokens are accepted, which bounds how deep parsing
+and compiling recurse.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-import operator
 import re
 from typing import Callable
 
 import numpy as np
 
 #: longest expression accepted: at most 100 nested parentheses or 199 nested
-#: signs, well inside the default recursion limit of 1000
+#: signs, which keeps the parser's and compiler's recursion well inside
+#: Python's default limit of 1000
 MAX_TOKENS = 200
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)|(x)|([()+\-*/]))")
 
-_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.Div: operator.truediv}
+#: the node types of the grammar's trees; a Name must also be x or a number
+_NODES = (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
+          ast.UnaryOp, ast.UAdd, ast.USub, ast.Load, ast.Name)
 
 
 class ExpressionError(ValueError):
@@ -53,37 +55,13 @@ def _tokenize(text: str) -> list[str | float]:
     return tokens
 
 
-def _whitelisted(node: ast.expr, leaves: dict[str, tuple], source: str):
-    """The evaluation tree of an ast, which may hold only the grammar's nodes."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return (_BINOPS[type(node.op)], _whitelisted(node.left, leaves, source),
-                _whitelisted(node.right, leaves, source))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        operand = _whitelisted(node.operand, leaves, source)
-        return ("neg", operand) if isinstance(node.op, ast.USub) else operand
-    if isinstance(node, ast.Name) and node.id in leaves:
-        return leaves[node.id]
-    raise ExpressionError(f"malformed expression {source!r}")
-
-
-def _eval_node(node, x):
-    op = node[0]
-    if op == "num":
-        return node[1] + 0.0 * x
-    if op == "x":
-        return x
-    if op == "neg":
-        return -_eval_node(node[1], x)
-    return op(_eval_node(node[1], x), _eval_node(node[2], x))
-
-
-def _constant_value(tree) -> float | None:
-    """The value c of an x-free tree when its evaluator equals c + 0.0 * x:
-    c at every finite x, and NaN at NaN or infinite x. That holds unless c
-    is not finite (kept on the evaluator, warnings included) or is -0.0,
+def _constant_value(evaluator) -> float | None:
+    """The value c of an x-free evaluator when it equals c + 0.0 * x: c at
+    every finite x, and NaN at NaN or infinite x. That holds unless c is
+    not finite (kept on the evaluator, warnings included) or is -0.0,
     which c + 0.0 * x turns into +0.0; both give None."""
     with np.errstate(all="ignore"):
-        c = float(_eval_node(tree, np.float64(0.0)))
+        c = float(evaluator(np.float64(0.0)))
     if not math.isfinite(c) or (c == 0.0 and math.copysign(1.0, c) < 0.0):
         return None
     return c
@@ -100,16 +78,22 @@ def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     # each number enters ast.parse as a placeholder name bound to its value,
     # so Python reads no literal of its own and folds no constant
     names = [f"_{i}" if isinstance(tok, float) else tok for i, tok in enumerate(tokens)]
-    leaves = {name: ("num", tok) for name, tok in zip(names, tokens) if isinstance(tok, float)}
-    leaves["x"] = ("x",)
+    numbers = {name: tok for name, tok in zip(names, tokens) if isinstance(tok, float)}
     try:
-        body = ast.parse(" ".join(names), mode="eval").body
+        tree = ast.parse(" ".join(names), mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"malformed expression {text!r}") from exc
-    tree = _whitelisted(body, leaves, text)
+    for node in ast.walk(tree):
+        if not isinstance(node, _NODES) or (
+                isinstance(node, ast.Name) and node.id != "x" and node.id not in numbers):
+            raise ExpressionError(f"malformed expression {text!r}")
+    code = compile(tree, "<expression>", "eval")
 
     def evaluator(x):
-        return _eval_node(tree, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        scope = {name: value + 0.0 * x for name, value in numbers.items()}
+        scope["x"] = x
+        return eval(code, {"__builtins__": {}}, scope)
 
-    evaluator.constant = None if "x" in tokens else _constant_value(tree)
+    evaluator.constant = None if "x" in tokens else _constant_value(evaluator)
     return evaluator

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import scalar_or_1d
+from .analysis import check_domain, scalar_or_1d
 from .collocation import CollocationSolution, FirstOrderBvp, SolverConfig, evaluate, solve
 from .system import AssumptionReport, ReactionDiffusionSystem, validate_assumptions
 
@@ -89,17 +89,6 @@ def _varah_certified(A: np.ndarray) -> np.ndarray:
     return (excess > 0.0) & (A.shape[-1] * row_sums.max(axis=1) <= _SINGULAR_COND * excess)
 
 
-def _check_domain(xs, what: str) -> np.ndarray:
-    """Return xs as a float array; raise ValueError unless it is 1-D and
-    every x lies in [0, 1] (NaN fails too)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError(f"{what} takes 1-D x, not of shape {xs.shape}")
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValueError(f"{what} evaluated outside the domain [0, 1]")
-    return xs
-
-
 @dataclass(frozen=True)
 class OuterSolution:
     """Reduced solution y_out(x) = A(x)^-1 f(x), evaluated lazily per query.
@@ -117,7 +106,7 @@ class OuterSolution:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Pointwise solves on a 1-D grid; returns shape (len(xs), n)."""
-        xs = _check_domain(xs, "outer solution")
+        xs = check_domain(xs, "outer solution")
         A = self.sys.coeff_matrix(xs)
         suspect = ~_varah_certified(A)
         if np.any(suspect):
@@ -176,10 +165,11 @@ def build_layer_problem(
     (2, n); it does not depend on eps, and ``solve_reduced(sys)`` gives it
     when omitted.
     The problem carries the constant Jacobian of its Dirichlet conditions
-    as ``bc_jac``. Raises ValueError unless ``end`` is 0 or 1, every
-    component has the same diffusion value and 0 < T <= 1/sqrt(eps).
+    as ``bc_jac``. Raises ValueError unless ``end`` is 0 or 1 (not a bool),
+    every component has the same diffusion value and 0 < T <= 1/sqrt(eps).
     """
-    if end not in (0.0, 1.0):
+    # bool is a number, but True is no end
+    if isinstance(end, (bool, np.bool_)) or end not in (0.0, 1.0):
         raise ValueError(f"layer end {end!r} is not 0 or 1")
     if len(set(sys.diffusion)) != 1:
         raise ValueError("all components must share one diffusion value: a partially "
@@ -293,7 +283,7 @@ class HybridApproximation:
         depend on eps, so composites of one problem can share it. Raises
         ValueError unless xs is 1-D, every x lies in [0, 1] and
         ``outer_values`` has shape (len(xs), n)."""
-        xs = _check_domain(xs, "composite")
+        xs = check_domain(xs, "composite")
         n = self.outer.sys.n
         if outer_values is None:
             out = self.outer.eval_many(xs)

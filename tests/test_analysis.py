@@ -255,6 +255,16 @@ def test_empty_eps_list_rejected_before_any_solve():
         convergence_table(solver, [], [16, 32])
 
 
+def test_repeated_eps_rejected_before_any_solve():
+    def solver(eps, n):
+        raise AssertionError("solved with a repeated eps")
+
+    with pytest.raises(ValueError, match="repeats an eps"):
+        convergence_table(solver, [0.1, 0.1], [4, 8])
+    with pytest.raises(ValueError, match="repeats an eps"):
+        convergence_table(solver, [0.5, 0.25, 0.5], [4, 8])
+
+
 # ---------------------------------------------------------------------------
 # constant-coefficient oracle
 # ---------------------------------------------------------------------------
@@ -313,6 +323,18 @@ def test_oracle_is_finite_where_lam_over_eps_overflows(eps):
     vals = exact_constant_system(A1, F1, eps)(np.array([0.0, 1e-100, 0.5, 1.0]))
     assert np.array_equal(vals[[0, 3]], np.zeros((2, 2)))
     np.testing.assert_allclose(vals[1:3], [[0.7, 0.9]] * 2, atol=1e-15)
+
+
+@pytest.mark.parametrize("x", [-1.0, 2.0, math.nan, -1e-300, 1.0 + 2.0**-52, math.inf])
+def test_oracle_takes_x_in_the_unit_interval_only(x):
+    # the same rule as the composite: x outside [0, 1], NaN included, raises
+    oracle = exact_constant_system(A1, F1, 0.01)
+    hybrid = hybrid_solve(example1(0.01), SolverConfig())
+    for fn in (oracle, hybrid.eval):
+        with pytest.raises(ValueError, match="outside the domain"):
+            fn(x)
+        with pytest.raises(ValueError, match="outside the domain"):
+            fn(np.array([0.5, x]))
 
 
 def test_oracle_rejects_bad_spectrum():

@@ -135,7 +135,8 @@ def test_right_layer_problem_shape():
     np.testing.assert_allclose(lp.bc_values, [[-0.7, -0.9], [-0.7, -0.9]], atol=1e-12)
 
 
-@pytest.mark.parametrize("end", [0.5, -1.0, 2.0, float("nan")])
+# True == 1.0 and False == 0.0, but a bool is no end
+@pytest.mark.parametrize("end", [0.5, -1.0, 2.0, float("nan"), True, False, np.True_])
 def test_layer_end_must_be_zero_or_one(end):
     sys = example1(0.01)
     with pytest.raises(ValueError, match="is not 0 or 1"):

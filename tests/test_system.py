@@ -69,6 +69,19 @@ def test_config_fields_sample_bitwise_as_the_interpreter(coeff, forcing):
         assert _same(sys.forcing_vector(SAMPLE_XS), want_f.T)
 
 
+@pytest.mark.parametrize("text, by_hand", [
+    ("3", lambda x: 3.0 + 0.0 * x),
+    ("-0", lambda x: -(0.0 + 0.0 * x)),
+    ("0 * x", lambda x: (0.0 + 0.0 * x) * x),
+    ("x - x + 2", lambda x: x - x + (2.0 + 0.0 * x)),
+    ("1/(1 + x)", lambda x: (1.0 + 0.0 * x) / ((1.0 + 0.0 * x) + x)),
+])
+def test_expressions_sample_as_numpy_by_hand_at_non_finite_x(text, by_hand):
+    # each number is c + 0.0 * x, so NaN and infinite x reach every term
+    with np.errstate(all="ignore"):
+        assert _same(compile_expression(text)(SAMPLE_XS), by_hand(SAMPLE_XS))
+
+
 def test_numbers_given_to_make_system_sample_bitwise_as_their_callables():
     coeff = [[4, -0.0], [lambda x: np.sin(x) - 2.0, 1e-300]]
     forcing = [-0.0, lambda x: x * x]
