@@ -144,15 +144,15 @@ def _make_output_dir(manifest: RunManifest) -> None:
                           f"{str(manifest.output_dir)!r}: {exc}") from exc
 
 
-def _start_points(n_list: tuple[int, ...]) -> int:
+def _start_points(n_list: tuple[int, ...]) -> int | None:
     """Start mesh of the solves of a solve or plotdata run: N+1 nodes for the
-    largest N, else the solver's default."""
-    return n_list[-1] + 1 if n_list else SolverConfig.initial_mesh_points
+    largest N, else None, the solver's choice."""
+    return n_list[-1] + 1 if n_list else None
 
 
 def _cell_solver(manifest: RunManifest):
     """Return ``cell(eps, xs, n=None)``, the sweep cell of every command:
-    the solve at ``eps`` from n+1 uniform nodes, or from
+    the solve at ``eps`` from n+1 start nodes, or from
     :func:`_start_points` without n, and the outer values at ``xs``. Those
     do not depend on eps, so they are evaluated once per grid (a run's
     grids differ in size) by the first cell there, ``CHUNK_ROWS`` rows at

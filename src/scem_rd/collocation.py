@@ -199,8 +199,10 @@ class SolverConfig:
     Newton starts from the constant ones vector; ``newton_tol`` and
     ``max_newton`` do not apply to a linear problem, solved from zero in
     one step per pass. ``initial_mesh_points`` is the node count of the
-    uniform first pass, at most ``max_mesh_points``; hybrid solves spend it
-    on each layer problem (see :func:`scem_rd.scem.hybrid_solve` for which).
+    first pass, at most ``max_mesh_points``; None leaves it to the solver:
+    1000 uniform nodes, or 400 on a truncated layer's graded start (see
+    :func:`scem_rd.scem.hybrid_solve`, which spends it on each layer
+    problem). :func:`solve` checks the count None stands for.
     ``adaptive`` False runs a single pass on the initial mesh (no
     MeshOverflow possible); useful for mesh-convergence studies. Such a
     fixed-mesh solve does not estimate the residual, which only drives
@@ -211,19 +213,22 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 50
     max_mesh_points: int = 100000
-    initial_mesh_points: int = 1000
+    initial_mesh_points: int | None = None
     adaptive: bool = True
 
     def __post_init__(self) -> None:
         if not (self.residual_tol > 0.0 and self.newton_tol > 0.0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        for name, least in (("max_newton", 1), ("max_mesh_points", 1), ("initial_mesh_points", 2)):
+        counts = [("max_newton", 1), ("max_mesh_points", 1)]
+        if self.initial_mesh_points is not None:
+            counts.append(("initial_mesh_points", 2))
+        for name, least in counts:
             value = getattr(self, name)
             # bool is an Integral, but True is no count
             if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
                     and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
-        if self.initial_mesh_points > self.max_mesh_points:
+        if self.initial_mesh_points is not None and self.initial_mesh_points > self.max_mesh_points:
             raise ValueError(f"initial_mesh_points {self.initial_mesh_points} exceeds "
                              f"max_mesh_points {self.max_mesh_points}")
 
@@ -623,14 +628,23 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 
 
-def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSolution:
+#: node count of a uniform start when ``initial_mesh_points`` is None
+_UNIFORM_POINTS = 1000
+
+
+def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
+          start: np.ndarray | None = None) -> CollocationSolution:
     """Solve the BVP by Lobatto IIIa collocation with residual refinement.
 
-    The first pass runs on ``cfg.initial_mesh_points`` uniform points.
-    Newton solves the collocation equations on the current mesh to the
-    step tolerance; for a ``linear`` problem one step from zero solves
-    them. With ``cfg.adaptive`` False that single pass is the result, and
-    its residual is not estimated (``max_residual`` None). Otherwise
+    The first pass runs on the nodes of ``start``, or without it on
+    ``cfg.initial_mesh_points`` uniform points (1000 when None). A start
+    mesh must be strictly increasing, begin and end exactly at
+    ``bvp.interval`` and have at most ``cfg.max_mesh_points`` nodes (so
+    must the uniform one), or ValueError is raised. Newton solves the
+    collocation equations on the current mesh to the step tolerance; for a
+    ``linear`` problem one step from zero solves them. With
+    ``cfg.adaptive`` False that single pass is the result, and its
+    residual is not estimated (``max_residual`` None). Otherwise
     subintervals whose scaled residual exceeds ``cfg.residual_tol`` are
     halved and Newton repeats from the interpolated previous solution.
     Each pass and its path are logged at debug level on the "scem_rd"
@@ -641,7 +655,17 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None) -> CollocationSol
     unreachable within ``cfg.max_mesh_points`` (adaptive mode only).
     """
     cfg = cfg or SolverConfig()
-    nodes = np.linspace(*bvp.interval, cfg.initial_mesh_points)
+    if start is None:
+        nodes = np.linspace(*bvp.interval, cfg.initial_mesh_points or _UNIFORM_POINTS)
+    else:
+        nodes = Mesh(np.array(start, dtype=float)).nodes
+        a, b = bvp.interval
+        if nodes[0] != a or nodes[-1] != b:
+            raise ValueError(f"start mesh spans [{float(nodes[0])!r}, {float(nodes[-1])!r}], "
+                             f"not the interval [{a!r}, {b!r}]")
+    if nodes.size > cfg.max_mesh_points:
+        raise ValueError(f"start mesh of {nodes.size} nodes exceeds max_mesh_points "
+                         f"{cfg.max_mesh_points}")
     # Newton's start; a linear pass starts from zero and needs none
     Y = None if bvp.linear else np.ones((nodes.size, bvp.dim))
 

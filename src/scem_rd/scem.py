@@ -12,18 +12,22 @@ The uniformly valid approximation is then assembled in three steps:
 
        -Psi'' + A(x) Psi = 0
 
-   on [0, L] by the Lobatto IIIa collocation engine from a uniform mesh of
-   ``initial_mesh_points`` nodes. The equation does not change under
-   s -> -s, so both ends pose the same kind of problem. Adaptive solves
-   truncate the domain when the stretched image 1/sqrt(eps) is at least
-   T = 42 / sqrt(delta): the assumption check's delta bounds the
-   eigenvalues of A from below, so a layer decays at least like
-   exp(-sqrt(delta) s), below exp(-42) ~ 6e-19 past T. Each end's layer is
-   then solved on [0, T] with the outer solution's boundary mismatch
-   (prescribed minus outer) at s = 0 and Psi = 0 at the cut, so the cost
-   does not grow as eps -> 0. Fixed-mesh solves and shorter images solve
-   one problem from x = 0 on the full image [0, 1/sqrt(eps)], with the
-   mismatches at both ends; it carries both layers.
+   on [0, L] by the Lobatto IIIa collocation engine. The equation does not
+   change under s -> -s, so both ends pose the same kind of problem.
+   Adaptive solves truncate the domain when the stretched image
+   1/sqrt(eps) is at least T = 42 / sqrt(delta): the assumption check's
+   delta bounds the eigenvalues of A from below, so a layer decays at
+   least like exp(-sqrt(delta) s), below exp(-42) ~ 6e-19 past T. Each
+   end's layer is then solved on [0, T] with the outer solution's boundary
+   mismatch (prescribed minus outer) at s = 0 and Psi = 0 at the cut, so
+   the cost does not grow as eps -> 0. Its solve starts from a
+   decay-graded mesh (Bakhvalov type, 400 nodes unless
+   ``initial_mesh_points`` says otherwise) whose spacing grows like
+   exp(sqrt(delta) s / 4), so the nodes sit near s = 0, where the layer
+   varies. Fixed-mesh solves and shorter images solve one problem from
+   x = 0 on the full image [0, 1/sqrt(eps)], with the mismatches at both
+   ends, from a uniform mesh of ``initial_mesh_points`` nodes (1000 when
+   None); it carries both layers.
 3. Composite: y(x) = y_out(x) plus each layer correction Psi(s) where the
    distance s from its end lies in [0, L]. The composite holds a tuple of
    layers, the k-th measured from x = k: when truncated, the x = 0 layer at
@@ -41,6 +45,7 @@ values nest layers of different widths.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +63,9 @@ _TABLE_MEMO_SIZE = 4
 #: truncated layer length in decay lengths 1 / sqrt(delta): past it a layer
 #: is below exp(-42) ~ 6e-19 of its boundary value
 _TRUNCATION = 42.0
+#: node count of a truncated layer's decay-graded start mesh when
+#: ``initial_mesh_points`` is None
+_GRADED_POINTS = 400
 #: assumption reports and outer end values kept by coefficient and forcing
 #: fields, oldest dropped first; an eps sweep builds every system of one
 #: problem on the same fields
@@ -315,8 +323,12 @@ def hybrid_solve(
     1/sqrt(eps) is at least T = 42 / sqrt(delta) solves one layer problem
     at each end, measured from that end on [0, T]. Otherwise, and on a
     fixed mesh, one problem from x = 0 covers the full image and carries
-    both boundary mismatches, and the result has that one layer. Each
-    layer solve starts from the uniform ``cfg.initial_mesh_points`` mesh.
+    both boundary mismatches, and the result has that one layer. A
+    truncated layer's solve starts from the decay-graded mesh of
+    :func:`_graded_mesh`, of ``cfg.initial_mesh_points`` nodes or 400 when
+    None; a full-image solve starts from the uniform mesh of
+    :func:`scem_rd.collocation.solve`, of ``cfg.initial_mesh_points``
+    nodes or 1000 when None.
 
     The check depends only on ``sys.coeff``, and the outer solution's
     values at x = 0 and 1 only on ``sys.coeff`` and ``sys.forcing``. Every
@@ -335,7 +347,39 @@ def hybrid_solve(
     # build both problems before either solve: interleaving them shifts when
     # the cyclic garbage collector runs, and measured ~8% slower at deep eps
     problems = [build_layer_problem(sys, end, length, outer_ends) for end in ends]
-    return HybridApproximation(solve_reduced(sys), tuple(solve(p.bvp, cfg) for p in problems))
+    if length is None:
+        return HybridApproximation(solve_reduced(sys), (solve(problems[0].bvp, cfg),))
+    start = _graded_mesh(length, cfg.initial_mesh_points)
+    return HybridApproximation(solve_reduced(sys), tuple(
+        _meeting_datum(solve(p.bvp, cfg, start=start), p.bc_values[0]) for p in problems))
+
+
+def _meeting_datum(layer: CollocationSolution, datum: np.ndarray) -> CollocationSolution:
+    """The truncated layer with Psi(0) set to its Dirichlet datum, which the
+    band LU meets only to rounding, of either sign; so a zero datum gives a
+    composite of exactly 0 at its end. A full-image layer is left as
+    solved, which keeps the paper's files from that path (ROADMAP)."""
+    values = layer.node_values.copy()
+    values[0, :datum.size] = datum
+    return dataclasses.replace(layer, node_values=values)
+
+
+def _graded_mesh(length: float, points: int | None) -> np.ndarray:
+    """Decay-graded start mesh of a truncated layer on [0, T], T = ``length``,
+    of ``points`` nodes (``_GRADED_POINTS`` when None).
+
+    Equidistributing the h^4 error of the slowest mode exp(-sigma s) gives
+    h(s) ~ exp(sigma s / 4), a Bakhvalov-type mesh in the stretched
+    variable: s_i = -(4 / sigma) ln(1 - (i/N) q), q = 1 - exp(-sigma T / 4),
+    i = 0..N. Since T = _TRUNCATION / sigma, sigma T / 4 is the same for
+    every system, so the nodes are T times a profile of the count alone.
+    The last node is T exactly.
+    """
+    rate = _TRUNCATION / 4.0
+    share = np.linspace(0.0, 1.0, _GRADED_POINTS if points is None else points)
+    nodes = np.log1p(share * np.expm1(-rate)) * (-length / rate)
+    nodes[-1] = length
+    return nodes
 
 
 def _report_and_ends(sys: ReactionDiffusionSystem) -> tuple[AssumptionReport, np.ndarray]:

@@ -340,16 +340,61 @@ def test_mesh_validation():
     assert m.b == 1.0 and np.array_equal(m.nodes, [0.0, 0.25, 1.0])
 
 
+def _shifted_ramp_bvp():
+    return dataclasses.replace(linear_ramp_bvp(), interval=(-0.5, 2.0),
+                               bc=lambda ua, ub: np.array([ua[0] + 0.5, ub[0] - 2.0]))
+
+
 def test_first_pass_runs_on_the_uniform_initial_mesh():
-    # the only start: cfg.initial_mesh_points uniform nodes over bvp.interval
-    bvp = dataclasses.replace(linear_ramp_bvp(), interval=(-0.5, 2.0),
-                              bc=lambda ua, ub: np.array([ua[0] + 0.5, ub[0] - 2.0]))
-    for points in (2, 7, 1000):
+    # without a start mesh: cfg.initial_mesh_points uniform nodes over
+    # bvp.interval, 1000 when None
+    bvp = _shifted_ramp_bvp()
+    for points, size in ((2, 2), (7, 7), (1000, 1000), (None, 1000)):
         sol = solve(bvp, SolverConfig(initial_mesh_points=points, adaptive=False))
-        assert np.array_equal(sol.mesh.nodes, np.linspace(-0.5, 2.0, points))
+        assert np.array_equal(sol.mesh.nodes, np.linspace(-0.5, 2.0, size))
         assert np.max(np.abs(sol.node_values[:, 0] - sol.mesh.nodes)) <= 1e-12
         adaptive = solve(bvp, SolverConfig(initial_mesh_points=points))
         assert np.array_equal(adaptive.mesh.nodes, sol.mesh.nodes)  # exact: no refinement
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_first_pass_runs_on_a_given_start_mesh(adaptive):
+    # a start mesh replaces the uniform one, whatever initial_mesh_points says;
+    # the caller's array is copied, not kept
+    bvp = _shifted_ramp_bvp()
+    start = np.array([-0.5, -0.4999, 0.0, 1.75, 2.0])
+    cfg = SolverConfig(initial_mesh_points=7, adaptive=adaptive)
+    sol = solve(bvp, cfg, start=start)
+    assert np.array_equal(sol.mesh.nodes, start) and sol.mesh.nodes is not start
+    assert np.max(np.abs(sol.node_values[:, 0] - start)) <= 1e-12
+    assert np.array_equal(solve(bvp, cfg, start=list(start)).mesh.nodes, start)
+
+
+@pytest.mark.parametrize("start, match", [
+    ([-0.5, 1.0, 0.5, 2.0], "strictly increasing"),
+    ([-0.5, 1.0, 1.0, 2.0], "strictly increasing"),
+    ([-0.5, np.nan, 2.0], "strictly increasing"),
+    ([-0.5], "at least two nodes"),
+    ([[-0.5, 2.0]], "at least two nodes"),
+    ([-0.4, 1.0, 2.0], r"spans \[-0.4, 2.0\], not the interval \[-0.5, 2.0\]"),
+    ([-0.5, 1.0, 2.0 + 2.0**-51], "not the interval"),
+    ([-0.5, 1.0], "not the interval"),
+])
+def test_start_mesh_must_increase_and_span_the_interval(start, match):
+    with pytest.raises(ValueError, match=match):
+        solve(_shifted_ramp_bvp(), SolverConfig(), start=np.array(start))
+
+
+def test_start_mesh_must_fit_max_mesh_points():
+    # the count that is used is checked: a given start mesh, or the uniform
+    # 1000 nodes that initial_mesh_points None stands for
+    bvp = _shifted_ramp_bvp()
+    cfg = SolverConfig(max_mesh_points=400)
+    assert solve(bvp, cfg, start=np.linspace(-0.5, 2.0, 400)).mesh.nodes.size == 400
+    with pytest.raises(ValueError, match="start mesh of 401 nodes exceeds max_mesh_points 400"):
+        solve(bvp, cfg, start=np.linspace(-0.5, 2.0, 401))
+    with pytest.raises(ValueError, match="start mesh of 1000 nodes exceeds max_mesh_points 400"):
+        solve(bvp, cfg)
 
 
 def test_refinement_passes_are_logged_at_debug_level(caplog):
