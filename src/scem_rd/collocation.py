@@ -200,9 +200,10 @@ class SolverConfig:
     ``max_newton`` do not apply to a linear problem, solved from zero in
     one step per pass. ``initial_mesh_points`` is the node count of the
     first pass, at most ``max_mesh_points``; None leaves it to the solver:
-    1000 uniform nodes, or 400 on a truncated layer's graded start (see
-    :func:`scem_rd.scem.hybrid_solve`, which spends it on each layer
-    problem). :func:`solve` checks the count None stands for.
+    1000 uniform nodes, as on a fixed mesh; 400 on a truncated layer's
+    graded start; 500 on an adaptive full-image layer's two-sided graded
+    start (see :func:`scem_rd.scem.hybrid_solve`, which spends it on each
+    layer problem). :func:`solve` checks the count None stands for.
     ``adaptive`` False runs a single pass on the initial mesh (no
     MeshOverflow possible); useful for mesh-convergence studies. Such a
     fixed-mesh solve does not estimate the residual, which only drives

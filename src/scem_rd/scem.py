@@ -25,9 +25,12 @@ The uniformly valid approximation is then assembled in three steps:
    ``initial_mesh_points`` says otherwise) whose spacing grows like
    exp(sqrt(delta) s / 4), so the nodes sit near s = 0, where the layer
    varies. Fixed-mesh solves and shorter images solve one problem from
-   x = 0 on the full image [0, 1/sqrt(eps)], with the mismatches at both
-   ends, from a uniform mesh of ``initial_mesh_points`` nodes (1000 when
-   None); it carries both layers.
+   x = 0 on the full image [0, L], L = 1/sqrt(eps), with the mismatches
+   at both ends; it carries both layers. A fixed mesh is uniform, of
+   ``initial_mesh_points`` nodes (1000 when None). An adaptive solve
+   there starts from the graded profile on each half of the image,
+   mirrored about L/2, so the nodes sit near both ends (500 nodes unless
+   ``initial_mesh_points`` says otherwise).
 3. Composite: y(x) = y_out(x) plus each layer correction Psi(s) where the
    distance s from its end lies in [0, L]. The composite holds a tuple of
    layers, the k-th measured from x = k: when truncated, the x = 0 layer at
@@ -66,6 +69,9 @@ _TRUNCATION = 42.0
 #: node count of a truncated layer's decay-graded start mesh when
 #: ``initial_mesh_points`` is None
 _GRADED_POINTS = 400
+#: node count of an adaptive full-image layer's two-sided graded start mesh
+#: when ``initial_mesh_points`` is None
+_MIRRORED_POINTS = 500
 #: assumption reports and outer end values kept by coefficient and forcing
 #: fields, oldest dropped first; an eps sweep builds every system of one
 #: problem on the same fields
@@ -326,9 +332,12 @@ def hybrid_solve(
     both boundary mismatches, and the result has that one layer. A
     truncated layer's solve starts from the decay-graded mesh of
     :func:`_graded_mesh`, of ``cfg.initial_mesh_points`` nodes or 400 when
-    None; a full-image solve starts from the uniform mesh of
+    None, and an adaptive full-image solve from the two-sided mesh of
+    :func:`_mirrored_mesh`, of ``cfg.initial_mesh_points`` nodes or 500
+    when None; :func:`_meeting_datum` then sets their boundary values. A
+    fixed-mesh solve runs on the uniform mesh of
     :func:`scem_rd.collocation.solve`, of ``cfg.initial_mesh_points``
-    nodes or 1000 when None.
+    nodes or 1000 when None, and is left as solved.
 
     The check depends only on ``sys.coeff``, and the outer solution's
     values at x = 0 and 1 only on ``sys.coeff`` and ``sys.forcing``. Every
@@ -347,20 +356,29 @@ def hybrid_solve(
     # build both problems before either solve: interleaving them shifts when
     # the cyclic garbage collector runs, and measured ~8% slower at deep eps
     problems = [build_layer_problem(sys, end, length, outer_ends) for end in ends]
-    if length is None:
+    if not cfg.adaptive:
         return HybridApproximation(solve_reduced(sys), (solve(problems[0].bvp, cfg),))
-    start = _graded_mesh(length, cfg.initial_mesh_points)
+    if length is None:  # the full image meets both of its data
+        span = problems[0].bvp.interval[1]
+        start = _mirrored_mesh(span, np.sqrt(report.delta), cfg.initial_mesh_points)
+        met = 2
+    else:  # a truncated layer meets its datum at s = 0; the cut stays as solved
+        start = _graded_mesh(length, cfg.initial_mesh_points)
+        met = 1
     return HybridApproximation(solve_reduced(sys), tuple(
-        _meeting_datum(solve(p.bvp, cfg, start=start), p.bc_values[0]) for p in problems))
+        _meeting_datum(solve(p.bvp, cfg, start=start), p.bc_values[:met]) for p in problems))
 
 
-def _meeting_datum(layer: CollocationSolution, datum: np.ndarray) -> CollocationSolution:
-    """The truncated layer with Psi(0) set to its Dirichlet datum, which the
-    band LU meets only to rounding, of either sign; so a zero datum gives a
-    composite of exactly 0 at its end. A full-image layer is left as
-    solved, which keeps the paper's files from that path (ROADMAP)."""
+def _meeting_datum(layer: CollocationSolution, data: np.ndarray) -> CollocationSolution:
+    """The adaptive layer with Psi(0) set to its Dirichlet datum ``data[0]``
+    and, when ``data`` has a second row, Psi(L) to ``data[1]``. The band LU
+    meets them only to rounding, of either sign; set exactly, a zero datum
+    gives a composite of exactly 0 at its end. A full-image layer meets
+    both of its data; a truncated one only the first, as the cut's Psi = 0
+    is no boundary of the domain. Fixed-mesh layers are left as solved,
+    which keeps the paper's convergence files (ROADMAP)."""
     values = layer.node_values.copy()
-    values[0, :datum.size] = datum
+    values[[0, -1][:len(data)], :data.shape[1]] = data
     return dataclasses.replace(layer, node_values=values)
 
 
@@ -377,9 +395,32 @@ def _graded_mesh(length: float, points: int | None) -> np.ndarray:
     """
     rate = _TRUNCATION / 4.0
     share = np.linspace(0.0, 1.0, _GRADED_POINTS if points is None else points)
-    nodes = np.log1p(share * np.expm1(-rate)) * (-length / rate)
+    nodes = _decay_profile(share, length, rate)
     nodes[-1] = length
     return nodes
+
+
+def _mirrored_mesh(length: float, sigma: float, points: int | None) -> np.ndarray:
+    """Two-sided decay-graded start mesh of a full-image layer on [0, L],
+    L = ``length``, of ``points`` nodes (``_MIRRORED_POINTS`` when None).
+
+    The full image carries a layer at each end, so :func:`_graded_mesh`'s
+    profile grades [0, L/2] from s = 0, here with the rate sigma (L/2) / 4
+    of the half's own length, and the other half is its mirror image:
+    s_(N-i) = L - s_i, with s = L/2 in the middle when the count is odd.
+    The nodes are 0 and L exactly at the ends.
+    """
+    points = _MIRRORED_POINTS if points is None else points
+    half = length / 2.0
+    share = np.arange(points // 2) * (2.0 / (points - 1))  # below 1: s < L/2
+    nodes = _decay_profile(share, half, sigma * half / 4.0)
+    return np.concatenate([nodes, [half] * (points % 2), length - nodes[::-1]])
+
+
+def _decay_profile(share: np.ndarray, length: float, rate: float) -> np.ndarray:
+    """s = -(length / rate) ln(1 - share q), q = 1 - exp(-rate): the
+    Bakhvalov nodes of [0, length] at the shares i/N of the count."""
+    return np.log1p(share * np.expm1(-rate)) * (-length / rate)
 
 
 def _report_and_ends(sys: ReactionDiffusionSystem) -> tuple[AssumptionReport, np.ndarray]:

@@ -385,6 +385,21 @@ def test_plotdata_files_and_plateaus(tmp_path):
     assert float(rows[-1][0]) == 1.0
 
 
+@pytest.mark.parametrize("problem", ["example1", "example2"])
+def test_zero_boundary_data_write_exact_zeros_at_every_paper_eps(problem, tmp_path):
+    # adaptive full-image layers (2^-1..2^-9) meet both data exactly, as
+    # truncated ones meet theirs, so no boundary cell reads -0.000000000000000
+    eps = ",".join(f"2^-{k}" for k in range(1, 16))
+    for command, *options in (["solve"], ["plotdata", "--grid", "101"]):
+        assert main([command, "--problem", problem, "--eps", eps, *options,
+                     "--out", str(tmp_path)]) == 0
+    for k in range(1, 16):
+        for kind in ("solve", "plot"):
+            header, rows = read_csv(tmp_path / f"{problem}_{kind}_eps{2.0**-k:.10g}.csv")
+            zero = ["0.000000000000000"] * (len(header) - 1)
+            assert (rows[0][1:], rows[-1][1:]) == (zero, zero), (kind, k)
+
+
 def test_plotdata_eps1_has_no_layer(tmp_path):
     assert main(["plotdata", "--problem", "example1", "--eps", "1",
                  "--grid", "2001", "--out", str(tmp_path)]) == 0

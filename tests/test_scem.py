@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_bvp
 
@@ -726,17 +726,70 @@ def test_truncated_layers_start_on_the_graded_mesh(name, points, monkeypatch):
 @pytest.mark.parametrize("cfg, eps, size", [
     (SolverConfig(adaptive=False), 1e-8, 1000),
     (SolverConfig(adaptive=False, initial_mesh_points=257), 1e-8, 257),
-    (SolverConfig(), 2.0**-8, 1000),
-    (SolverConfig(initial_mesh_points=257, residual_tol=1.0), 2.0**-8, 257),
-], ids=["no-adapt", "no-adapt-257", "full-image", "full-image-257"])
+], ids=["no-adapt", "no-adapt-257"])
 def test_full_image_layers_start_uniform(cfg, eps, size):
-    # fixed-mesh solves and adaptive ones on a short image keep the uniform
-    # start bit for bit; each takes one pass here (257 nodes only at a loose
-    # residual_tol), so the start is the final mesh
+    # fixed-mesh solves keep the uniform start bit for bit; a fixed mesh is
+    # one pass, so the start is the final mesh
     hybrid = hybrid_solve(example1(eps), cfg)
     assert len(hybrid.layers) == 1
     span = 1.0 / np.sqrt(eps)
     assert np.array_equal(hybrid.layers[0].mesh.nodes, np.linspace(0.0, span, size))
+
+
+def _mirrored_nodes(length, sigma, points):
+    """The solver's two-sided start, checked against the graded profile of
+    [0, L/2] at rate sigma (L/2) / 4, s_i = -(M/r) ln(1 - (2i/(N-1)) q),
+    M = L/2, r = sigma M / 4, q = 1 - exp(-r), for i < N/2, computed with
+    log and exp; the rest must be its mirror image L - s_i bit for bit, and
+    the middle node of an odd count L/2."""
+    half, rate = length / 2.0, sigma * length / 8.0
+    first = np.arange(points // 2)
+    want = -(half / rate) * np.log(1.0 - 2.0 * first / (points - 1) * (1.0 - np.exp(-rate)))
+    got = scem._mirrored_mesh(length, sigma, None if points == 500 else points)
+    np.testing.assert_allclose(got[first], want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got[::-1][first], length - got[first])
+    assert got.size == points and got[0] == 0.0 and got[-1] == length
+    assert points % 2 == 0 or got[points // 2] == half
+    return got
+
+
+@pytest.mark.parametrize("cfg, eps, size", [
+    (SolverConfig(), 2.0**-8, 500),
+    (SolverConfig(initial_mesh_points=257, residual_tol=1.0), 2.0**-8, 257),
+], ids=["full-image", "full-image-257"])
+def test_adaptive_full_image_layers_start_mirrored(cfg, eps, size):
+    # an adaptive solve on the full image starts from the two-sided graded
+    # mesh, 500 nodes or the given count; each takes one pass here (257
+    # nodes only at a loose residual_tol), so the start is the final mesh
+    hybrid = hybrid_solve(example1(eps), cfg)
+    assert len(hybrid.layers) == 1
+    nodes = _mirrored_nodes(1.0 / np.sqrt(eps), np.sqrt(2.0), size)
+    assert np.array_equal(hybrid.layers[0].mesh.nodes, nodes)
+    assert hybrid.layers[0].newton_iterations == 1
+
+
+@st.composite
+def _images(draw):
+    """A decay rate sigma and a full image L from 1e-150 (eps = 1e300, where
+    the rate sigma L / 8 is about 1e-151) up to just below T = 42 / sigma."""
+    sigma = draw(st.floats(1e-3, 1e3))
+    return sigma, draw(st.floats(1e-150, 42.0 / sigma, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(image=_images(), points=st.integers(2, 3000))
+@example(image=(np.sqrt(2.0), 1e-150), points=500)
+@example(image=(np.sqrt(2.0), np.nextafter(42.0 / np.sqrt(2.0), 0.0)), points=3)
+def test_mirrored_mesh_is_finite_increasing_and_mirror_built(image, points):
+    sigma, length = image
+    with np.errstate(all="raise"):
+        nodes = scem._mirrored_mesh(length, sigma, points)
+    assert nodes.size == points and np.all(np.isfinite(nodes))
+    assert np.all(np.diff(nodes) > 0.0)
+    assert nodes[0] == 0.0 and not np.signbit(nodes[0]) and nodes[-1] == length
+    first = np.arange(points // 2)
+    assert np.array_equal(nodes[::-1][first], length - nodes[first])
+    assert points % 2 == 0 or nodes[points // 2] == length / 2.0
 
 
 def test_fixed_mesh_layer_solves_start_uniform(monkeypatch):
@@ -758,19 +811,26 @@ def test_fixed_mesh_layer_solves_estimate_no_residual(monkeypatch):
     assert hybrid.layers[0].max_residual is None
 
 
-def test_short_stretched_interval_keeps_uniform_start(monkeypatch):
+def test_short_stretched_interval_starts_on_the_mirrored_mesh(monkeypatch):
     # the stretched image 1/sqrt(eps) = 16 is shorter than T = 29.7, so one
-    # layer problem covers the full image, solved from the uniform start
+    # layer problem covers the full image, solved from the mirrored start;
+    # only the two boundary values differ from that solve, set to their data
     intervals = _capture_layer_intervals(monkeypatch)
     sys = example1(2.0**-8)
     hybrid = hybrid_solve(sys, SolverConfig())
     assert intervals == [(0.0, 16.0)]
     assert len(hybrid.layers) == 1
-    uniform = solve(build_layer_problem(sys, 0.0).bvp, SolverConfig())
+    problem = build_layer_problem(sys, 0.0)
+    start = _mirrored_nodes(16.0, np.sqrt(2.0), 500)
+    mirrored = solve(problem.bvp, SolverConfig(), start=start)
     got = hybrid.layers[0]
-    assert np.array_equal(got.mesh.nodes, uniform.mesh.nodes)
-    assert np.array_equal(got.node_values, uniform.node_values)
-    assert np.array_equal(got.node_slopes, uniform.node_slopes)
+    assert np.array_equal(got.mesh.nodes, mirrored.mesh.nodes)
+    assert np.array_equal(got.node_slopes, mirrored.node_slopes)
+    assert np.array_equal(got.node_values[1:-1], mirrored.node_values[1:-1])
+    assert np.array_equal(got.node_values[[0, -1], 2:], mirrored.node_values[[0, -1], 2:])
+    assert np.array_equal(got.node_values[[0, -1], :2], problem.bc_values)
+    np.testing.assert_allclose(mirrored.node_values[[0, -1], :2], problem.bc_values,
+                               rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("eps", [2.0**-6, 2.0**-12])
@@ -858,6 +918,37 @@ def test_error_is_bounded_across_the_truncation_switch(eps, monkeypatch):
     xs = np.linspace(0.0, 1.0, 1001)
     vals = hybrid.eval_many(xs)
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-9
+
+
+#: adaptive error ceilings over eps = 2^-1..2^-10 on the stretched grid, for
+#: example1 and example2 with their zero data and variable_a with asymmetric
+#: data; the worst errors are 1.9e-10, 4.4e-10 and 1.4e-9 (at 2^-9 or
+#: 2^-10), and the 1000-node uniform full-image start they replace gave
+#: 3.3e-9, 7.9e-9 and 2.4e-8
+ADAPTIVE_ERROR_CEILING = {"example1": 3e-10, "example2": 7e-10, "variable_a": 2.5e-9}
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "variable_a"])
+def test_adaptive_error_is_bounded_at_the_paper_eps(name):
+    # example1 against its closed form, the others against a fixed uniform
+    # mesh of 12001 nodes on the full image, within 2e-12 of one of 24001
+    config = _deep_eps_problem(name, "asymmetric" if name == "variable_a" else "zero")
+    worst = 0.0
+    for k in range(1, 11):
+        eps = 2.0**-k
+        sys = config.build_system(eps)
+        hybrid = hybrid_solve(sys, SolverConfig())
+        if len(hybrid.layers) == 1:  # the full image: one pass on the start
+            assert hybrid.layers[0].newton_iterations == 1, k
+            assert hybrid.layers[0].mesh.nodes.size == 500, k
+        grid = _stretched_grid(eps)
+        if name == "example1":
+            want = _example1_oracle(eps)(grid)
+        else:
+            fine = SolverConfig(initial_mesh_points=12001, adaptive=False)
+            want = hybrid_solve(sys, fine).eval_many(grid)
+        worst = max(worst, np.max(np.abs(hybrid.eval_many(grid) - want)))
+    assert worst <= ADAPTIVE_ERROR_CEILING[name]
 
 
 SCALAR = {"name": "scalar", "n": 1, "coeff": [["2"]], "forcing": ["1"],
