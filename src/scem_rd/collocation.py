@@ -199,11 +199,9 @@ class SolverConfig:
     Newton starts from the constant ones vector; ``newton_tol`` and
     ``max_newton`` do not apply to a linear problem, solved from zero in
     one step per pass. ``initial_mesh_points`` is the node count of the
-    first pass, at most ``max_mesh_points``; None leaves it to the solver:
-    1000 uniform nodes, as on a fixed mesh; 400 on a truncated layer's
-    graded start; 500 on an adaptive full-image layer's two-sided graded
-    start (see :func:`scem_rd.scem.hybrid_solve`, which spends it on each
-    layer problem). :func:`solve` checks the count None stands for.
+    first pass, at most ``max_mesh_points``; None leaves it to the caller
+    that builds a start mesh, and gives 1000 nodes on :func:`solve`'s
+    uniform start. :func:`solve` checks the count None stands for.
     ``adaptive`` False runs a single pass on the initial mesh (no
     MeshOverflow possible); useful for mesh-convergence studies. Such a
     fixed-mesh solve does not estimate the residual, which only drives
@@ -680,7 +678,9 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
         total_newton += iters
         slopes = _rhs_all(bvp, nodes, Y)
         if cfg.adaptive:
-            res = _residual_per_interval(bvp, nodes, Y, slopes)
+            # an overflow (eps near 1e300) ends as a non-finite estimate, below
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = _residual_per_interval(bvp, nodes, Y, slopes)
             max_res = float(np.max(res))
             if not np.isfinite(max_res):  # no interval would be marked for halving
                 raise NewtonDivergence("residual estimate is not finite")

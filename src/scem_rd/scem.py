@@ -20,17 +20,10 @@ The uniformly valid approximation is then assembled in three steps:
    least like exp(-sqrt(delta) s), below exp(-42) ~ 6e-19 past T. Each
    end's layer is then solved on [0, T] with the outer solution's boundary
    mismatch (prescribed minus outer) at s = 0 and Psi = 0 at the cut, so
-   the cost does not grow as eps -> 0. Its solve starts from a
-   decay-graded mesh (Bakhvalov type, 400 nodes unless
-   ``initial_mesh_points`` says otherwise) whose spacing grows like
-   exp(sqrt(delta) s / 4), so the nodes sit near s = 0, where the layer
-   varies. Fixed-mesh solves and shorter images solve one problem from
-   x = 0 on the full image [0, L], L = 1/sqrt(eps), with the mismatches
-   at both ends; it carries both layers. A fixed mesh is uniform, of
-   ``initial_mesh_points`` nodes (1000 when None). An adaptive solve
-   there starts from the graded profile on each half of the image,
-   mirrored about L/2, so the nodes sit near both ends (500 nodes unless
-   ``initial_mesh_points`` says otherwise).
+   the cost does not grow as eps -> 0. Fixed-mesh solves and shorter
+   images solve one problem from x = 0 on the full image [0, L],
+   L = 1/sqrt(eps), with the mismatches at both ends; it carries both
+   layers. Every solve starts by the one rule of :func:`hybrid_solve`.
 3. Composite: y(x) = y_out(x) plus each layer correction Psi(s) where the
    distance s from its end lies in [0, L]. The composite holds a tuple of
    layers, the k-th measured from x = k: when truncated, the x = 0 layer at
@@ -66,12 +59,9 @@ _TABLE_MEMO_SIZE = 4
 #: truncated layer length in decay lengths 1 / sqrt(delta): past it a layer
 #: is below exp(-42) ~ 6e-19 of its boundary value
 _TRUNCATION = 42.0
-#: node count of a truncated layer's decay-graded start mesh when
-#: ``initial_mesh_points`` is None
-_GRADED_POINTS = 400
-#: node count of an adaptive full-image layer's two-sided graded start mesh
-#: when ``initial_mesh_points`` is None
-_MIRRORED_POINTS = 500
+#: node count of an adaptive layer's graded start mesh by the number of
+#: domain ends it reaches, when ``initial_mesh_points`` is None
+_GRADED_POINTS = {1: 400, 2: 500}
 #: assumption reports and outer end values kept by coefficient and forcing
 #: fields, oldest dropped first; an eps sweep builds every system of one
 #: problem on the same fields
@@ -329,15 +319,17 @@ def hybrid_solve(
     1/sqrt(eps) is at least T = 42 / sqrt(delta) solves one layer problem
     at each end, measured from that end on [0, T]. Otherwise, and on a
     fixed mesh, one problem from x = 0 covers the full image and carries
-    both boundary mismatches, and the result has that one layer. A
-    truncated layer's solve starts from the decay-graded mesh of
-    :func:`_graded_mesh`, of ``cfg.initial_mesh_points`` nodes or 400 when
-    None, and an adaptive full-image solve from the two-sided mesh of
-    :func:`_mirrored_mesh`, of ``cfg.initial_mesh_points`` nodes or 500
-    when None; :func:`_meeting_datum` then sets their boundary values. A
-    fixed-mesh solve runs on the uniform mesh of
-    :func:`scem_rd.collocation.solve`, of ``cfg.initial_mesh_points``
-    nodes or 1000 when None, and is left as solved.
+    both boundary mismatches, and the result has that one layer.
+
+    One rule starts every layer solve. Let ``sides`` be the number of
+    ends of [0, 1] that the layer's interval reaches: 1 when truncated, 2
+    on the full image. An adaptive solve starts from the graded mesh of
+    :func:`_graded_mesh` on those sides, of ``cfg.initial_mesh_points``
+    nodes or, when None, 400 for one side and 500 for two. A fixed-mesh
+    solve starts, and stays, on the uniform mesh of
+    :func:`scem_rd.collocation.solve` (1000 nodes when None). Every layer
+    then meets its Dirichlet data exactly at the ``sides`` ends it reaches
+    (:func:`_meeting_datum`).
 
     The check depends only on ``sys.coeff``, and the outer solution's
     values at x = 0 and 1 only on ``sys.coeff`` and ``sys.forcing``. Every
@@ -349,78 +341,60 @@ def hybrid_solve(
     """
     report, outer_ends = _report_and_ends(sys)
     cfg = cfg or SolverConfig()
-    cut = _TRUNCATION / np.sqrt(report.delta)
+    sigma = np.sqrt(report.delta)
     # unequal diffusion values are raised by build_layer_problem
-    length = cut if cfg.adaptive and cut <= 1.0 / np.sqrt(sys.diffusion[0]) else None
-    ends = (0.0,) if length is None else (0.0, 1.0)
+    span = 1.0 / np.sqrt(sys.diffusion[0])
+    cut = _TRUNCATION / sigma
+    if cfg.adaptive and cut <= span:  # a layer at each end, cut at T
+        sides, length, rate = 1, cut, _TRUNCATION / 4.0
+    else:  # one layer on the full image
+        sides, length, rate = 2, span, sigma * span / 8.0
+    ends = (0.0, 1.0) if sides == 1 else (0.0,)
     # build both problems before either solve: interleaving them shifts when
     # the cyclic garbage collector runs, and measured ~8% slower at deep eps
-    problems = [build_layer_problem(sys, end, length, outer_ends) for end in ends]
-    if not cfg.adaptive:
-        return HybridApproximation(solve_reduced(sys), (solve(problems[0].bvp, cfg),))
-    if length is None:  # the full image meets both of its data
-        span = problems[0].bvp.interval[1]
-        start = _mirrored_mesh(span, np.sqrt(report.delta), cfg.initial_mesh_points)
-        met = 2
-    else:  # a truncated layer meets its datum at s = 0; the cut stays as solved
-        start = _graded_mesh(length, cfg.initial_mesh_points)
-        met = 1
+    problems = [build_layer_problem(sys, end, length if sides == 1 else None, outer_ends)
+                for end in ends]
+    start = None
+    if cfg.adaptive:
+        points = cfg.initial_mesh_points or _GRADED_POINTS[sides]
+        start = _graded_mesh(length, rate, points, sides)
     return HybridApproximation(solve_reduced(sys), tuple(
-        _meeting_datum(solve(p.bvp, cfg, start=start), p.bc_values[:met]) for p in problems))
+        _meeting_datum(solve(p.bvp, cfg, start=start), p.bc_values[:sides]) for p in problems))
 
 
 def _meeting_datum(layer: CollocationSolution, data: np.ndarray) -> CollocationSolution:
-    """The adaptive layer with Psi(0) set to its Dirichlet datum ``data[0]``
-    and, when ``data`` has a second row, Psi(L) to ``data[1]``. The band LU
+    """The layer with Psi(0) set to its Dirichlet datum ``data[0]`` and,
+    when ``data`` has a second row, Psi(L) to ``data[1]``. The band LU
     meets them only to rounding, of either sign; set exactly, a zero datum
     gives a composite of exactly 0 at its end. A full-image layer meets
     both of its data; a truncated one only the first, as the cut's Psi = 0
-    is no boundary of the domain. Fixed-mesh layers are left as solved,
-    which keeps the paper's convergence files (ROADMAP)."""
+    is no boundary of the domain."""
     values = layer.node_values.copy()
     values[[0, -1][:len(data)], :data.shape[1]] = data
     return dataclasses.replace(layer, node_values=values)
 
 
-def _graded_mesh(length: float, points: int | None) -> np.ndarray:
-    """Decay-graded start mesh of a truncated layer on [0, T], T = ``length``,
-    of ``points`` nodes (``_GRADED_POINTS`` when None).
+def _graded_mesh(length: float, rate: float, points: int, sides: int) -> np.ndarray:
+    """Bakhvalov-graded start mesh of ``points`` nodes on [0, L], L =
+    ``length``, graded towards s = 0 (``sides`` 1) or both ends (2).
 
     Equidistributing the h^4 error of the slowest mode exp(-sigma s) gives
-    h(s) ~ exp(sigma s / 4), a Bakhvalov-type mesh in the stretched
-    variable: s_i = -(4 / sigma) ln(1 - (i/N) q), q = 1 - exp(-sigma T / 4),
-    i = 0..N. Since T = _TRUNCATION / sigma, sigma T / 4 is the same for
-    every system, so the nodes are T times a profile of the count alone.
-    The last node is T exactly.
+    h(s) ~ exp(sigma s / 4) (Bakhvalov 1969; Roos & Linss, Computing 63,
+    1999): on the graded stretch [0, M], M = L / sides, the nodes are
+    s_i = -(M / r) ln(1 - c_i q), q = 1 - exp(-r), at the rate r = sigma M
+    / 4 and the shares c_i = sides i / (points - 1). A truncated layer has
+    T = _TRUNCATION / sigma, so its rate is _TRUNCATION / 4 for every
+    system. On two sides the other half is the mirror image s_(N-i) =
+    L - s_i, with s = L/2 in the middle when the count is odd. The nodes
+    are 0 and L exactly at the ends.
     """
-    rate = _TRUNCATION / 4.0
-    share = np.linspace(0.0, 1.0, _GRADED_POINTS if points is None else points)
-    nodes = _decay_profile(share, length, rate)
-    nodes[-1] = length
-    return nodes
-
-
-def _mirrored_mesh(length: float, sigma: float, points: int | None) -> np.ndarray:
-    """Two-sided decay-graded start mesh of a full-image layer on [0, L],
-    L = ``length``, of ``points`` nodes (``_MIRRORED_POINTS`` when None).
-
-    The full image carries a layer at each end, so :func:`_graded_mesh`'s
-    profile grades [0, L/2] from s = 0, here with the rate sigma (L/2) / 4
-    of the half's own length, and the other half is its mirror image:
-    s_(N-i) = L - s_i, with s = L/2 in the middle when the count is odd.
-    The nodes are 0 and L exactly at the ends.
-    """
-    points = _MIRRORED_POINTS if points is None else points
-    half = length / 2.0
-    share = np.arange(points // 2) * (2.0 / (points - 1))  # below 1: s < L/2
-    nodes = _decay_profile(share, half, sigma * half / 4.0)
-    return np.concatenate([nodes, [half] * (points % 2), length - nodes[::-1]])
-
-
-def _decay_profile(share: np.ndarray, length: float, rate: float) -> np.ndarray:
-    """s = -(length / rate) ln(1 - share q), q = 1 - exp(-rate): the
-    Bakhvalov nodes of [0, length] at the shares i/N of the count."""
-    return np.log1p(share * np.expm1(-rate)) * (-length / rate)
+    reach = length / sides
+    share = np.arange(points if sides == 1 else points // 2) * (sides / (points - 1))
+    nodes = np.log1p(share * np.expm1(-rate)) * (-reach / rate)
+    if sides == 1:
+        nodes[-1] = length
+        return nodes
+    return np.concatenate([nodes, [reach] * (points % 2), length - nodes[::-1]])
 
 
 def _report_and_ends(sys: ReactionDiffusionSystem) -> tuple[AssumptionReport, np.ndarray]:

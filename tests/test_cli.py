@@ -387,17 +387,34 @@ def test_plotdata_files_and_plateaus(tmp_path):
 
 @pytest.mark.parametrize("problem", ["example1", "example2"])
 def test_zero_boundary_data_write_exact_zeros_at_every_paper_eps(problem, tmp_path):
-    # adaptive full-image layers (2^-1..2^-9) meet both data exactly, as
-    # truncated ones meet theirs, so no boundary cell reads -0.000000000000000
+    # full-image layers (2^-1..2^-9 adaptive, every eps on a fixed mesh)
+    # meet both data exactly, as truncated ones meet theirs, so no boundary
+    # cell reads -0.000000000000000
     eps = ",".join(f"2^-{k}" for k in range(1, 16))
-    for command, *options in (["solve"], ["plotdata", "--grid", "101"]):
-        assert main([command, "--problem", problem, "--eps", eps, *options,
-                     "--out", str(tmp_path)]) == 0
-    for k in range(1, 16):
-        for kind in ("solve", "plot"):
-            header, rows = read_csv(tmp_path / f"{problem}_{kind}_eps{2.0**-k:.10g}.csv")
-            zero = ["0.000000000000000"] * (len(header) - 1)
-            assert (rows[0][1:], rows[-1][1:]) == (zero, zero), (kind, k)
+    for adapt in ([], ["--no-adapt"]):
+        out = tmp_path / "-".join(["run", *adapt])
+        for command, *options in (["solve"], ["plotdata", "--grid", "101"]):
+            assert main([command, "--problem", problem, "--eps", eps, *options, *adapt,
+                         "--out", str(out)]) == 0
+        for k in range(1, 16):
+            for kind in ("solve", "plot"):
+                header, rows = read_csv(out / f"{problem}_{kind}_eps{2.0**-k:.10g}.csv")
+                zero = ["0.000000000000000"] * (len(header) - 1)
+                assert (rows[0][1:], rows[-1][1:]) == (zero, zero), (adapt, kind, k)
+
+
+@pytest.mark.parametrize("adapt", [[], ["--no-adapt"]], ids=["adaptive", "no-adapt"])
+@pytest.mark.parametrize("problem", ["example1", "example2"])
+def test_extreme_eps_exit_without_numpy_warnings(problem, adapt, tmp_path, capsys):
+    # far outside the paper's range a solve succeeds or fails as a solver
+    # failure (exit 3), never with an overflow warning on the way
+    for eps in ("1e300", "1e20", "1e8", "1e-300", "5e-324"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--problem", problem, "--eps", eps, *adapt,
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code in (0, 3) and not caught and "Warning" not in err, (eps, code, err)
 
 
 def test_plotdata_eps1_has_no_layer(tmp_path):

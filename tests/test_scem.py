@@ -694,7 +694,7 @@ def _graded_nodes(length, sigma, points):
     to 1e-10 relative there. The first node is 0 and the last T, exactly."""
     q = -np.expm1(-sigma * length / 4.0)
     nodes = -(4.0 / sigma) * np.log1p(-np.arange(points) / (points - 1) * q)
-    got = scem._graded_mesh(length, None if points == 400 else points)
+    got = scem._graded_mesh(length, scem._TRUNCATION / 4.0, points, 1)
     np.testing.assert_allclose(got, nodes, rtol=1e-10, atol=0.0)
     assert got[0] == 0.0 and got[-1] == length and np.all(np.diff(got) > 0.0)
     return got
@@ -745,7 +745,7 @@ def _mirrored_nodes(length, sigma, points):
     half, rate = length / 2.0, sigma * length / 8.0
     first = np.arange(points // 2)
     want = -(half / rate) * np.log(1.0 - 2.0 * first / (points - 1) * (1.0 - np.exp(-rate)))
-    got = scem._mirrored_mesh(length, sigma, None if points == 500 else points)
+    got = scem._graded_mesh(length, rate, points, 2)
     np.testing.assert_allclose(got[first], want, rtol=1e-12, atol=0.0)
     assert np.array_equal(got[::-1][first], length - got[first])
     assert got.size == points and got[0] == 0.0 and got[-1] == length
@@ -777,16 +777,21 @@ def _images(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(image=_images(), points=st.integers(2, 3000))
-@example(image=(np.sqrt(2.0), 1e-150), points=500)
-@example(image=(np.sqrt(2.0), np.nextafter(42.0 / np.sqrt(2.0), 0.0)), points=3)
-def test_mirrored_mesh_is_finite_increasing_and_mirror_built(image, points):
+@given(image=_images(), points=st.integers(2, 3000), sides=st.sampled_from([1, 2]))
+@example(image=(np.sqrt(2.0), 1e-150), points=500, sides=2)
+@example(image=(np.sqrt(2.0), np.nextafter(42.0 / np.sqrt(2.0), 0.0)), points=3, sides=2)
+@example(image=(np.sqrt(2.0), np.nextafter(42.0 / np.sqrt(2.0), 0.0)), points=3, sides=1)
+def test_mirrored_mesh_is_finite_increasing_and_mirror_built(image, points, sides):
+    # the rate sigma (L / sides) / 4 of the graded stretch; on one side it
+    # reaches the truncated layers' 10.5 as L reaches T
     sigma, length = image
     with np.errstate(all="raise"):
-        nodes = scem._mirrored_mesh(length, sigma, points)
+        nodes = scem._graded_mesh(length, sigma * length / (4.0 * sides), points, sides)
     assert nodes.size == points and np.all(np.isfinite(nodes))
     assert np.all(np.diff(nodes) > 0.0)
     assert nodes[0] == 0.0 and not np.signbit(nodes[0]) and nodes[-1] == length
+    if sides == 1:
+        return
     first = np.arange(points // 2)
     assert np.array_equal(nodes[::-1][first], length - nodes[first])
     assert points % 2 == 0 or nodes[points // 2] == length / 2.0
@@ -809,6 +814,21 @@ def test_fixed_mesh_layer_solves_estimate_no_residual(monkeypatch):
                                                            adaptive=False))
     assert intervals == [(0.0, 32.0)]
     assert hybrid.layers[0].max_residual is None
+
+
+@pytest.mark.parametrize("eps", [2.0**-6, 1e-8])
+def test_fixed_mesh_layers_meet_their_data(eps):
+    # a fixed-mesh layer takes its data at both ends bit for bit, as an
+    # adaptive full-image one does, so the composite meets the asymmetric
+    # boundary values to an ulp
+    config = _deep_eps_problem("variable_a", "asymmetric")
+    sys = config.build_system(eps)
+    hybrid = hybrid_solve(sys, SolverConfig(initial_mesh_points=257, adaptive=False))
+    data = build_layer_problem(sys, 0.0).bc_values
+    assert hybrid.layers[0].node_values[[0, -1], :2].tobytes() == data.tobytes()
+    ends = hybrid.eval_many(np.array([0.0, 1.0]))
+    want = np.array([config.bc_left, config.bc_right])
+    assert np.all(np.abs(ends - want) <= np.spacing(want))
 
 
 def test_short_stretched_interval_starts_on_the_mirrored_mesh(monkeypatch):
