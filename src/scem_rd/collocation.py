@@ -13,7 +13,7 @@ Eliminating the interior stage leaves, per subinterval of width h,
 so the unknowns are the mesh-node values only. The resulting nonlinear
 system (all interval closures plus the boundary residual) is solved by a
 damped Newton iteration that reuses its factors after full steps; for a
-problem flagged linear it is a linear system, solved from zero with one
+problem flagged linear it stops after the first full step, from zero: one
 assembly, one factorization and one back-solve. The Jacobian is banded:
 the u(a) rows go above the block-bidiagonal interval closures and the u(b)
 rows below them (the de Boor-Weiss SOLVEBLOK layout), and LAPACK band LU
@@ -148,9 +148,8 @@ class FirstOrderBvp:
         rhs_jac: optional analytic Jacobian d rhs / d u, called like rhs
             and returning (m, dim, dim). Finite differences of rhs are
             used when absent.
-        linear: states that rhs and bc are affine in u. :func:`solve`
-            then takes one linear step from u = 0 per pass, with the
-            Jacobians there and no Newton iteration to correct them.
+        linear: states that rhs and bc are affine in u, so that
+            :func:`solve` takes one Newton step a pass.
         bc_jac: optional analytic Jacobians of bc, the counterpart of
             rhs_jac: bc_jac(u(a), u(b)) returns the pair (d bc / d u(a),
             d bc / d u(b)), each (dim, dim). Their zero pattern is checked
@@ -196,15 +195,14 @@ class Mesh:
 class SolverConfig:
     """Tolerances and limits for :func:`solve`.
 
-    Newton starts from the constant ones vector; ``newton_tol`` and
-    ``max_newton`` do not apply to a linear problem, solved from zero in
-    one step per pass. ``initial_mesh_points`` is the node count of the
-    first pass, at most ``max_mesh_points``; None leaves it to the caller
-    that builds a start mesh, and gives 1000 nodes on :func:`solve`'s
-    uniform start. :func:`solve` checks the count None stands for.
-    ``adaptive`` False runs a single pass on the initial mesh (no
-    MeshOverflow possible); useful for mesh-convergence studies. Such a
-    fixed-mesh solve does not estimate the residual, which only drives
+    ``newton_tol`` and ``max_newton`` bound the Newton iteration of a
+    pass, which :func:`solve` describes. ``initial_mesh_points`` is the
+    node count of the first pass, at most ``max_mesh_points``; None leaves
+    it to the caller that builds a start mesh, and gives 1000 nodes on
+    :func:`solve`'s uniform start. :func:`solve` checks the count None
+    stands for. ``adaptive`` False runs a single pass on the initial mesh
+    (no MeshOverflow possible); useful for mesh-convergence studies. Such
+    a fixed-mesh solve does not estimate the residual, which only drives
     refinement.
     """
 
@@ -492,15 +490,21 @@ def _factor_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data)
     return solve_band
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverConfig):
     """Damped Newton on the collocation equations. Returns (Y, iterations).
 
-    After a full step the factors are kept and the next step is a chord
-    step with them, as in BVP_SOLVER and scipy's solve_bvp. A chord step
-    is never damped, and it is accepted only when it cuts the residual norm
-    tenfold (or to roundoff level): otherwise the Jacobian is refactored at
-    the current iterate, so a chord that barely contracts cannot use up
-    ``max_newton`` at a linear rate.
+    One full Newton step solves linear equations, so for a ``linear``
+    problem the first factorization and back-solve give the result, Y + d,
+    with no line search; NewtonDivergence is raised when it is not finite.
+    Otherwise, after a full step the factors are kept and the next step is
+    a chord step with them, as in BVP_SOLVER and scipy's solve_bvp. A chord
+    step is never damped, and it is accepted only when it cuts the residual
+    norm tenfold (or to roundoff level): otherwise the Jacobian is
+    refactored at the current iterate, so a chord that barely contracts
+    cannot use up ``max_newton`` at a linear rate. An overflow raises no
+    warning: it leaves a non-finite residual, which the line search
+    rejects.
     """
     F, data = _collocation_system(bvp, nodes, Y)
     solve_lin = None
@@ -516,6 +520,11 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
                 continue
         solve_lin = _factor_jacobian(bvp, nodes, Y, data)
         d = solve_lin(-F).reshape(Y.shape)
+        if bvp.linear:
+            Y = Y + d
+            if not np.all(np.isfinite(Y)):
+                raise NewtonDivergence("linear collocation solve is not finite")
+            return Y, it
         if _step_size(d, Y) <= cfg.newton_tol:
             return Y + d, it
         alpha = 1.0
@@ -533,20 +542,6 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
         if alpha < 1.0:
             solve_lin = None
     raise NewtonDivergence(f"Newton did not converge in {cfg.max_newton} iterations")
-
-
-def _linear_pass(bvp: FirstOrderBvp, nodes: np.ndarray) -> np.ndarray:
-    """The collocation solution of a linear problem: the Newton step from
-    Y = 0. Raises NewtonDivergence when it is not finite, as the line
-    search does on a non-finite residual; an overflow on the way (steps
-    near 1e154 square past the largest float) ends there too, silently."""
-    Y = np.zeros((nodes.size, bvp.dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        F, data = _collocation_system(bvp, nodes, Y)
-        Y = _factor_jacobian(bvp, nodes, Y, data)(-F).reshape(Y.shape)
-    if not np.all(np.isfinite(Y)):
-        raise NewtonDivergence("linear collocation solve is not finite")
-    return Y
 
 
 def _step_size(d: np.ndarray, Y: np.ndarray) -> float:
@@ -579,6 +574,7 @@ _GAUSS_VALUE, _GAUSS_SLOPE = (
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _residual_per_interval(
     bvp: FirstOrderBvp,
     nodes: np.ndarray,
@@ -621,8 +617,9 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     at the Gauss points come from the Hermite basis tabulated there,
     applied to the node values and slopes. The maximum over components is
     taken one component at a time, and a non-finite defect at a Gauss point
-    makes that subinterval's estimate non-finite (NaN propagates), which an
-    adaptive :func:`solve` rejects with NewtonDivergence.
+    makes that subinterval's estimate non-finite (NaN propagates, and an
+    overflow gives inf without a warning), which an adaptive :func:`solve`
+    rejects with NewtonDivergence.
     """
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 
@@ -640,18 +637,19 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
     mesh must be strictly increasing, begin and end exactly at
     ``bvp.interval`` and have at most ``cfg.max_mesh_points`` nodes (so
     must the uniform one), or ValueError is raised. Newton solves the
-    collocation equations on the current mesh to the step tolerance; for a
-    ``linear`` problem one step from zero solves them. With
-    ``cfg.adaptive`` False that single pass is the result, and its
-    residual is not estimated (``max_residual`` None). Otherwise
-    subintervals whose scaled residual exceeds ``cfg.residual_tol`` are
-    halved and Newton repeats from the interpolated previous solution.
-    Each pass and its path are logged at debug level on the "scem_rd"
-    logger. Raises ValueError when a boundary condition couples u(a) with
-    u(b), NewtonDivergence when one depends on neither, the iteration fails
-    to contract, the linear step is not finite or (adaptive mode only) the
-    residual estimate is not finite, and MeshOverflow when the tolerance is
-    unreachable within ``cfg.max_mesh_points`` (adaptive mode only).
+    collocation equations on the current mesh to the step tolerance, from
+    ones on the first mesh; a ``linear`` problem takes one step from zero
+    on every mesh. With ``cfg.adaptive`` False that single pass is the
+    result, and its residual is not estimated (``max_residual`` None).
+    Otherwise subintervals whose scaled residual exceeds
+    ``cfg.residual_tol`` are halved and a Newton pass repeats from the
+    interpolated previous solution. Each pass and its path are logged at
+    debug level on the "scem_rd" logger. Raises ValueError when a boundary
+    condition couples u(a) with u(b), NewtonDivergence when one depends on
+    neither, the iteration fails to contract, the linear step is not
+    finite or (adaptive mode only) the residual estimate is not finite, and
+    MeshOverflow when the tolerance is unreachable within
+    ``cfg.max_mesh_points`` (adaptive mode only).
     """
     cfg = cfg or SolverConfig()
     if start is None:
@@ -665,22 +663,16 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
     if nodes.size > cfg.max_mesh_points:
         raise ValueError(f"start mesh of {nodes.size} nodes exceeds max_mesh_points "
                          f"{cfg.max_mesh_points}")
-    # Newton's start; a linear pass starts from zero and needs none
-    Y = None if bvp.linear else np.ones((nodes.size, bvp.dim))
+    Y = np.zeros((nodes.size, bvp.dim)) if bvp.linear else np.ones((nodes.size, bvp.dim))
 
     total_newton = 0
     for n_pass in itertools.count(1):
-        if bvp.linear:
-            Y, iters, path = _linear_pass(bvp, nodes), 1, "linear solve (1 factorization)"
-        else:
-            Y, iters = _newton(bvp, nodes, Y, cfg)
-            path = f"{iters} Newton iterations"
+        Y, iters = _newton(bvp, nodes, Y, cfg)
         total_newton += iters
+        path = "linear solve (1 factorization)" if bvp.linear else f"{iters} Newton iterations"
         slopes = _rhs_all(bvp, nodes, Y)
         if cfg.adaptive:
-            # an overflow (eps near 1e300) ends as a non-finite estimate, below
-            with np.errstate(over="ignore", invalid="ignore"):
-                res = _residual_per_interval(bvp, nodes, Y, slopes)
+            res = _residual_per_interval(bvp, nodes, Y, slopes)
             max_res = float(np.max(res))
             if not np.isfinite(max_res):  # no interval would be marked for halving
                 raise NewtonDivergence("residual estimate is not finite")
@@ -706,5 +698,6 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
                 f"refinement but {new_nodes.size} points would exceed the "
                 f"budget of {cfg.max_mesh_points}"
             )
-        Y = None if bvp.linear else _interp_arrays(nodes, Y, slopes, new_nodes)
+        Y = (np.zeros((new_nodes.size, bvp.dim)) if bvp.linear
+             else _interp_arrays(nodes, Y, slopes, new_nodes))
         nodes = new_nodes

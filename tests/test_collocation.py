@@ -651,30 +651,41 @@ def test_singular_jacobian_raises_newton_divergence(bc, linear):
 
 
 def test_linear_layer_problem_factors_once_per_pass(monkeypatch, caplog):
+    # one assembly, one factorization and one back-solve a pass, so no
+    # line-search trial and no chord step, on a refined and a fixed mesh
     caplog.set_level(logging.DEBUG, logger="scem_rd")
-    factor_sizes, passes = [], []
-    dgbtrf = collocation.dgbtrf
-    residual = collocation._residual_per_interval
+    layer = build_layer_problem(example1(1e-6), 0.0)
+    dim = layer.bvp.dim
+    calls = {}
 
-    def counting_dgbtrf(ab, *args, **kwargs):
-        factor_sizes.append(ab.shape[1])
-        return dgbtrf(ab, *args, **kwargs)
+    def counting(name, size):
+        fun = getattr(collocation, name)
+        calls[name] = []
 
-    def counting_residual(bvp, nodes, *args):
-        passes.append(nodes.size)
-        return residual(bvp, nodes, *args)
+        def wrapper(*args, **kwargs):
+            calls[name].append(size(*args))
+            return fun(*args, **kwargs)
 
-    monkeypatch.setattr(collocation, "dgbtrf", counting_dgbtrf)
-    monkeypatch.setattr(collocation, "_residual_per_interval", counting_residual)
-    sys = example1(1e-6)
-    layer = build_layer_problem(sys, 0.0)
-    sol = solve(layer.bvp)
-    assert len(passes) > 1  # refinement happened
-    assert factor_sizes == [n * layer.bvp.dim for n in passes]
-    assert sol.newton_iterations == len(passes)  # one linear step a pass
-    logged = [r.getMessage() for r in caplog.records if r.name == "scem_rd"]
-    paths = [line.split(", ")[1] for line in logged]
-    assert paths == ["linear solve (1 factorization)"] * len(passes)
+        monkeypatch.setattr(collocation, name, wrapper)
+
+    counting("_collocation_system", lambda bvp, nodes, Y: nodes.size)
+    counting("dgbtrf", lambda ab, *args: ab.shape[1] // dim)
+    counting("dgbtrs", lambda lu, kl, ku, rhs, piv: rhs.size // dim)
+    for cfg in (SolverConfig(), SolverConfig(initial_mesh_points=257, adaptive=False)):
+        caplog.clear()
+        for seen in calls.values():
+            seen.clear()
+        sol = solve(layer.bvp, cfg)
+        logged = [r.getMessage() for r in caplog.records if r.name == "scem_rd"]
+        passes = [int(line.split()[2]) for line in logged]  # "pass k: N nodes, ..."
+        if cfg.adaptive:
+            assert len(passes) > 1  # refinement happened
+        else:
+            assert passes == [257]
+        assert calls == dict.fromkeys(calls, passes)
+        assert sol.newton_iterations == len(passes)  # one linear step a pass
+        paths = [line.split(", ")[1] for line in logged]
+        assert paths == ["linear solve (1 factorization)"] * len(passes)
 
 
 @pytest.mark.parametrize("cfg", [SolverConfig(initial_mesh_points=257, adaptive=False),
@@ -705,6 +716,32 @@ def test_non_finite_linear_step_raises_newton_divergence():
         solve(bvp, cfg)
     with pytest.raises(NewtonDivergence):
         solve(dataclasses.replace(bvp, linear=False), cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg", [SolverConfig(initial_mesh_points=21, adaptive=False),
+                                 SolverConfig(initial_mesh_points=21)],
+                         ids=["fixed-mesh", "adaptive"])
+def test_overflowing_newton_pass_raises_newton_divergence_quietly(cfg):
+    # u'' = e^u, u(0) = 0, u(1) = 800: the first full step from ones heads for
+    # u = 800 t, past where e^u overflows
+    bvp = FirstOrderBvp(
+        dim=2,
+        rhs=lambda t, u: np.column_stack([u[:, 1], np.exp(u[:, 0])]),
+        bc=lambda ua, ub: np.array([ua[0], ub[0] - 800.0]),
+        interval=(0.0, 1.0),
+    )
+    with pytest.raises(NewtonDivergence, match="no residual decrease after 10 step halvings"):
+        solve(bvp, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e200, 1e300])
+def test_residual_estimate_overflows_quietly(eps):
+    bvp = build_layer_problem(example2(eps), 0.0).bvp
+    sol = solve(bvp, SolverConfig(adaptive=False))
+    res = estimate_residual(bvp, sol)
+    assert res.shape == (999,) and np.all(res == np.inf)
 
 
 @pytest.mark.parametrize("linear", [False, True], ids=["newton", "linear"])

@@ -1,4 +1,4 @@
-"""The paper's 80 output files, 6 variable-coefficient files and 12 layer
+"""The paper's 80 output files, 6 variable-coefficient files and 18 layer
 tables, byte for byte, against committed sha256 digests.
 
 The paper files are what the paper's workloads emit for example1 and
@@ -12,7 +12,10 @@ callables, which the constant-coefficient paper systems never are. The
 layer tables are the adaptive composites of example1, example2 and
 ``VARCOEF`` at eps = 2^-4, 2^-9, 1e-8 and 1e-12 on a grid stretched into
 both layers (``layer_grid``): the files above sample the layers at small
-eps coarsely or not at all, so these are what pins the layer solves. The
+eps coarsely or not at all, so these are what pins the layer solves. Every
+one of those solves stops after its first pass, so the same tables at eps =
+2^-4 and 1e-8 with ``residual_tol`` 1e-10, which take 3-4 passes a layer,
+pin mesh refinement and the passes after the first. The
 last digits of every file depend on the numpy and LAPACK build, so
 ``paper_output_digests.json`` records the build its digests were made on,
 and on any other build the test skips and names both builds.
@@ -37,6 +40,7 @@ import pytest
 import scipy
 
 from scem_rd.cli import main
+from scem_rd.collocation import SolverConfig
 from scem_rd.config import load_problem
 from scem_rd.numformat import format_column, format_table
 from scem_rd.scem import hybrid_solve
@@ -60,6 +64,8 @@ VARCOEF = {
 VARCOEF_EPS = "1e-4,1e-8,1e-12"
 VARCOEF_RUNS = [["solve"], ["plotdata", "--grid", "2001"]]
 LAYER_EPS = (2.0**-4, 2.0**-9, 1e-8, 1e-12)
+REFINED_EPS = (2.0**-4, 1e-8)
+REFINED_TOL = 1e-10
 
 
 def _lapack(package) -> str:
@@ -102,13 +108,18 @@ def layer_grid(eps: float) -> np.ndarray:
 
 def write_layer_tables(out: Path, varcoef: Path) -> None:
     """The adaptive composites of the layer tables, as ``x,y_1,..,y_n`` rows
-    in ``%.15e``, to ``out/<problem>_layers_eps<eps>.csv``."""
+    in ``%.15e``, to ``out/<problem>_layers_eps<eps>.csv`` at the default
+    tolerance and ``out/<problem>_layers_tol1e-10_eps<eps>.csv`` at
+    ``REFINED_TOL``."""
+    runs = [("", eps, None) for eps in LAYER_EPS]
+    runs += [(f"tol{REFINED_TOL:g}_", eps, SolverConfig(residual_tol=REFINED_TOL))
+             for eps in REFINED_EPS]
     for config in (load_problem("example1"), load_problem("example2"), load_problem(str(varcoef))):
-        for eps in LAYER_EPS:
+        for tag, eps, cfg in runs:
             xs = layer_grid(eps)
-            values = hybrid_solve(config.build_system(eps)).eval_many(xs)
+            values = hybrid_solve(config.build_system(eps), cfg).eval_many(xs)
             table = format_table(format_column(xs, "%.15e"), values, "%.15e")
-            (out / f"{config.name}_layers_eps{eps:.10g}.csv").write_bytes(table)
+            (out / f"{config.name}_layers_{tag}eps{eps:.10g}.csv").write_bytes(table)
 
 
 def digests(work: Path) -> dict[str, str]:
@@ -135,7 +146,7 @@ def test_paper_outputs_are_byte_identical(tmp_path):
         pytest.skip(f"digests were made on {recorded['build']}, this is {build()}; "
                     "perfbench's value gates still check the tables")
     got = digests(tmp_path)
-    assert len(got) == 98
+    assert len(got) == 104
     changed = sorted(name for name in got.keys() | recorded["files"].keys()
                      if got.get(name) != recorded["files"].get(name))
     assert not changed, f"{len(changed)} output files differ: {', '.join(changed)}"
