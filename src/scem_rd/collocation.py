@@ -21,12 +21,13 @@ factors it: dgbtrf and dgbtrs of the LAPACK that numpy's linalg extension
 links, called through ctypes, so scipy is not imported. A condition
 coupling u(a) with u(b) would add a corner outside the band; it raises
 ValueError at the first Jacobian assembly. Adaptive solves refine the mesh
-by halving subintervals whose scaled ODE residual exceeds the tolerance.
-That residual is a 5-point Gauss quadrature of the collocation cubic's
-defect (the Gauss table is a literal, so numpy.polynomial is not
-imported); the Hermite basis and its derivative are tabulated once at the
-Gauss points, so the cubic at every quadrature point of every subinterval
-is one matrix product. A fixed-mesh solve refines nothing, so it does not
+by halving subintervals whose scaled ODE residual exceeds both the
+tolerance and the floor that rounding leaves it at. That residual is a
+5-point Gauss quadrature of the collocation cubic's defect (the Gauss
+table is a literal, so numpy.polynomial is not imported); the Hermite
+basis and its derivative are tabulated once at the Gauss points, so the
+cubic at every quadrature point of every subinterval is one matrix
+product. A fixed-mesh solve refines nothing, so it does not
 estimate the residual; :func:`estimate_residual` computes it on demand.
 The returned solution carries the collocation cubic as a continuous
 interpolant.
@@ -191,43 +192,41 @@ class Mesh:
         return float(self.nodes[-1])
 
 
+_NEWTON_TOL = 1e-10  # a pass ends at a step this small, relative to 1 + |Y|
+_MAX_NEWTON = 50  # Newton steps a pass may take
+_MAX_MESH_POINTS = 100000  # nodes a mesh may have, at the start and after refinement
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and limits for :func:`solve`.
+    """Residual tolerance and start mesh for :func:`solve`.
 
-    ``newton_tol`` and ``max_newton`` bound the Newton iteration of a
-    pass, which :func:`solve` describes. ``initial_mesh_points`` is the
-    node count of the first pass, at most ``max_mesh_points``; None leaves
-    it to the caller that builds a start mesh, and gives 1000 nodes on
-    :func:`solve`'s uniform start. :func:`solve` checks the count None
-    stands for. ``adaptive`` False runs a single pass on the initial mesh
-    (no MeshOverflow possible); useful for mesh-convergence studies. Such
-    a fixed-mesh solve does not estimate the residual, which only drives
-    refinement.
+    ``initial_mesh_points`` is the node count of the first pass, at most
+    the budget of 100000 nodes; None leaves it to the caller that builds a
+    start mesh, and gives :func:`solve`'s uniform start 1000 nodes, which
+    :func:`solve` checks. ``adaptive`` False runs a single pass on the
+    initial mesh and does not estimate its residual, which only drives
+    refinement (no MeshOverflow possible); useful for convergence studies.
     """
 
     residual_tol: float = 1e-6
-    newton_tol: float = 1e-10
-    max_newton: int = 50
-    max_mesh_points: int = 100000
     initial_mesh_points: int | None = None
     adaptive: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.residual_tol > 0.0 and self.newton_tol > 0.0):  # NaN fails too
+        if not self.residual_tol > 0.0:  # NaN fails too
             raise ValueError("tolerances must be positive")
-        counts = [("max_newton", 1), ("max_mesh_points", 1)]
-        if self.initial_mesh_points is not None:
-            counts.append(("initial_mesh_points", 2))
-        for name, least in counts:
-            value = getattr(self, name)
-            # bool is an Integral, but True is no count
-            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                    and value >= least):
-                raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
-        if self.initial_mesh_points is not None and self.initial_mesh_points > self.max_mesh_points:
-            raise ValueError(f"initial_mesh_points {self.initial_mesh_points} exceeds "
-                             f"max_mesh_points {self.max_mesh_points}")
+        points = self.initial_mesh_points
+        if points is None:
+            return
+        # bool is an Integral, but True is no count
+        if not (isinstance(points, numbers.Integral) and not isinstance(points, bool)
+                and points >= 2):
+            raise ValueError(f"initial_mesh_points must be an integer of at least 2, "
+                             f"not {points!r}")
+        if points > _MAX_MESH_POINTS:
+            raise ValueError(f"initial_mesh_points {points} exceeds "
+                             f"max_mesh_points {_MAX_MESH_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,8 @@ class CollocationSolution:
     :func:`evaluate` evaluates the per-subinterval collocation cubic; it
     reproduces ``node_values`` exactly at the mesh nodes and is C^1 across
     them. ``max_residual`` is the largest scaled ODE residual over all
-    subintervals at termination of an adaptive solve, and None after a
+    subintervals at termination of an adaptive solve (above the tolerance
+    when refinement ended at the roundoff floor), and None after a
     fixed-mesh solve, which does not estimate it; there
     ``np.max(estimate_residual(bvp, sol))`` gives the same value.
     ``newton_iterations`` counts Newton steps summed over all refinement
@@ -491,7 +491,7 @@ def _factor_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverConfig):
+def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray):
     """Damped Newton on the collocation equations. Returns (Y, iterations).
 
     One full Newton step solves linear equations, so for a ``linear``
@@ -502,16 +502,16 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
     step is never damped, and it is accepted only when it cuts the residual
     norm tenfold (or to roundoff level): otherwise the Jacobian is
     refactored at the current iterate, so a chord that barely contracts
-    cannot use up ``max_newton`` at a linear rate. An overflow raises no
+    cannot use up ``_MAX_NEWTON`` at a linear rate. An overflow raises no
     warning: it leaves a non-finite residual, which the line search
     rejects.
     """
     F, data = _collocation_system(bvp, nodes, Y)
     solve_lin = None
-    for it in range(1, cfg.max_newton + 1):
+    for it in range(1, _MAX_NEWTON + 1):
         if solve_lin is not None:
             d = solve_lin(-F).reshape(Y.shape)
-            if _step_size(d, Y) <= cfg.newton_tol:
+            if _step_size(d, Y) <= _NEWTON_TOL:
                 return Y + d, it
             Y_try = Y + d
             F_try, data_try = _collocation_system(bvp, nodes, Y_try)
@@ -525,7 +525,7 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
             if not np.all(np.isfinite(Y)):
                 raise NewtonDivergence("linear collocation solve is not finite")
             return Y, it
-        if _step_size(d, Y) <= cfg.newton_tol:
+        if _step_size(d, Y) <= _NEWTON_TOL:
             return Y + d, it
         alpha = 1.0
         for _ in range(11):  # full step plus up to 10 halvings
@@ -541,7 +541,7 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, cfg: SolverCon
         Y, F, data = Y_try, F_try, data_try
         if alpha < 1.0:
             solve_lin = None
-    raise NewtonDivergence(f"Newton did not converge in {cfg.max_newton} iterations")
+    raise NewtonDivergence(f"Newton did not converge in {_MAX_NEWTON} iterations")
 
 
 def _step_size(d: np.ndarray, Y: np.ndarray) -> float:
@@ -624,6 +624,28 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 
 
+#: the least power of two that keeps the rounding residuals measured under
+#: the floor: on a fine mesh they reach 0.98 of it for example1 at eps 2^-4
+#: and 0.35 for example2; with 8, example1 at eps 1e-8 and residual_tol
+#: 1e-12 takes 8 passes a layer instead of 6
+_FLOOR_FACTOR = 16.0
+
+
+def _roundoff_floor(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Per subinterval, the scaled residual that rounding alone can leave.
+
+    The band LU is backward stable, so each interval closure holds only to
+    about u (|y0| + |y1| + h (|s0| + |s1|)), u the machine epsilon, and the
+    cubic's derivative is off by that over h; the residual divides it by
+    1 + |rhs|, taken here at its smaller end value. The floor is the
+    largest such ratio over the components, times ``_FLOOR_FACTOR``.
+    """
+    h = np.diff(nodes)[:, None]
+    y, s = np.abs(values), np.abs(slopes)
+    ratio = (y[:-1] + y[1:] + h * (s[:-1] + s[1:])) / (h * (1.0 + np.minimum(s[:-1], s[1:])))
+    return _FLOOR_FACTOR * np.finfo(float).eps * np.max(ratio, axis=1)
+
+
 #: node count of a uniform start when ``initial_mesh_points`` is None
 _UNIFORM_POINTS = 1000
 
@@ -635,21 +657,24 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
     The first pass runs on the nodes of ``start``, or without it on
     ``cfg.initial_mesh_points`` uniform points (1000 when None). A start
     mesh must be strictly increasing, begin and end exactly at
-    ``bvp.interval`` and have at most ``cfg.max_mesh_points`` nodes (so
-    must the uniform one), or ValueError is raised. Newton solves the
+    ``bvp.interval`` and have at most the budget of 100000 nodes (so must
+    the uniform one), or ValueError is raised. Newton solves the
     collocation equations on the current mesh to the step tolerance, from
     ones on the first mesh; a ``linear`` problem takes one step from zero
     on every mesh. With ``cfg.adaptive`` False that single pass is the
     result, and its residual is not estimated (``max_residual`` None).
-    Otherwise subintervals whose scaled residual exceeds
-    ``cfg.residual_tol`` are halved and a Newton pass repeats from the
-    interpolated previous solution. Each pass and its path are logged at
-    debug level on the "scem_rd" logger. Raises ValueError when a boundary
+    Otherwise subintervals whose scaled residual exceeds both
+    ``cfg.residual_tol`` and its :func:`_roundoff_floor` are halved and a
+    Newton pass repeats from the interpolated previous solution; a pass
+    with no such subinterval is the result, its residual above the
+    tolerance only at the floor. The floor is computed only on passes above
+    the tolerance. Each pass and its path, and an end at the floor, are
+    logged at debug level on the "scem_rd" logger. Raises ValueError when a boundary
     condition couples u(a) with u(b), NewtonDivergence when one depends on
     neither, the iteration fails to contract, the linear step is not
     finite or (adaptive mode only) the residual estimate is not finite, and
-    MeshOverflow when the tolerance is unreachable within
-    ``cfg.max_mesh_points`` (adaptive mode only).
+    MeshOverflow when the subintervals above their floor need more nodes
+    than the budget (adaptive mode only).
     """
     cfg = cfg or SolverConfig()
     if start is None:
@@ -660,14 +685,14 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
         if nodes[0] != a or nodes[-1] != b:
             raise ValueError(f"start mesh spans [{float(nodes[0])!r}, {float(nodes[-1])!r}], "
                              f"not the interval [{a!r}, {b!r}]")
-    if nodes.size > cfg.max_mesh_points:
+    if nodes.size > _MAX_MESH_POINTS:
         raise ValueError(f"start mesh of {nodes.size} nodes exceeds max_mesh_points "
-                         f"{cfg.max_mesh_points}")
+                         f"{_MAX_MESH_POINTS}")
     Y = np.zeros((nodes.size, bvp.dim)) if bvp.linear else np.ones((nodes.size, bvp.dim))
 
     total_newton = 0
     for n_pass in itertools.count(1):
-        Y, iters = _newton(bvp, nodes, Y, cfg)
+        Y, iters = _newton(bvp, nodes, Y)
         total_newton += iters
         path = "linear solve (1 factorization)" if bvp.linear else f"{iters} Newton iterations"
         slopes = _rhs_all(bvp, nodes, Y)
@@ -681,7 +706,13 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
             max_res = None
             outcome = "residual not estimated (fixed mesh)"
         _log.debug("pass %d: %d nodes, %s, %s", n_pass, nodes.size, path, outcome)
-        if max_res is None or max_res <= cfg.residual_tol:
+        if max_res is not None and max_res > cfg.residual_tol:
+            floor = _roundoff_floor(nodes, Y, slopes)
+            bad = res > np.maximum(floor, cfg.residual_tol)
+            if not bad.any():
+                _log.debug("pass %d: residual above %.3e only at its roundoff floor "
+                           "(largest floor %.3e)", n_pass, cfg.residual_tol, np.max(floor))
+        if max_res is None or max_res <= cfg.residual_tol or not bad.any():
             return CollocationSolution(
                 mesh=Mesh(nodes),
                 node_values=Y,
@@ -689,14 +720,13 @@ def solve(bvp: FirstOrderBvp, cfg: SolverConfig | None = None,
                 max_residual=max_res,
                 newton_iterations=total_newton,
             )
-        bad = res > cfg.residual_tol
         mids = nodes[:-1][bad] + 0.5 * np.diff(nodes)[bad]
         new_nodes = np.sort(np.concatenate([nodes, mids]))
-        if new_nodes.size > cfg.max_mesh_points:
+        if new_nodes.size > _MAX_MESH_POINTS:
             raise MeshOverflow(
                 f"residual {max_res:.3e} > {cfg.residual_tol:.3e} still needs "
                 f"refinement but {new_nodes.size} points would exceed the "
-                f"budget of {cfg.max_mesh_points}"
+                f"budget of {_MAX_MESH_POINTS}"
             )
         Y = (np.zeros((new_nodes.size, bvp.dim)) if bvp.linear
              else _interp_arrays(nodes, Y, slopes, new_nodes))

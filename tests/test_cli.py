@@ -407,14 +407,36 @@ def test_zero_boundary_data_write_exact_zeros_at_every_paper_eps(problem, tmp_pa
 @pytest.mark.parametrize("problem", ["example1", "example2"])
 def test_extreme_eps_exit_without_numpy_warnings(problem, adapt, tmp_path, capsys):
     # far outside the paper's range a solve succeeds or fails as a solver
-    # failure (exit 3), never with an overflow warning on the way
+    # failure (exit 3), never with an overflow warning on the way; an
+    # adaptive solve ends at the roundoff floor where eps is far above 1,
+    # and succeeds at every eps but example2's 1e300, whose residual
+    # estimate overflows
     for eps in ("1e300", "1e20", "1e8", "1e-300", "5e-324"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["solve", "--problem", problem, "--eps", eps, *adapt,
                          "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        assert code in (0, 3) and not caught and "Warning" not in err, (eps, code, err)
+        succeeds = adapt == [] and (problem, eps) != ("example2", "1e300")
+        assert code in ((0,) if succeeds else (0, 3)), (eps, code, err)
+        assert not caught and "Warning" not in err, (eps, code, err)
+
+
+@pytest.mark.parametrize("problem, eps", [
+    ("example2", "1e8"), ("example2", "1e20"), ("example1", "1e20"), ("example1", "1e300"),
+])
+def test_adaptive_solve_far_above_eps_1_ends_at_the_roundoff_floor(problem, eps, tmp_path):
+    # the scaled residual of a stretched image of 1e-4 or shorter is rounding
+    # noise that halving only raises, so the first pass is kept; before the
+    # floor these ran out of mesh (exit 3). It agrees with the fixed mesh.
+    tables = []
+    for adapt in ([], ["--no-adapt"]):
+        out = tmp_path / "-".join(["run", *adapt])
+        assert main(["solve", "--problem", problem, "--eps", eps, *adapt,
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out / f"{problem}_solve_eps{float(eps):.10g}.csv")
+        tables.append(np.array(rows, dtype=float))
+    assert np.max(np.abs(tables[0] - tables[1])) <= 1e-13
 
 
 def test_plotdata_eps1_has_no_layer(tmp_path):
@@ -462,6 +484,18 @@ def test_plotdata_no_oracle_for_complex_spectrum(tmp_path):
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "rotor_plot_eps0.01.csv").exists()
     assert not (tmp_path / "rotor_error_eps0.01.csv").exists()
+
+
+def test_plotdata_no_oracle_for_numeric_diffusion(tmp_path):
+    # diffusion values that ignore --eps: an oracle at the CLI's eps would
+    # describe another system, so no error file is written
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), name="fixed", diffusion=[0.5, 0.5])
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["plotdata", "--problem", str(path), "--eps", "0.01",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fixed_plot_eps0.01.csv").exists()
+    assert not (tmp_path / "fixed_error_eps0.01.csv").exists()
 
 
 _CELLS = st.one_of(

@@ -248,8 +248,9 @@ def test_refined_mesh_contains_initial_nodes():
         assert np.min(np.abs(sol.mesh.nodes - node)) <= 1e-14
 
 
-def test_newton_divergence_on_iteration_budget():
+def test_newton_divergence_on_iteration_budget(monkeypatch):
     # genuinely nonlinear problem with a one-iteration budget
+    monkeypatch.setattr(collocation, "_MAX_NEWTON", 1)
     bvp = FirstOrderBvp(
         dim=1,
         rhs=lambda t, u: u * u,
@@ -257,7 +258,7 @@ def test_newton_divergence_on_iteration_budget():
         interval=(0.0, 1.0),
     )
     with pytest.raises(NewtonDivergence):
-        solve(bvp, SolverConfig(initial_mesh_points=11, max_newton=1))
+        solve(bvp, SolverConfig(initial_mesh_points=11))
 
 
 def test_nonlinear_problem_converges():
@@ -325,10 +326,11 @@ def test_damped_newton_halves_the_step_until_the_residual_falls(monkeypatch):
         solve(bvp, SolverConfig(initial_mesh_points=50))
 
 
-def test_mesh_overflow_when_budget_too_small():
+def test_mesh_overflow_when_budget_too_small(monkeypatch):
+    monkeypatch.setattr(collocation, "_MAX_MESH_POINTS", 40)
     bvp = scalar_layer_bvp(1e-6)
     with pytest.raises(MeshOverflow):
-        solve(bvp, SolverConfig(initial_mesh_points=11, max_mesh_points=40))
+        solve(bvp, SolverConfig(initial_mesh_points=11))
 
 
 def test_mesh_validation():
@@ -385,11 +387,12 @@ def test_start_mesh_must_increase_and_span_the_interval(start, match):
         solve(_shifted_ramp_bvp(), SolverConfig(), start=np.array(start))
 
 
-def test_start_mesh_must_fit_max_mesh_points():
+def test_start_mesh_must_fit_max_mesh_points(monkeypatch):
     # the count that is used is checked: a given start mesh, or the uniform
     # 1000 nodes that initial_mesh_points None stands for
+    monkeypatch.setattr(collocation, "_MAX_MESH_POINTS", 400)
     bvp = _shifted_ramp_bvp()
-    cfg = SolverConfig(max_mesh_points=400)
+    cfg = SolverConfig()
     assert solve(bvp, cfg, start=np.linspace(-0.5, 2.0, 400)).mesh.nodes.size == 400
     with pytest.raises(ValueError, match="start mesh of 401 nodes exceeds max_mesh_points 400"):
         solve(bvp, cfg, start=np.linspace(-0.5, 2.0, 401))
@@ -419,22 +422,37 @@ def test_config_validation():
 @pytest.mark.parametrize("value", [float("nan"), 2.5, 0, 1.0, True])
 @pytest.mark.parametrize("field", ["max_newton", "max_mesh_points", "initial_mesh_points"])
 def test_limits_must_be_integers(field, value):
-    # a NaN max_mesh_points would disable the MeshOverflow budget, as
-    # size > nan is never true
+    # the Newton cap and the node budget are constants, not fields: a config
+    # cannot set them to anything, so no NaN budget can disable MeshOverflow
+    if field != "initial_mesh_points":
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            SolverConfig(**{field: value})
+        return
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         SolverConfig(**{field: value})
 
 
-def test_start_mesh_must_fit_the_budget():
-    SolverConfig(initial_mesh_points=100, max_mesh_points=100)
+def test_start_mesh_must_fit_the_budget(monkeypatch):
+    monkeypatch.setattr(collocation, "_MAX_MESH_POINTS", 100)
+    SolverConfig(initial_mesh_points=100)
     with pytest.raises(ValueError, match="initial_mesh_points 101 exceeds max_mesh_points 100"):
-        SolverConfig(initial_mesh_points=101, max_mesh_points=100)
+        SolverConfig(initial_mesh_points=101)
+
+
+def test_solver_config_holds_the_three_values_callers_set():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "residual_tol", "initial_mesh_points", "adaptive"]
 
 
 @pytest.mark.parametrize("field", ["residual_tol", "newton_tol"])
 def test_nan_tolerance_rejected(field):
     # a NaN residual_tol would mark no interval for refinement, so an
-    # unmet tolerance would repeat the same pass forever
+    # unmet tolerance would repeat the same pass forever; Newton's
+    # tolerance is a constant that no config sets
+    if field == "newton_tol":
+        with pytest.raises(TypeError, match="unexpected keyword argument 'newton_tol'"):
+            SolverConfig(newton_tol=float("nan"))
+        return
     with pytest.raises(ValueError, match="tolerances must be positive"):
         SolverConfig(**{field: float("nan")})
 

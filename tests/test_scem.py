@@ -1,6 +1,7 @@
 """Tests for the hybrid pipeline: reduced solve, layer problems, composite."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -1048,6 +1049,33 @@ def test_example2_and_variable_a_deep_eps_layer_solves_take_one_pass():
             for layer in hybrid.layers:
                 assert layer.newton_iterations == 1, (name, eps)
                 assert layer.mesh.nodes.size == 400, (name, eps)
+
+
+@pytest.mark.parametrize("eps", [2.0**-4, 1e-8])
+def test_unreachable_residual_tol_ends_at_the_roundoff_floor(eps, caplog):
+    # 1e-12 is below the scaled residual that rounding leaves on a fine
+    # mesh; halving only raises it there, and without the floor both eps ran
+    # out of mesh after 18-19 passes (MeshOverflow)
+    caplog.set_level(logging.DEBUG, logger="scem_rd")
+    hybrid = hybrid_solve(example1(eps), SolverConfig(residual_tol=1e-12))
+    lines = [r.getMessage() for r in caplog.records if r.name == "scem_rd"]
+    passes = [line for line in lines if " nodes, " in line]
+    floors = [line for line in lines if "roundoff floor" in line]
+    assert len(floors) == len(hybrid.layers)
+    assert len(passes) <= 8 * len(hybrid.layers)
+    for layer in hybrid.layers:
+        assert 1e-12 < layer.max_residual <= 1e-11
+        assert layer.mesh.nodes.size <= 10000
+
+
+def test_one_pass_solves_compute_no_roundoff_floor(monkeypatch):
+    # the floor is only computed on a pass that needs refinement
+    monkeypatch.setattr(collocation, "_roundoff_floor",
+                        lambda *args: pytest.fail("floor computed on a one-pass solve"))
+    for make in (example1, example2):
+        for eps in (2.0**-4, 1e-8):
+            hybrid = hybrid_solve(make(eps), SolverConfig())
+            assert all(layer.newton_iterations == 1 for layer in hybrid.layers)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "variable_a"])
