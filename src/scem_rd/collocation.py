@@ -12,7 +12,7 @@ Eliminating the interior stage leaves, per subinterval of width h,
 
 so the unknowns are the mesh-node values only. The resulting nonlinear
 system (all interval closures plus the boundary residual) is solved by a
-damped Newton iteration that reuses its factors after full steps; for a
+damped Newton iteration that factors the Jacobian at every iterate; for a
 problem flagged linear it stops after the first full step, from zero: one
 assembly, one factorization and one back-solve. The Jacobian is banded:
 the u(a) rows go above the block-bidiagonal interval closures and the u(b)
@@ -494,32 +494,18 @@ def _factor_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data)
 def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray):
     """Damped Newton on the collocation equations. Returns (Y, iterations).
 
-    One full Newton step solves linear equations, so for a ``linear``
-    problem the first factorization and back-solve give the result, Y + d,
-    with no line search; NewtonDivergence is raised when it is not finite.
-    Otherwise, after a full step the factors are kept and the next step is
-    a chord step with them, as in BVP_SOLVER and scipy's solve_bvp. A chord
-    step is never damped, and it is accepted only when it cuts the residual
-    norm tenfold (or to roundoff level): otherwise the Jacobian is
-    refactored at the current iterate, so a chord that barely contracts
-    cannot use up ``_MAX_NEWTON`` at a linear rate. An overflow raises no
-    warning: it leaves a non-finite residual, which the line search
-    rejects.
+    Every iteration factors the Jacobian at the current iterate. One full
+    Newton step solves linear equations, so for a ``linear`` problem the
+    first factorization and back-solve give the result, Y + d, with no line
+    search; NewtonDivergence is raised when it is not finite. Otherwise a
+    step below ``_NEWTON_TOL`` gives Y + d, and a larger one is tried in
+    full and then halved, up to ten times, until the residual norm
+    decreases. An overflow raises no warning: it leaves a non-finite
+    residual, which the line search rejects.
     """
     F, data = _collocation_system(bvp, nodes, Y)
-    solve_lin = None
     for it in range(1, _MAX_NEWTON + 1):
-        if solve_lin is not None:
-            d = solve_lin(-F).reshape(Y.shape)
-            if _step_size(d, Y) <= _NEWTON_TOL:
-                return Y + d, it
-            Y_try = Y + d
-            F_try, data_try = _collocation_system(bvp, nodes, Y_try)
-            if _decreases(F_try, F, 1.0, rate=0.9):
-                Y, F, data = Y_try, F_try, data_try
-                continue
-        solve_lin = _factor_jacobian(bvp, nodes, Y, data)
-        d = solve_lin(-F).reshape(Y.shape)
+        d = _factor_jacobian(bvp, nodes, Y, data)(-F).reshape(Y.shape)
         if bvp.linear:
             Y = Y + d
             if not np.all(np.isfinite(Y)):
@@ -539,8 +525,6 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray):
                 f"no residual decrease after 10 step halvings (iteration {it})"
             )
         Y, F, data = Y_try, F_try, data_try
-        if alpha < 1.0:
-            solve_lin = None
     raise NewtonDivergence(f"Newton did not converge in {_MAX_NEWTON} iterations")
 
 
@@ -548,12 +532,12 @@ def _step_size(d: np.ndarray, Y: np.ndarray) -> float:
     return float(np.max(np.abs(d) / (1.0 + np.abs(Y))))
 
 
-def _decreases(F_try: np.ndarray, F: np.ndarray, alpha: float, rate: float = 1e-4) -> bool:
+def _decreases(F_try: np.ndarray, F: np.ndarray, alpha: float) -> bool:
     """Armijo-type sufficient decrease of the residual norm, ||F_try|| <=
-    (1 - rate * alpha) ||F||, or roundoff level."""
+    (1 - 1e-4 alpha) ||F||, or roundoff level."""
     norm_try = float(np.linalg.norm(F_try))
     floor = 1e-13 * np.sqrt(F.size)
-    return norm_try <= (1.0 - rate * alpha) * float(np.linalg.norm(F)) or norm_try <= floor
+    return norm_try <= (1.0 - 1e-4 * alpha) * float(np.linalg.norm(F)) or norm_try <= floor
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +587,15 @@ def _residual_per_interval(
         np.maximum(g, d[:, :, j], out=g)
     wg = (_GAUSS_W / 2.0)[:, None] * g
     wg *= g
-    return np.sqrt(np.sum(wg, axis=0))
+    res = np.sqrt(np.sum(wg, axis=0))
+    # a finite defect above about 1e154 overflows its square: take those
+    # intervals' root mean square relative to their largest defect
+    over = np.isinf(res) & np.all(np.isfinite(g), axis=0)
+    if over.any():
+        top = np.max(g[:, over], axis=0)
+        rel = g[:, over] / top
+        res[over] = top * np.sqrt(np.sum((_GAUSS_W / 2.0)[:, None] * rel * rel, axis=0))
+    return res
 
 
 def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarray:
@@ -616,10 +608,11 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     this call is how to get its residual. The cubic u and its derivative
     at the Gauss points come from the Hermite basis tabulated there,
     applied to the node values and slopes. The maximum over components is
-    taken one component at a time, and a non-finite defect at a Gauss point
-    makes that subinterval's estimate non-finite (NaN propagates, and an
-    overflow gives inf without a warning), which an adaptive :func:`solve`
-    rejects with NewtonDivergence.
+    taken one component at a time. A finite defect gives a finite estimate,
+    even where its square would overflow: such a subinterval's mean is taken
+    relative to its largest defect. A non-finite defect at a Gauss point
+    makes that subinterval's estimate non-finite (NaN propagates), which an
+    adaptive :func:`solve` rejects with NewtonDivergence.
     """
     return _residual_per_interval(bvp, sol.mesh.nodes, sol.node_values, sol.node_slopes)
 

@@ -409,21 +409,20 @@ def test_extreme_eps_exit_without_numpy_warnings(problem, adapt, tmp_path, capsy
     # far outside the paper's range a solve succeeds or fails as a solver
     # failure (exit 3), never with an overflow warning on the way; an
     # adaptive solve ends at the roundoff floor where eps is far above 1,
-    # and succeeds at every eps but example2's 1e300, whose residual
-    # estimate overflows
+    # and succeeds at every eps
     for eps in ("1e300", "1e20", "1e8", "1e-300", "5e-324"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["solve", "--problem", problem, "--eps", eps, *adapt,
                          "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        succeeds = adapt == [] and (problem, eps) != ("example2", "1e300")
-        assert code in ((0,) if succeeds else (0, 3)), (eps, code, err)
+        assert code in ((0,) if adapt == [] else (0, 3)), (eps, code, err)
         assert not caught and "Warning" not in err, (eps, code, err)
 
 
 @pytest.mark.parametrize("problem, eps", [
-    ("example2", "1e8"), ("example2", "1e20"), ("example1", "1e20"), ("example1", "1e300"),
+    ("example2", "1e8"), ("example2", "1e20"), ("example2", "1e300"), ("example1", "1e20"),
+    ("example1", "1e300"),
 ])
 def test_adaptive_solve_far_above_eps_1_ends_at_the_roundoff_floor(problem, eps, tmp_path):
     # the scaled residual of a stretched image of 1e-4 or shorter is rounding

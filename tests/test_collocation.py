@@ -18,6 +18,7 @@ from scipy.linalg import expm, lapack
 
 import scem_rd.collocation as collocation
 from scem_rd.collocation import (
+    CollocationSolution,
     FirstOrderBvp,
     Mesh,
     MeshOverflow,
@@ -275,6 +276,7 @@ def test_nonlinear_problem_converges():
 
 # u'' = g(u) with u(0), u(1): Troesch's problem at lambda = 3 and 5, an
 # exponential and a cubic nonlinearity; each stalled the chord iteration
+# that Newton once took after a full step with kept factors
 SECOND_ORDER_NONLINEAR = {
     "troesch-3": (lambda u: 3.0 * np.sinh(3.0 * u), 0.0, 1.0),
     "troesch-5": (lambda u: 5.0 * np.sinh(5.0 * u), 0.0, 1.0),
@@ -284,7 +286,7 @@ SECOND_ORDER_NONLINEAR = {
 
 
 @pytest.mark.parametrize("name", SECOND_ORDER_NONLINEAR)
-def test_nonlinear_second_order_problems_match_solve_bvp(name):
+def test_nonlinear_second_order_problems_match_solve_bvp(name, monkeypatch):
     g, left, right = SECOND_ORDER_NONLINEAR[name]
     bvp = FirstOrderBvp(
         dim=2,
@@ -292,7 +294,16 @@ def test_nonlinear_second_order_problems_match_solve_bvp(name):
         bc=lambda ua, ub: np.array([ua[0] - left, ub[0] - right]),
         interval=(0.0, 1.0),
     )
+    factorizations = []
+    dgbtrf = collocation.dgbtrf
+
+    def counting(*args, **kwargs):
+        factorizations.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(collocation, "dgbtrf", counting)
     sol = solve(bvp, SolverConfig(initial_mesh_points=50))
+    assert len(factorizations) == sol.newton_iterations  # one a Newton iteration
     xs = np.linspace(0.0, 1.0, 201)
     ref = solve_bvp(lambda t, y: np.vstack([y[1], g(y[0])]),
                     lambda ya, yb: np.array([ya[0] - left, yb[0] - right]),
@@ -313,9 +324,9 @@ def test_damped_newton_halves_the_step_until_the_residual_falls(monkeypatch):
     alphas = []
     decreases = collocation._decreases
 
-    def recording(F_try, F, alpha, **kwargs):
+    def recording(F_try, F, alpha):
         alphas.append(alpha)
-        return decreases(F_try, F, alpha, **kwargs)
+        return decreases(F_try, F, alpha)
 
     monkeypatch.setattr(collocation, "_decreases", recording)
     sol = solve(bvp, SolverConfig(initial_mesh_points=50))
@@ -670,7 +681,7 @@ def test_singular_jacobian_raises_newton_divergence(bc, linear):
 
 def test_linear_layer_problem_factors_once_per_pass(monkeypatch, caplog):
     # one assembly, one factorization and one back-solve a pass, so no
-    # line-search trial and no chord step, on a refined and a fixed mesh
+    # line-search trial, on a refined and a fixed mesh
     caplog.set_level(logging.DEBUG, logger="scem_rd")
     layer = build_layer_problem(example1(1e-6), 0.0)
     dim = layer.bvp.dim
@@ -755,11 +766,26 @@ def test_overflowing_newton_pass_raises_newton_divergence_quietly(cfg):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("eps", [1e200, 1e300])
-def test_residual_estimate_overflows_quietly(eps):
+def test_residual_estimate_stays_finite_where_its_squares_overflow(eps):
+    # the scaled defects here are above 1e160, so their squares overflow
     bvp = build_layer_problem(example2(eps), 0.0).bvp
     sol = solve(bvp, SolverConfig(adaptive=False))
     res = estimate_residual(bvp, sol)
-    assert res.shape == (999,) and np.all(res == np.inf)
+    assert res.shape == (999,) and np.all(np.isfinite(res)) and np.min(res) > 1e160
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e300])
+def test_residual_estimate_is_the_root_mean_square_defect(scale):
+    # u' = 0 against the cubic with zero end values and both slopes s on
+    # [0, 1]: its derivative s (6 t^2 - 6 t + 1) has root mean square
+    # s / sqrt(5), which 5-point Gauss quadrature integrates exactly
+    bvp = FirstOrderBvp(dim=1, rhs=lambda t, u: np.zeros_like(u),
+                        bc=lambda ua, ub: ua, interval=(0.0, 1.0))
+    sol = CollocationSolution(mesh=Mesh(np.array([0.0, 1.0])), node_values=np.zeros((2, 1)),
+                              node_slopes=np.full((2, 1), scale), max_residual=None,
+                              newton_iterations=0)
+    np.testing.assert_allclose(estimate_residual(bvp, sol), [scale / np.sqrt(5.0)], rtol=1e-14)
 
 
 @pytest.mark.parametrize("linear", [False, True], ids=["newton", "linear"])
