@@ -437,9 +437,9 @@ def splu(J):
     return superlu(J)
 
 
-def _factor_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data):
-    """Factor the Newton Jacobian by LAPACK band LU; returns a function
-    solving J x = F.
+def _newton_step(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, F: np.ndarray, data):
+    """The Newton step d, shaped like Y, that solves J d = -F for the
+    collocation Jacobian J at Y: one LAPACK band LU and one back-solve.
 
     Every bc row must depend on exactly one endpoint, as its zero pattern
     in (Ba, Bb) shows. A row on both raises ValueError, before any
@@ -481,22 +481,18 @@ def _factor_jacobian(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray, data)
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:
         raise NewtonDivergence(f"collocation Jacobian is singular: zero pivot {info}")
-
-    def solve_band(F: np.ndarray) -> np.ndarray:
-        rhs = np.concatenate([F[:dim][on_a], F[dim:], F[:dim][~on_a]])
-        x, _ = dgbtrs(lu, kl, ku, rhs, piv)
-        return x
-
-    return solve_band
+    rhs = -np.concatenate([F[:dim][on_a], F[dim:], F[:dim][~on_a]])
+    step, _ = dgbtrs(lu, kl, ku, rhs, piv)
+    return step.reshape(Y.shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray):
     """Damped Newton on the collocation equations. Returns (Y, iterations).
 
-    Every iteration factors the Jacobian at the current iterate. One full
-    Newton step solves linear equations, so for a ``linear`` problem the
-    first factorization and back-solve give the result, Y + d, with no line
+    Each iteration takes its step d from one :func:`_newton_step` at the
+    current iterate. One full Newton step solves linear equations, so for a
+    ``linear`` problem the first step gives the result, Y + d, with no line
     search; NewtonDivergence is raised when it is not finite. Otherwise a
     step below ``_NEWTON_TOL`` gives Y + d, and a larger one is tried in
     full and then halved, up to ten times, until the residual norm
@@ -505,7 +501,7 @@ def _newton(bvp: FirstOrderBvp, nodes: np.ndarray, Y: np.ndarray):
     """
     F, data = _collocation_system(bvp, nodes, Y)
     for it in range(1, _MAX_NEWTON + 1):
-        d = _factor_jacobian(bvp, nodes, Y, data)(-F).reshape(Y.shape)
+        d = _newton_step(bvp, nodes, Y, F, data)
         if bvp.linear:
             Y = Y + d
             if not np.all(np.isfinite(Y)):
@@ -565,6 +561,9 @@ def _residual_per_interval(
     values: np.ndarray,
     slopes: np.ndarray,
 ) -> np.ndarray:
+    """:func:`estimate_residual` on arrays. Each subinterval's defects are
+    scaled by 2^-e, e from frexp of their maximum (0 for NaN and inf), with
+    ``np.ldexp``: exact, and no factor is formed that could overflow."""
     # max_i |Sp_i - fq_i| / (1 + |fq_i|) in place, in the plain formula's operation
     # order (bitwise equal); np.max over the short component axis is ~15x slower
     h = np.diff(nodes)
@@ -585,17 +584,11 @@ def _residual_per_interval(
     g = d[:, :, 0].copy()  # (5, N); np.maximum, unlike fmax, keeps a NaN
     for j in range(1, dim):
         np.maximum(g, d[:, :, j], out=g)
+    e = np.frexp(np.max(g, axis=0))[1]
+    np.ldexp(g, -e, out=g)
     wg = (_GAUSS_W / 2.0)[:, None] * g
     wg *= g
-    res = np.sqrt(np.sum(wg, axis=0))
-    # a finite defect above about 1e154 overflows its square: take those
-    # intervals' root mean square relative to their largest defect
-    over = np.isinf(res) & np.all(np.isfinite(g), axis=0)
-    if over.any():
-        top = np.max(g[:, over], axis=0)
-        rel = g[:, over] / top
-        res[over] = top * np.sqrt(np.sum((_GAUSS_W / 2.0)[:, None] * rel * rel, axis=0))
-    return res
+    return np.ldexp(np.sqrt(np.sum(wg, axis=0)), e)
 
 
 def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarray:
@@ -608,9 +601,10 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
     this call is how to get its residual. The cubic u and its derivative
     at the Gauss points come from the Hermite basis tabulated there,
     applied to the node values and slopes. The maximum over components is
-    taken one component at a time. A finite defect gives a finite estimate,
-    even where its square would overflow: such a subinterval's mean is taken
-    relative to its largest defect. A non-finite defect at a Gauss point
+    taken one component at a time. Each subinterval's mean is taken of its
+    defects scaled exactly by the power of two that puts the largest in
+    [1/2, 1), and scaled back: every finite defect gives a finite estimate,
+    and a tiny one a nonzero estimate. A non-finite defect at a Gauss point
     makes that subinterval's estimate non-finite (NaN propagates), which an
     adaptive :func:`solve` rejects with NewtonDivergence.
     """
@@ -624,6 +618,7 @@ def estimate_residual(bvp: FirstOrderBvp, sol: CollocationSolution) -> np.ndarra
 _FLOOR_FACTOR = 16.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _roundoff_floor(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """Per subinterval, the scaled residual that rounding alone can leave.
 
@@ -631,7 +626,8 @@ def _roundoff_floor(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray) -
     about u (|y0| + |y1| + h (|s0| + |s1|)), u the machine epsilon, and the
     cubic's derivative is off by that over h; the residual divides it by
     1 + |rhs|, taken here at its smaller end value. The floor is the
-    largest such ratio over the components, times ``_FLOOR_FACTOR``.
+    largest such ratio over the components, times ``_FLOOR_FACTOR``; one
+    that overflows gives an infinite floor, and no warning.
     """
     h = np.diff(nodes)[:, None]
     y, s = np.abs(values), np.abs(slopes)

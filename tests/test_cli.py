@@ -420,6 +420,21 @@ def test_extreme_eps_exit_without_numpy_warnings(problem, adapt, tmp_path, capsy
         assert not caught and "Warning" not in err, (eps, code, err)
 
 
+def test_boundary_datum_near_the_overflow_threshold_exits_without_numpy_warnings(
+        tmp_path, capsys):
+    # with 3e307 at x = 0 the roundoff floor's sum of end values and slopes
+    # overflows: an infinite floor, which leaves the interval as it is, quietly
+    config = dict(BUILTIN_PROBLEMS["example1"].to_dict(), name="huge", bc_left=[3e307, 0])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--problem", str(path), "--eps", "0.5,1e-3,1e-8",
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0 and not caught and "Warning" not in err, (code, err)
+
+
 @pytest.mark.parametrize("problem, eps", [
     ("example2", "1e8"), ("example2", "1e20"), ("example2", "1e300"), ("example1", "1e20"),
     ("example1", "1e300"),

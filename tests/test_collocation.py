@@ -774,9 +774,7 @@ def test_residual_estimate_stays_finite_where_its_squares_overflow(eps):
     assert res.shape == (999,) and np.all(np.isfinite(res)) and np.min(res) > 1e160
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1.0, 1e150, 1e300])
-def test_residual_estimate_is_the_root_mean_square_defect(scale):
+def _slope_cubic_residual(scale):
     # u' = 0 against the cubic with zero end values and both slopes s on
     # [0, 1]: its derivative s (6 t^2 - 6 t + 1) has root mean square
     # s / sqrt(5), which 5-point Gauss quadrature integrates exactly
@@ -785,7 +783,19 @@ def test_residual_estimate_is_the_root_mean_square_defect(scale):
     sol = CollocationSolution(mesh=Mesh(np.array([0.0, 1.0])), node_values=np.zeros((2, 1)),
                               node_slopes=np.full((2, 1), scale), max_residual=None,
                               newton_iterations=0)
-    np.testing.assert_allclose(estimate_residual(bvp, sol), [scale / np.sqrt(5.0)], rtol=1e-14)
+    return estimate_residual(bvp, sol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e300, 1e-200, 1e-160])
+def test_residual_estimate_is_the_root_mean_square_defect(scale):
+    # where the squares overflow (1e300) or underflow (1e-200, 1e-160) too
+    np.testing.assert_allclose(_slope_cubic_residual(scale), [scale / np.sqrt(5.0)], rtol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_estimate_of_subnormal_defects_is_finite():
+    assert np.all(np.isfinite([_slope_cubic_residual(s) for s in (1e-310, 5e-324)]))
 
 
 @pytest.mark.parametrize("linear", [False, True], ids=["newton", "linear"])

@@ -1121,3 +1121,99 @@ def test_composite_is_the_same_per_block(eps):
               (0, xs.size)]
     for a, b in blocks:
         assert np.array_equal(hybrid.eval_many(xs[a:b], outer_values[a:b]), whole[a:b]), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# consistency checks that need no reference
+# ---------------------------------------------------------------------------
+
+#: variable-coefficient M-matrix systems as (A, f, data at x = 0, data at
+#: x = 1), each field a number or a callable of x: the digest system, and a
+#: three-component one with every kind of x-dependence
+CONSISTENCY_SYSTEMS = {
+    "varcoef": (
+        [[lambda x: 2.0 + x, -1.0], [-1.0, lambda x: 3.0 - x * x]],
+        [lambda x: 1.0 + x, lambda x: 1.0 / (1.0 + x)],
+        [1.0, -0.5], [0.25, 2.0],
+    ),
+    "three_component": (
+        [[lambda x: 3.0 + np.sin(np.pi * x), lambda x: -0.5 - 0.5 * x, -0.5],
+         [lambda x: -np.exp(-x), 2.5, lambda x: -x * x],
+         [-0.25, lambda x: -0.5 * np.cos(x), lambda x: 1.5 + x]],
+        [np.exp, lambda x: 1.0 - x, 2.0],
+        [1.0, 0.0, 1.0], [2.0, 0.0, 1.0],
+    ),
+}
+
+
+def _consistency_system(name, eps, scale=1.0, mirror=False):
+    """The named system at eps with eps, A and f times ``scale`` and, when
+    ``mirror``, x replaced by 1 - x and the end data swapped."""
+    coeff, forcing, left, right = CONSISTENCY_SYSTEMS[name]
+
+    def field(a):
+        if not callable(a):
+            return scale * a
+        return (lambda x: scale * a(1.0 - x)) if mirror else (lambda x: scale * a(x))
+
+    if mirror:
+        left, right = right, left
+    return make_system([[field(a) for a in row] for row in coeff],
+                       [field(f) for f in forcing], [scale * eps] * len(forcing), left, right)
+
+
+def _full_image_composite(sys):
+    """The composite of one layer on the full stretched image, solved on a
+    fixed two-sided graded mesh of 2000 nodes: the other path of the pipeline."""
+    span = 1.0 / np.sqrt(sys.diffusion[0])
+    sigma = np.sqrt(validate_assumptions(sys).delta)
+    start = scem._graded_mesh(span, sigma * span / 8.0, 2000, 2)
+    layer = solve(build_layer_problem(sys, 0.0).bvp, SolverConfig(adaptive=False), start=start)
+    return HybridApproximation(solve_reduced(sys), (layer,))
+
+
+@pytest.mark.parametrize("eps", [2.0**-4, 2.0**-9, 1e-4, 1e-8, 1e-12],
+                         ids=["2^-4", "2^-9", "1e-4", "1e-8", "1e-12"])
+@pytest.mark.parametrize("name", CONSISTENCY_SYSTEMS)
+def test_variable_coefficient_composite_is_consistent(name, eps):
+    # Three relations of the method itself, so no reference solution is needed:
+    # - scale invariance: (eps, A, f) -> (4 eps, 4 A, 4 f) is the same problem,
+    #   and every length it changes halves exactly, so the composite is bitwise equal;
+    # - mirror symmetry: A(1 - x), f(1 - x) and swapped data mirror the layers. They
+    #   are compared on their node values, as x and 1 - x round differently inside a
+    #   thin layer (8.2e-15 at most on these systems);
+    # - path consistency: where the layers are truncated, the composite is that of
+    #   one full-image layer up to collocation error (6.3e-10 at most).
+    # A layer A taken consistently from the wrong place changes no relation, so the
+    # layers are also checked against the equation: Psi'' = A(x) Psi at every node,
+    # with A sampled here at the node's x = |k - sqrt(eps) s| for the layer at x = k
+    # (8.9e-16 at most).
+    n = len(CONSISTENCY_SYSTEMS[name][1])
+    t = np.linspace(0.0, 40.0, 400) * np.sqrt(eps)
+    t = t[t <= 1.0]
+    xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201), t, 1.0 - t]))
+    sys = _consistency_system(name, eps)
+    hybrid = hybrid_solve(sys)
+    ys = hybrid.eval_many(xs)
+
+    scaled = hybrid_solve(_consistency_system(name, eps, scale=4.0))
+    assert np.array_equal(scaled.eval_many(xs), ys)
+
+    mirrored = hybrid_solve(_consistency_system(name, eps, mirror=True)).layers
+    truncated = len(hybrid.layers) == 2
+    assert truncated == (eps <= 1e-4)  # T = 42 / sqrt(delta), delta 1 and 0.75
+    if truncated:  # the layer at x = 0 is the mirror's at x = 1, and the other way round
+        pairs = [(hybrid.layers[k].node_values, mirrored[1 - k].node_values) for k in (0, 1)]
+    else:  # one layer from x = 0: the mirror's reversed, with Psi' of the other sign
+        flipped = mirrored[0].node_values[::-1] * np.repeat([1.0, -1.0], n)
+        pairs = [(hybrid.layers[0].node_values, flipped)]
+    for values, mirror in pairs:
+        assert np.max(np.abs(values - mirror)) <= 1e-13
+
+    if truncated:
+        assert np.max(np.abs(_full_image_composite(sys).eval_many(xs) - ys)) <= 1e-9
+
+    for k, layer in enumerate(hybrid.layers):
+        A = sys.coeff_matrix(np.abs(k - np.sqrt(eps) * layer.mesh.nodes))
+        a_psi = np.einsum("kij,kj->ki", A, layer.node_values[:, :n])
+        assert np.max(np.abs(layer.node_slopes[:, n:] - a_psi)) <= 1e-12
