@@ -430,8 +430,8 @@ def splu(J):
     """SuperLU factorization of the sparse matrix J; scipy.sparse is
     imported on the first call. Nothing in this package calls it: the
     engine factors by band LU only. The name stays for perfbench's tracer,
-    which patches it, and goes with ROADMAP item 1 part A, as does the
-    CLI's ``--jobs``."""
+    which patches it, and goes in ROADMAP item 1 part B, after part A2, as
+    does the CLI's ``--jobs``."""
     from scipy.sparse.linalg import splu as superlu
 
     return superlu(J)

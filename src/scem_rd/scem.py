@@ -62,12 +62,6 @@ _TRUNCATION = 42.0
 #: node count of an adaptive layer's graded start mesh by the number of
 #: domain ends it reaches, when ``initial_mesh_points`` is None
 _GRADED_POINTS = {1: 400, 2: 500}
-#: assumption reports and outer end values kept by coefficient and forcing
-#: fields, oldest dropped first; an eps sweep builds every system of one
-#: problem on the same fields
-_REPORT_MEMO_SIZE = 8
-#: (coeff, forcing) -> [report, y_out at x = 0 and 1 (None until computed)]
-_reports: dict[tuple, list] = {}
 
 
 class SingularReducedMatrix(Exception):
@@ -332,12 +326,11 @@ def hybrid_solve(
     (:func:`_meeting_datum`).
 
     The check depends only on ``sys.coeff``, and the outer solution's
-    values at x = 0 and 1 only on ``sys.coeff`` and ``sys.forcing``. Every
-    system of one problem shares both across an eps sweep
-    (``ProblemConfig.build_system``), so both are kept for the last few
-    fields and computed once per field. A failing check or end value
-    raises on every call, and unhashable fields are checked and evaluated
-    on every call.
+    values at x = 0 and 1 only on ``sys.coeff`` and ``sys.forcing``. Both
+    are kept on the system and shared by every system that
+    ``dataclasses.replace`` makes from it: the eps sweep of one problem
+    (``ProblemConfig.build_system``) computes them once. A failing check
+    or end value raises on every call.
     """
     report, outer_ends = _report_and_ends(sys)
     cfg = cfg or SolverConfig()
@@ -399,27 +392,20 @@ def _graded_mesh(length: float, rate: float, points: int, sides: int) -> np.ndar
 
 def _report_and_ends(sys: ReactionDiffusionSystem) -> tuple[AssumptionReport, np.ndarray]:
     """The assumption report of a system that passes the check, and y_out
-    at x = 0 and 1, memoised on the coefficient and forcing fields; raises
-    AssumptionViolation when the check fails. The end values are kept only
-    once computed, so a failing evaluation raises again."""
-    key = (sys.coeff, sys.forcing)
-    try:
-        entry = _reports.get(key)
-    except TypeError:  # an unhashable coefficient or forcing callable
-        entry = key = None
-    if entry is None:
-        entry = [validate_assumptions(sys), None]
-        if key is not None:
-            if len(_reports) >= _REPORT_MEMO_SIZE:
-                del _reports[next(iter(_reports))]
-            _reports[key] = entry
-    report = entry[0]
+    at x = 0 and 1, kept on ``sys`` for the very coefficient and forcing
+    objects they were computed on; raises AssumptionViolation when the
+    check fails. The end values are kept only once computed, so a failing
+    evaluation raises again."""
+    kept = sys._kept  # [coeff, forcing, report, ends (None until computed)]
+    if not kept or kept[0] is not sys.coeff or kept[1] is not sys.forcing:
+        kept[:] = [sys.coeff, sys.forcing, validate_assumptions(sys), None]
+    report = kept[2]
     if not report.passed:
         raise AssumptionViolation(
             f"structural assumptions fail (dominant={report.diagonally_dominant}, "
             f"offdiag_nonpositive={report.offdiag_nonpositive}, delta={report.delta:.6g})"
         )
-    if entry[1] is None:
-        entry[1] = solve_reduced(sys).eval_many(np.array([0.0, 1.0]))
-        entry[1].flags.writeable = False
-    return report, entry[1]
+    if kept[3] is None:
+        kept[3] = solve_reduced(sys).eval_many(np.array([0.0, 1.0]))
+        kept[3].flags.writeable = False
+    return report, kept[3]

@@ -14,7 +14,7 @@ and stability-bound checks built on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -67,6 +67,9 @@ class ReactionDiffusionSystem:
     diffusion: tuple[float, ...]
     left_bc: np.ndarray
     right_bc: np.ndarray
+    #: the assumption report and outer end values that ``hybrid_solve``
+    #: keeps; ``dataclasses.replace`` hands them on
+    _kept: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.forcing)
@@ -112,7 +115,9 @@ def make_system(
     """Build a system from numbers and/or callables of x, with zero default
     BCs. A number is stored as a float and a callable as given; floats
     compare by value, so systems built from equal numbers (2 and 2.0, or
-    0.0 and -0.0) have equal fields and share ``hybrid_solve``'s memo."""
+    0.0 and -0.0) compare equal. Each call starts its own kept assumption
+    report and outer end values (see ``hybrid_solve``); the systems that
+    ``dataclasses.replace`` makes from it share them."""
     n = len(forcing)
     lb = np.zeros(n) if left_bc is None else np.asarray(left_bc, dtype=float)
     rb = np.zeros(n) if right_bc is None else np.asarray(right_bc, dtype=float)

@@ -942,8 +942,6 @@ def test_x_column_matches_percent(xs, cell):
 
 @pytest.mark.parametrize("command", ["plotdata", "solve", "convergence"])
 def test_outer_solution_is_evaluated_on_the_grid_once_per_run(tmp_path, monkeypatch, command):
-    # equal numbers give equal fields, so start from an empty report memo
-    monkeypatch.setattr(scem_rd.scem, "_reports", {})
     path = tmp_path / "example1.json"
     path.write_text(dump_config(BUILTIN_PROBLEMS["example1"]), encoding="utf-8")
     grid_sizes = []  # point counts of every OuterSolution.eval_many call

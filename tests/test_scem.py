@@ -404,10 +404,9 @@ def test_nonzero_asymmetric_boundary_values_match_solve_bvp(eps, name):
 
 
 def _counting_validate(monkeypatch) -> list:
-    """Route hybrid_solve's assumption checks through a recorder, starting
-    from an empty report memo; returns the list of checked systems."""
+    """Route hybrid_solve's assumption checks through a recorder; returns
+    the list of checked systems."""
     checked = []
-    monkeypatch.setattr(scem, "_reports", {})
 
     def counting(sys):
         checked.append(sys)
@@ -440,27 +439,30 @@ def test_assumption_reports_are_kept_per_coefficient_field(monkeypatch):
     assert [sys.coeff for sys in checked] == [sys.coeff for sys in fields.values()]
 
 
-def test_separately_built_systems_with_equal_numbers_share_one_report(monkeypatch):
+def test_a_sweep_shares_one_report_and_a_neighbouring_forcing_does_not(monkeypatch):
     checked = _counting_validate(monkeypatch)
-    for eps in (1e-4, 1e-8, 1e-12):
-        hybrid_solve(make_system([[4, -2], [-1, 3]], [1, 2], [eps, eps]))
-    assert len(checked) == 1
-    assert len(scem._reports) == 1
+    evaluated = []
+    eval_many = scem.OuterSolution.eval_many
 
+    def recording(self, xs):
+        evaluated.append(self.sys.forcing)
+        return eval_many(self, xs)
 
-def test_equal_numbers_share_one_report_and_neighbouring_ones_do_not(monkeypatch):
-    checked = _counting_validate(monkeypatch)
-    for coeff, forcing in (([[4, -2], [-1, 3]], [1, 2]),
-                           ([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0]),
-                           ([[4.0, -2.0], [-1.0, 3.0]], [1.0, np.nextafter(2.0, 3.0)])):
-        hybrid_solve(make_system(coeff, forcing, [0.01, 0.01]), CFG)
+    monkeypatch.setattr(scem.OuterSolution, "eval_many", recording)
+    sys = make_system([[4, -2], [-1, 3]], [1, 2], [0.01, 0.01])
+    neighbour = dataclasses.replace(sys, forcing=(1.0, np.nextafter(2.0, 3.0)))
+    for eps in (1e-2, 1e-4):
+        hybrid_solve(dataclasses.replace(sys, diffusion=(eps, eps)), CFG)
+    assert evaluated == [sys.forcing]
+    hybrid = hybrid_solve(neighbour, CFG)
+    assert evaluated == [sys.forcing, neighbour.forcing]
     assert len(checked) == 2
-    assert len(scem._reports) == 2
+    # the neighbour's own end values: its composite meets the zero data exactly
+    assert not np.any(hybrid.eval_many(np.array([0.0, 1.0])))
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-8])
-def test_signed_zero_entries_share_one_report_and_one_composite(monkeypatch, eps):
-    checked = _counting_validate(monkeypatch)
+def test_signed_zero_entries_give_one_composite(eps):
     xs = np.linspace(0.0, 1.0, 1001)
 
     def composite(zero):
@@ -468,11 +470,7 @@ def test_signed_zero_entries_share_one_report_and_one_composite(monkeypatch, eps
                           [zero, 0.5], [1.0, zero])
         return hybrid_solve(sys, CFG).eval_many(xs).tobytes()
 
-    shared = [composite(0.0), composite(-0.0)]  # the second hits the first's entry
-    assert len(checked) == 1
-    assert len(scem._reports) == 1
-    monkeypatch.setattr(scem, "_reports", {})
-    assert shared == [composite(-0.0)] * 2
+    assert composite(0.0) == composite(-0.0)
 
 
 class _UnhashableConstant:
@@ -488,7 +486,7 @@ class _UnhashableConstant:
         return isinstance(other, _UnhashableConstant) and other.value == self.value
 
 
-def test_unhashable_coefficients_are_checked_on_every_call(monkeypatch):
+def test_unhashable_coefficients_are_checked_once_per_system(monkeypatch):
     checked = _counting_validate(monkeypatch)
     sys = make_system([[_UnhashableConstant(4.0), -2.0], [-1.0, 3.0]], [1.0, 2.0],
                       [0.01, 0.01])
@@ -497,13 +495,21 @@ def test_unhashable_coefficients_are_checked_on_every_call(monkeypatch):
     plain = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], [0.01, 0.01])
     xs = np.linspace(0.0, 1.0, 101)
     want = hybrid_solve(plain, CFG).eval_many(xs)
-    for _ in range(2):
-        assert np.array_equal(hybrid_solve(sys, CFG).eval_many(xs), want)
-    assert len(checked) == 3
+    for eps in (0.01, 0.001):
+        hybrid_solve(dataclasses.replace(sys, diffusion=(eps, eps)), CFG)
+    assert np.array_equal(hybrid_solve(sys, CFG).eval_many(xs), want)
+    assert len(checked) == 2  # plain's check, and one for the sweep of sys
+
+
+def test_replaced_coefficients_get_their_own_report():
+    # delta = min row sum sets the truncated layer length 42 / sqrt(delta)
+    sys = make_system([[4.0, -2.0], [-1.0, 3.0]], [1.0, 2.0], [1e-8, 1e-8])
+    assert hybrid_solve(sys).layers[0].mesh.b == pytest.approx(42.0 / np.sqrt(2.0), rel=1e-15)
+    other = dataclasses.replace(sys, coeff=((9.0, -1.0), (-1.0, 9.0)))
+    assert hybrid_solve(other).layers[0].mesh.b == pytest.approx(42.0 / np.sqrt(8.0), rel=1e-15)
 
 
 def test_outer_end_values_are_kept_per_field(monkeypatch):
-    monkeypatch.setattr(scem, "_reports", {})  # equal numbers share an entry
     evaluated = []
     eval_many = scem.OuterSolution.eval_many
 
